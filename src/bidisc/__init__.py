@@ -15,7 +15,7 @@ from .errors import (BidiscError, DepthExceeded, DomainError,
                      NoSolution, NotSquarefree, RecipeError, SingularJacobian)
 from .flows import (ConstrainedRecipe, DensityCurve, FlowRecipe,
                     SequentialRecipe, builtin_recipes, closed_form_841,
-                    closed_form_r6, delta_hex, eval_flow, find_crossings,
+                    closed_form_r6, eval_flow, find_crossings,
                     interstitial, interstitial_count, load_recipe,
                     lower_bound_at, lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density,
@@ -24,8 +24,7 @@ from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
 from .intervals import (Interval, iacos, iatan, iexp, ilog, ipow, itan,
-                        iv_add, iv_div, iv_mul, iv_pow, iv_sqrt, iv_sub,
-                        iv_tan, pi_interval)
+                        pi_interval)
 from .polynomials import Polynomial, RootBracket, isolate_roots, refine_root
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
 from .solve import Dual, newton_solve
@@ -42,12 +41,11 @@ __all__ = [
     "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
     "best_upper", "blind_bound", "blind_interval", "builtin_recipes",
     "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
-    "delta1_interval", "delta_hex", "density", "density_interval",
+    "delta1_interval", "density", "density_interval",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
     "florian_bound", "florian_interval", "iacos", "iatan", "iexp",
     "ilog", "interstitial",
-    "interstitial_count", "ipow", "isolate_roots", "itan", "iv_add", "iv_div",
-    "iv_mul", "iv_pow", "iv_sqrt", "iv_sub", "iv_tan", "lipschitz_envelope",
+    "interstitial_count", "ipow", "isolate_roots", "itan", "lipschitz_envelope",
     "lipschitz_slope", "load_recipe", "lower_bound_at", "lower_bound_curve",
     "make_certifier", "newton_solve", "pi_interval", "r_blind", "ratio",
     "ratio_interval", "ratio_polynomial", "recipe_from_dict", "refine_root",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Sequence
@@ -50,9 +51,14 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_positive(name: str, value: float) -> None:
+    # isfinite also turns away nan, on which the grid loop never ends
+    if not (math.isfinite(value) and value > 0.0):
+        raise _ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0.0:
-        raise _ConfigError(f"step must be positive, got {step}")
+    _check_positive("step", step)
     if (hi - lo) / step > 1e7:
         raise _ConfigError("step is too small for the range (over 1e7 points)")
     out = []
@@ -152,8 +158,7 @@ def cmd_lower(args) -> int:
 
 def cmd_upper(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.precision <= 0.0:
-        raise _ConfigError(f"precision must be positive, got {args.precision}")
+    _check_positive("precision", args.precision)
     certifier = make_certifier(args.certifier)
     grid = _grid(lo, hi, args.step)
     samples = list(sweep(certifier, grid, precision=args.precision))
@@ -182,8 +187,9 @@ def cmd_upper(args) -> int:
 
 def cmd_certify(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.precision <= 0.0:
-        raise _ConfigError(f"precision must be positive, got {args.precision}")
+    _check_positive("precision", args.precision)
+    if args.delta is not None and not math.isfinite(args.delta):
+        raise _ConfigError(f"delta must be finite, got {args.delta}")
     if args.max_depth < 1:
         raise _ConfigError(f"max-depth must be at least 1, got {args.max_depth}")
     certifier = make_certifier(args.certifier)

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bounds import SQRT3, delta1
 from .errors import (DomainError, InvalidPacking, NoConvergence, NoSolution,
                      RecipeError, SingularJacobian)
 from .expressions import Expr
@@ -33,14 +34,6 @@ from .geometry import Disc, FundamentalDomain, density, stick, validate
 from .intervals import Interval
 from .ratios import ratio
 from .solve import newton_solve
-
-SQRT3 = math.sqrt(3.0)
-
-
-def delta_hex() -> float:
-    """Density of the hexagonal compact packing of equal discs."""
-    return math.pi / (2.0 * SQRT3)
-
 
 # ---------------------------------------------------------------------------
 # closed-form density curves
@@ -472,7 +465,7 @@ def lower_bound_at(r: float, recipes: dict[str, FlowRecipe] | None = None) -> fl
     """
     if recipes is None:
         recipes = builtin_recipes()
-    best = delta_hex()
+    best = delta1()
     if 0.0 < r <= ratio("r8") + 1e-12:
         best = max(best, interstitial(r)[1])
     for recipe in recipes.values():

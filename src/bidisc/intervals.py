@@ -86,9 +86,6 @@ class Interval:
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= x <= self.hi
 
-    def contains(self, x) -> bool:
-        return x in self
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -412,34 +409,3 @@ def ilog(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError("log of an interval touching 0")
     return Interval(_log_point(x.lo).lo, _log_point(x.hi).hi)
-
-
-# Functional aliases for the arithmetic operators, for callers that prefer
-# an explicit outward-rounded vocabulary over overloading.
-
-def iv_add(a: Interval, b) -> Interval:
-    return a + b
-
-
-def iv_sub(a: Interval, b) -> Interval:
-    return a - b
-
-
-def iv_mul(a: Interval, b) -> Interval:
-    return a * b
-
-
-def iv_div(a: Interval, b) -> Interval:
-    return a / b
-
-
-def iv_sqrt(a: Interval) -> Interval:
-    return a.sqrt()
-
-
-def iv_tan(a: Interval) -> Interval:
-    return itan(a)
-
-
-def iv_pow(a: Interval, b) -> Interval:
-    return ipow(a, b)

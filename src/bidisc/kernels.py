@@ -1,26 +1,20 @@
-"""Hot loops for periodic overlap checking, in two interchangeable backends.
+"""The periodic overlap scan, vectorized in numpy.
 
 The pair-times-translate distance sweep is the only part of the package that
 ever sees large arrays (interstitial cells at small radius hold hundreds of
-discs), so it gets a numba ``@njit`` kernel with a pure-numpy fallback.  The
-backend is chosen once at import from the ``BIDISC_KERNELS`` environment
-variable: ``numba`` (default) or ``numpy``; if numba does not import,
-``numba`` falls back to ``numpy``, and ``backend_name()`` reports which one
-runs.  Both backends implement the same arithmetic and return identical
-violation lists.
+discs), so it runs as whole-array numpy operations over all pairs, one
+lattice translate at a time.
 
-For each ordered pair (i, j) the kernel centers the translate search on the
+For each ordered pair (i, j) the scan centers the translate search on the
 lattice point nearest to c_i - c_j and scans a window around it, so discs
 far outside the fundamental cell are handled without any prior wrapping.
 """
 
-import os
-
 import numpy as np
 
 
-def _violations_numpy(xy, radii, u, v, mwin, nwin, tol):
-    """All periodic pair violations: rows (i, j, m, n, gap).
+def periodic_violations(xy, radii, u, v, mwin: int, nwin: int, tol: float) -> np.ndarray:
+    """All periodic pair violations: rows (i, j, m, n, gap), sorted (i, j, m, n).
 
     gap = distance - (r_i + r_j); a violation has gap < -tol.  Pairs are
     reported once (i < j, any translate; i == j only for nonzero translates
@@ -33,7 +27,9 @@ def _violations_numpy(xy, radii, u, v, mwin, nwin, tol):
     inv = np.linalg.inv(lat)
 
     diff = xy[:, None, :] - xy[None, :, :]            # c_i - c_j
-    # explicit two-term dots, same evaluation order as the loop kernel
+    # explicit two-term dots, not a matmul: the loop oracle in
+    # tests/test_kernels.py evaluates the same expressions and must agree
+    # bit for bit
     base = np.stack([np.rint(inv[0, 0] * diff[..., 0] + inv[0, 1] * diff[..., 1]),
                      np.rint(inv[1, 0] * diff[..., 0] + inv[1, 1] * diff[..., 1])],
                     axis=-1)
@@ -45,7 +41,6 @@ def _violations_numpy(xy, radii, u, v, mwin, nwin, tol):
         for dn in range(-nwin, nwin + 1):
             mm = base[iu, ju, 0] + dm
             nn = base[iu, ju, 1] + dn
-            # same expression as the loop kernel, so gaps match to the ulp
             ox = diff[iu, ju, 0] - (mm * lat[0, 0] + nn * lat[0, 1])
             oy = diff[iu, ju, 1] - (mm * lat[1, 0] + nn * lat[1, 1])
             dist = np.sqrt(ox * ox + oy * oy)
@@ -60,73 +55,4 @@ def _violations_numpy(xy, radii, u, v, mwin, nwin, tol):
             for i, j, m, n, g in zip(hi[keep], hj[keep], hm[keep], hn[keep], hg[keep]):
                 rows.append((float(i), float(j), float(m), float(n), float(g)))
     out = np.array(rows, dtype=float).reshape(-1, 5)
-    return out[np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))]
-
-
-def _violations_loop(xy, radii, ux, uy, vx, vy, i00, i01, i10, i11, mwin, nwin, tol):
-    """Loop form of the same scan; the body is numba-compilable."""
-    n_discs = xy.shape[0]
-    count = 0
-    for phase in range(2):
-        if phase == 1:
-            out = np.empty((count, 5), dtype=np.float64)
-            count = 0
-        for i in range(n_discs):
-            for j in range(i, n_discs):
-                dx = xy[i, 0] - xy[j, 0]
-                dy = xy[i, 1] - xy[j, 1]
-                rs = radii[i] + radii[j]
-                # np.rint in both backends: same half-to-even base translate
-                bm = np.rint(i00 * dx + i01 * dy)
-                bn = np.rint(i10 * dx + i11 * dy)
-                for dm in range(-mwin, mwin + 1):
-                    for dn in range(-nwin, nwin + 1):
-                        m = bm + dm
-                        n = bn + dn
-                        if i == j and not (n > 0 or (n == 0 and m > 0)):
-                            continue
-                        ox = dx - (m * ux + n * vx)
-                        oy = dy - (m * uy + n * vy)
-                        dist = np.sqrt(ox * ox + oy * oy)
-                        gap = dist - rs
-                        if gap < -tol:
-                            if phase == 1:
-                                out[count, 0] = i
-                                out[count, 1] = j
-                                out[count, 2] = m
-                                out[count, 3] = n
-                                out[count, 4] = gap
-                            count += 1
-    if count == 0:
-        return np.empty((0, 5), dtype=np.float64)
-    return out
-
-
-_BACKEND = os.environ.get("BIDISC_KERNELS", "numba").strip().lower()
-if _BACKEND not in ("numba", "numpy"):
-    raise ValueError(f"BIDISC_KERNELS must be 'numba' or 'numpy', got {_BACKEND!r}")
-
-if _BACKEND == "numba":
-    try:
-        from numba import njit
-        _violations_jit = njit(cache=True)(_violations_loop)
-    except ImportError:
-        _BACKEND = "numpy"
-
-
-def backend_name() -> str:
-    return _BACKEND
-
-
-def periodic_violations(xy, radii, u, v, mwin: int, nwin: int, tol: float) -> np.ndarray:
-    """Dispatch to the selected backend; rows sorted (i, j, m, n)."""
-    xy = np.ascontiguousarray(xy, dtype=float)
-    radii = np.ascontiguousarray(radii, dtype=float)
-    if _BACKEND == "numpy":
-        return _violations_numpy(xy, radii, u, v, mwin, nwin, tol)
-    lat = np.array([[u[0], v[0]], [u[1], v[1]]], dtype=float)
-    inv = np.linalg.inv(lat)
-    out = _violations_jit(xy, radii, u[0], u[1], v[0], v[1],
-                          inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1],
-                          mwin, nwin, tol)
     return out[np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))]

@@ -147,6 +147,21 @@ class TestCertify:
         assert code == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("lower", "--range", "0.4:0.5", "--step"),
+    ("upper", "--range", "0.74:0.75", "--step"),
+    ("upper", "--range", "0.74:0.75", "--precision"),
+    ("certify", "--range", "0.743:0.75", "--precision"),
+    ("certify", "--range", "0.743:0.75", "--delta"),
+])
+def test_non_finite_number_is_config_error(capsys, argv, value):
+    code, out, err = run(capsys, *argv, value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 class TestDeterminism:
     def test_lower_repeat_identical(self, capsys):
         _, first, _ = run(capsys, "lower", "--range", "0.42:0.43", "--step", "0.005")

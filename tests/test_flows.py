@@ -13,7 +13,6 @@ from bidisc.flows import (
     clear_continuation_cache,
     closed_form_841,
     closed_form_r6,
-    delta_hex,
     eval_flow,
     find_crossings,
     interstitial,
@@ -22,6 +21,7 @@ from bidisc.flows import (
     lower_bound_curve,
     recipe_from_dict,
 )
+from bidisc.bounds import delta1
 from bidisc.geometry import density, validate
 from bidisc.ratios import ratio
 
@@ -49,7 +49,7 @@ CFR6_REFERENCE = {
 
 class TestClosedForms:
     def test_hexagonal_constant(self):
-        assert math.isclose(delta_hex(), DELTA1, rel_tol=0, abs_tol=1e-16)
+        assert math.isclose(delta1(), DELTA1, rel_tol=0, abs_tol=1e-16)
 
     @pytest.mark.parametrize("r,ref", sorted(CF841_REFERENCE.items()))
     def test_branch_841_reference_values(self, r, ref):
@@ -176,15 +176,15 @@ class TestCrossings:
         lo, hi = ratio("r4"), ratio("r1")
         found = find_crossings(closed_form_841, DELTA1, (lo, hi))
         assert len(found) == 2
-        assert found[0].contains(0.43784124244422377)
-        assert found[1].contains(0.62746068743222321)
+        assert 0.43784124244422377 in found[0]
+        assert 0.62746068743222321 in found[1]
         for enc in found:
             assert enc.width <= 2e-9
 
     def test_branch_r6_crossing(self):
         found = find_crossings(closed_form_r6, DELTA1, (ratio("r6"), 0.99))
         assert len(found) == 1
-        assert found[0].contains(0.35585347928492635)
+        assert 0.35585347928492635 in found[0]
 
     def test_no_crossing_on_flat_function(self):
         assert find_crossings(lambda r: 0.5, 0.9, (0.1, 0.9)) == []

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bidisc.errors import DomainError
 from bidisc.intervals import (Interval, iacos, iatan, iexp, ilog, ipow, itan,
-                              iv_add, iv_div, iv_mul, iv_pow, iv_sqrt, iv_sub,
-                              iv_tan, pi_interval)
+                              pi_interval)
 
 mpmath.mp.dps = 60
 
@@ -197,17 +196,6 @@ def test_ipow_fractional_via_exp_log():
     for x in np.abs(rand_values(300)) + 0.1:
         out = ipow(Interval(x), Interval(1.5))
         assert contains_mp(out, mpmath.power(mpmath.mpf(x), mpmath.mpf(1.5)))
-
-
-def test_functional_aliases():
-    a, b = Interval(1.0, 2.0), Interval(3.0, 4.0)
-    assert iv_add(a, b) == a + b
-    assert iv_sub(a, b) == a - b
-    assert iv_mul(a, b) == a * b
-    assert iv_div(a, b) == a / b
-    assert iv_sqrt(b) == b.sqrt()
-    assert iv_tan(Interval(0.3)) == itan(Interval(0.3))
-    assert iv_pow(a, 2) == ipow(a, 2)
 
 
 def test_serialization_round_trip():

@@ -1,8 +1,4 @@
-"""Backend agreement and conventions of the overlap scan kernels."""
-
-import os
-import subprocess
-import sys
+"""The overlap scan against a loop oracle, and its reporting conventions."""
 
 import numpy as np
 
@@ -11,14 +7,35 @@ from bidisc import kernels
 RNG = np.random.default_rng(20240817)
 
 
-def run_loop_sorted(xy, radii, u, v, mwin, nwin, tol):
-    lat = np.array([[u[0], v[0]], [u[1], v[1]]], dtype=float)
-    inv = np.linalg.inv(lat)
-    out = kernels._violations_loop(
-        np.ascontiguousarray(xy, dtype=float), np.ascontiguousarray(radii, dtype=float),
-        u[0], u[1], v[0], v[1], inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1],
-        mwin, nwin, tol)
-    return out[np.lexsort((out[:, 3], out[:, 2], out[:, 1], out[:, 0]))]
+def loop_violations(xy, radii, u, v, mwin, nwin, tol):
+    """Reference scan, one pair and one translate at a time.
+
+    Uses the same float expressions as ``kernels.periodic_violations``, so
+    the two must agree bit for bit.  The loop visits (i, j, m, n) in
+    ascending order, so its rows need no sort.
+    """
+    inv = np.linalg.inv(np.array([[u[0], v[0]], [u[1], v[1]]], dtype=float))
+    rows = []
+    for i in range(len(xy)):
+        for j in range(i, len(xy)):
+            dx = xy[i][0] - xy[j][0]
+            dy = xy[i][1] - xy[j][1]
+            rs = radii[i] + radii[j]
+            # np.rint rounds half to even, like the scan's base translate
+            bm = np.rint(inv[0, 0] * dx + inv[0, 1] * dy)
+            bn = np.rint(inv[1, 0] * dx + inv[1, 1] * dy)
+            for dm in range(-mwin, mwin + 1):
+                for dn in range(-nwin, nwin + 1):
+                    m = bm + dm
+                    n = bn + dn
+                    if i == j and not (n > 0 or (n == 0 and m > 0)):
+                        continue
+                    ox = dx - (m * u[0] + n * v[0])
+                    oy = dy - (m * u[1] + n * v[1])
+                    gap = np.sqrt(ox * ox + oy * oy) - rs
+                    if gap < -tol:
+                        rows.append((i, j, m, n, gap))
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
 def workloads():
@@ -28,7 +45,7 @@ def workloads():
         radii = RNG.uniform(0.3, 0.8, size=n)
         out.append((xy, radii, (10.0, 0.0), (0.0, 10.0), 1, 1, 1e-9))
     # exact half-lattice separations make the base translate land on
-    # rounding ties, where the two backends must still agree bit for bit
+    # rounding ties, where the scan and the oracle must still agree bit for bit
     half = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1.5, 1.0], [1.0, 0.5]])
     out.append((half, np.full(5, 0.6), (2.0, 0.0), (0.0, 2.0), 2, 2, 1e-9))
     # skewed cell
@@ -37,14 +54,11 @@ def workloads():
     return out
 
 
-def test_backends_agree_exactly():
+def test_matches_loop_oracle_exactly():
     for xy, radii, u, v, mwin, nwin, tol in workloads():
-        ref = run_loop_sorted(xy, radii, u, v, mwin, nwin, tol)
-        got_numpy = kernels._violations_numpy(
-            np.ascontiguousarray(xy), np.ascontiguousarray(radii), u, v, mwin, nwin, tol)
-        assert np.array_equal(ref, got_numpy)
-        got_dispatch = kernels.periodic_violations(xy, radii, u, v, mwin, nwin, tol)
-        assert np.array_equal(ref, got_dispatch)
+        ref = loop_violations(xy, radii, u, v, mwin, nwin, tol)
+        got = kernels.periodic_violations(xy, radii, u, v, mwin, nwin, tol)
+        assert np.array_equal(ref, got)
 
 
 def test_no_violation_shape():
@@ -89,47 +103,3 @@ def test_mixed_pair_gap_value():
     out = kernels.periodic_violations(xy, radii, (8.0, 0.0), (0.0, 8.0), 1, 1, 1e-9)
     assert out.shape == (1, 5)
     assert abs(out[0, 4] - (1.0 - 1.3)) < 1e-15
-
-
-def _run_with_env(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("BIDISC_KERNELS", None)
-    else:
-        env["BIDISC_KERNELS"] = value
-    code = ("import numpy as np\n"
-            "from bidisc import kernels\n"
-            "print(kernels.backend_name())\n"
-            "xy = np.array([[0.0, 0.0], [1.5, 0.0]])\n"
-            "r = np.array([1.0, 1.0])\n"
-            "out = kernels.periodic_violations(xy, r, (9.0, 0.0), (0.0, 9.0), 1, 1, 1e-9)\n"
-            "print(out.shape[0])\n")
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=240)
-
-
-def test_env_flag_selects_numpy_backend():
-    proc = _run_with_env("numpy")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "1"]
-
-
-def test_env_flag_rejects_unknown_value():
-    proc = _run_with_env("cuda")
-    assert proc.returncode != 0
-    assert "ValueError" in proc.stderr
-
-
-def test_default_backend_is_numba_here():
-    # numba is the default where it imports; otherwise the scan falls back
-    # to numpy.  Checked in a clean interpreter with BIDISC_KERNELS unset,
-    # so the environment this suite runs under does not mask the default.
-    assert kernels.backend_name() in ("numba", "numpy")
-    try:
-        import numba  # noqa: F401
-        expected = "numba"
-    except ImportError:
-        expected = "numpy"
-    proc = _run_with_env(None)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [expected, "1"]
