@@ -187,7 +187,6 @@ def cmd_upper(args) -> int:
 
 def cmd_certify(args) -> int:
     lo, hi = _parse_range(args.range)
-    _check_positive("precision", args.precision)
     if args.delta is not None and not math.isfinite(args.delta):
         raise _ConfigError(f"delta must be finite, got {args.delta}")
     if args.max_depth < 1:
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density level to certify (default hexagonal)")
     p.add_argument("--certifier", default="blind",
                    help="blind, florian, or threshold:T")
-    p.add_argument("--precision", type=float, default=DEFAULT_PRECISION)
     p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     add_common(p)
     p.set_defaults(func=cmd_certify)

@@ -370,7 +370,8 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     and closer to this hole than to any other, so adjacent holes never
     claim the same site.  The second hole is filled with the point
     reflection of the first through the midpoint between the hole centers,
-    which maps the surrounding unit centers onto themselves.
+    which maps the surrounding unit centers onto themselves.  The domain is
+    scanned for overlaps before it is returned, as in ``eval_flow``.
     """
     r8 = ratio("r8")
     if not 0.0 < r <= r8 + 1e-12:
@@ -414,6 +415,9 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     discs += [Disc(x, y, r) for x, y in zip(px, py)]
     discs += [Disc(3.0 - x, SQRT3 - y, r) for x, y in zip(px, py)]
     domain = FundamentalDomain((2.0, 0.0), (1.0, SQRT3), tuple(discs))
+    bad = validate(domain, tol=1e-9)
+    if bad:
+        raise InvalidPacking(f"interstitial: {len(bad)} overlap(s) at r={r}, first {bad[0]}")
     return domain, density(domain)
 
 

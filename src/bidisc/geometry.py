@@ -129,11 +129,15 @@ def density_interval(domain: FundamentalDomain) -> Interval:
 def _window_extents(domain: FundamentalDomain) -> tuple[int, int]:
     """Translate window half-widths that cannot miss an overlapping pair.
 
-    After recentering on the nearest lattice point the residual center
-    offset is at most (|u| + |v|) / 2 in each lattice coordinate's metric,
-    and an overlap needs distance below 2 * rmax; the number of lattice
-    steps along u that can matter is bounded by reach * |v| / cell_area
-    (distance between neighboring u-lines is cell_area / |v|), same for v.
+    This is the outer clip of the scan: ``periodic_violations`` visits, for
+    each pair, only the translates within reach of contact, and never more
+    than mwin steps along u and nwin along v from the lattice point nearest
+    to c_i - c_j.  The per-pair reach lies inside this window whenever
+    tol >= 0: a translate m can overlap only if |a - m| <= |v| / cell_area
+    * 2 * rmax (a the pair's u coordinate, and |v| / cell_area the norm of
+    the inverse basis row), the nearest lattice point is within 1/2 of a,
+    and the 0.5 * (|u| + |v|) term below adds at least 1/2 step because
+    |u| * |v| >= cell_area.  Likewise for v.
     """
     nu = math.hypot(*domain.u)
     nv = math.hypot(*domain.v)

@@ -152,11 +152,17 @@ class TestCertify:
     ("lower", "--range", "0.4:0.5", "--step"),
     ("upper", "--range", "0.74:0.75", "--step"),
     ("upper", "--range", "0.74:0.75", "--precision"),
-    ("certify", "--range", "0.743:0.75", "--precision"),
     ("certify", "--range", "0.743:0.75", "--delta"),
 ])
 def test_non_finite_number_is_config_error(capsys, argv, value):
     code, out, err = run(capsys, *argv, value)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_certify_has_no_precision_flag(capsys):
+    code, out, err = run(capsys, "certify", "--range", "0.743:0.75", "--precision", "1e-3")
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")

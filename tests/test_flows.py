@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bidisc import flows
 from bidisc.errors import DomainError, InvalidPacking, RecipeError
 from bidisc.flows import (
     DensityCurve,
@@ -22,7 +23,7 @@ from bidisc.flows import (
     recipe_from_dict,
 )
 from bidisc.bounds import delta1
-from bidisc.geometry import density, validate
+from bidisc.geometry import Violation, density, validate
 from bidisc.ratios import ratio
 
 DELTA1 = 0.9068996821171089
@@ -217,6 +218,18 @@ class TestInterstitial:
             assert validate(domain, tol=1e-9) == []
             assert value == density(domain)
             assert value > DELTA1
+
+    @pytest.mark.parametrize("r,discs", [(0.03, 63), (0.02, 159), (0.015, 309), (0.01, 795)])
+    def test_large_cells_validate(self, r, discs):
+        domain, _ = interstitial(r)
+        assert len(domain.discs) == discs
+        assert validate(domain) == []
+
+    def test_refuses_overlapping_domain(self, monkeypatch):
+        overlap = Violation(1, 2, 0, 0, -1e-3)
+        monkeypatch.setattr(flows, "validate", lambda domain, tol: [overlap])
+        with pytest.raises(InvalidPacking, match="1 overlap"):
+            interstitial(0.05)
 
     def test_rejects_radius_above_snug(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,8 @@
 import numpy as np
 
 from bidisc import kernels
+from bidisc.flows import interstitial
+from bidisc.geometry import Disc, FundamentalDomain, _window_extents
 
 RNG = np.random.default_rng(20240817)
 
@@ -51,6 +53,17 @@ def workloads():
     # skewed cell
     xy = RNG.uniform(-3.0, 3.0, size=(60, 2))
     out.append((xy, RNG.uniform(0.2, 0.5, size=60), (4.0, 0.5), (1.0, 3.5), 2, 2, 1e-9))
+    # the lattices above have exact small multiples, so a regrouped translate
+    # expression would still agree; these two do not
+    domain, _ = interstitial(0.03)
+    mwin, nwin = _window_extents(domain)
+    xy = np.array([[d.x, d.y] for d in domain.discs])
+    radii = np.array([d.radius for d in domain.discs])
+    out.append((xy, radii, domain.u, domain.v, mwin, nwin, 1e-9))
+    xy = RNG.uniform(-2.0, 4.0, size=(50, 2))
+    u = tuple(RNG.uniform((2.7, -0.6), (3.3, 0.6)))
+    v = tuple(RNG.uniform((0.4, 2.2), (1.6, 2.9)))
+    out.append((xy, RNG.uniform(0.2, 0.6, size=50), u, v, 2, 2, 1e-9))
     return out
 
 
@@ -59,6 +72,52 @@ def test_matches_loop_oracle_exactly():
         ref = loop_violations(xy, radii, u, v, mwin, nwin, tol)
         got = kernels.periodic_violations(xy, radii, u, v, mwin, nwin, tol)
         assert np.array_equal(ref, got)
+
+
+def random_cell(rng):
+    """A small cell with inexact lattice entries and placements at the edge.
+
+    Some pairs sit at exactly r_i + r_j - tol, or one ulp either side, along
+    the direction where that distance reaches furthest in one lattice
+    coordinate; some one-disc cells touch their own translate by u; some
+    discs are stored many cells away from the fundamental cell.
+    """
+    u = np.array([rng.uniform(1.5, 3.0), rng.uniform(-0.7, 0.7)])
+    v = np.array([rng.uniform(-1.2, 1.2), rng.uniform(1.5, 3.0)])
+    lat = np.array([u, v]).T
+    inv = np.linalg.inv(lat)
+    n = int(rng.integers(1, 7))
+    tol = float(rng.choice([0.0, 1e-9, 1e-3, -0.05]))
+    radii = rng.uniform(0.05, 0.6, size=n)
+    xy = rng.uniform(0.0, 1.0, size=(n, 2)) @ lat.T
+    nudge = float(rng.choice([-np.inf, 0.0, np.inf]))
+    if n == 1 and rng.random() < 0.5:
+        radii[0] = np.nextafter((np.hypot(*u) + tol) / 2.0, nudge)
+    if n >= 2 and rng.random() < 0.6:
+        row = inv[int(rng.integers(2))]
+        reach = np.nextafter(radii[0] + radii[1] - tol, nudge)
+        xy[1] = xy[0] - reach * row / np.hypot(*row)
+    if rng.random() < 0.3:
+        far = rng.integers(-60, 61, size=2)
+        xy[int(rng.integers(n))] += far[0] * u + far[1] * v
+    if rng.random() < 0.5:
+        discs = tuple(Disc(x, y, r) for (x, y), r in zip(xy, radii))
+        mwin, nwin = _window_extents(FundamentalDomain(tuple(u), tuple(v), discs))
+    else:
+        mwin, nwin = (int(w) for w in rng.integers(0, 3, size=2))
+    return xy, radii, tuple(u), tuple(v), mwin, nwin, tol
+
+
+def test_matches_loop_oracle_on_random_cells():
+    rng = np.random.default_rng(7321)
+    flagged = 0
+    for _ in range(200):
+        cell = random_cell(rng)
+        ref = loop_violations(*cell)
+        got = kernels.periodic_violations(*cell)
+        assert np.array_equal(ref, got), cell
+        flagged += len(ref) > 0
+    assert 0 < flagged < 200
 
 
 def test_no_violation_shape():
