@@ -63,11 +63,12 @@ def periodic_violations(xy, radii, u, v, mwin: int, nwin: int, tol: float) -> np
              + (inv_n * ext + nwin + 1) * math.hypot(*v)
              + ext + 2.0 * radii.max(initial=0.0) + abs(tol))
     pad = _PAD * (inv_m + inv_n) * scale
-    contact = rsum - tol
-    lo_m = np.maximum(np.ceil(a - (inv_m * contact + pad)) - base_m, -mwin)
-    hi_m = np.minimum(np.floor(a + (inv_m * contact + pad)) - base_m, mwin)
-    lo_n = np.maximum(np.ceil(b - (inv_n * contact + pad)) - base_n, -nwin)
-    hi_n = np.minimum(np.floor(b + (inv_n * contact + pad)) - base_n, nwin)
+    reach_m = inv_m * (rsum - tol) + pad
+    reach_n = inv_n * (rsum - tol) + pad
+    lo_m = np.maximum(np.ceil(a - reach_m) - base_m, -mwin)
+    hi_m = np.minimum(np.floor(a + reach_m) - base_m, mwin)
+    lo_n = np.maximum(np.ceil(b - reach_n) - base_n, -nwin)
+    hi_n = np.minimum(np.floor(b + reach_n) - base_n, nwin)
     span_n = np.maximum(hi_n - lo_n + 1, 0).astype(np.int64)
     count = np.maximum(hi_m - lo_m + 1, 0).astype(np.int64) * span_n
 
