@@ -164,7 +164,8 @@ def cmd_upper(args) -> int:
     samples = list(sweep(certifier, grid, precision=args.precision))
     if args.samples is not None:
         try:
-            extra = samples_from_csv(open(args.samples, encoding="utf-8").read())
+            with open(args.samples, encoding="utf-8") as fh:
+                extra = samples_from_csv(fh.read())
         except (OSError, ValueError) as exc:
             raise _ConfigError(f"cannot load samples {args.samples}: {exc}")
         samples.extend(extra)
@@ -174,7 +175,7 @@ def cmd_upper(args) -> int:
 
     fine = _grid(lo, hi, args.step / 10.0)
     curve = DensityCurve(tuple(
-        (r, lipschitz_envelope(samples, r), "upper") for r in fine))
+        (r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))))
     if args.format == "json":
         payload = {"samples": [[s.r, s.value] for s in samples],
                    "curve": [list(row) for row in curve.samples]}

@@ -126,23 +126,24 @@ def density_interval(domain: FundamentalDomain) -> Interval:
     return pi_interval() * total / area
 
 
-def _window_extents(domain: FundamentalDomain) -> tuple[int, int]:
-    """Translate window half-widths that cannot miss an overlapping pair.
+def _window_extents(domain: FundamentalDomain, tol: float) -> tuple[int, int]:
+    """Translate window half-widths that cannot miss a pair with gap < -tol.
 
     This is the outer clip of the scan: ``periodic_violations`` visits, for
     each pair, only the translates within reach of contact, and never more
     than mwin steps along u and nwin along v from the lattice point nearest
-    to c_i - c_j.  The per-pair reach lies inside this window whenever
-    tol >= 0: a translate m can overlap only if |a - m| <= |v| / cell_area
-    * 2 * rmax (a the pair's u coordinate, and |v| / cell_area the norm of
-    the inverse basis row), the nearest lattice point is within 1/2 of a,
-    and the 0.5 * (|u| + |v|) term below adds at least 1/2 step because
-    |u| * |v| >= cell_area.  Likewise for v.
+    to c_i - c_j.  The per-pair reach lies inside this window: a translate
+    m can have gap < -tol only if |a - m| <= |v| / cell_area * (r_i + r_j
+    - tol) <= |v| / cell_area * (2 * rmax + max(0, -tol)) (a the pair's u
+    coordinate, and |v| / cell_area the norm of the inverse basis row), the
+    nearest lattice point is within 1/2 of a, and the 0.5 * (|u| + |v|)
+    term below adds at least 1/2 step because |u| * |v| >= cell_area.
+    Likewise for v.
     """
     nu = math.hypot(*domain.u)
     nv = math.hypot(*domain.v)
     rmax = max(d.radius for d in domain.discs)
-    reach = 2.0 * rmax + 0.5 * (nu + nv)
+    reach = 2.0 * rmax + max(0.0, -tol) + 0.5 * (nu + nv)
     area = domain.cell_area
     return (math.ceil(reach * nv / area), math.ceil(reach * nu / area))
 
@@ -155,6 +156,6 @@ def validate(domain: FundamentalDomain, tol: float = 1e-9) -> list[Violation]:
     """
     xy = np.array([[d.x, d.y] for d in domain.discs])
     radii = np.array([d.radius for d in domain.discs])
-    mwin, nwin = _window_extents(domain)
+    mwin, nwin = _window_extents(domain, tol)
     rows = periodic_violations(xy, radii, domain.u, domain.v, mwin, nwin, tol)
     return [Violation(int(i), int(j), int(m), int(n), float(g)) for i, j, m, n, g in rows]

@@ -2,9 +2,12 @@
 
 A certifier is a decision procedure: ``check(r, delta)`` returns True only
 when it has rigorously established that every packing with ratio in the
-interval r has density at most delta.  Two drivers run on top:
+interval r has density at most delta.  A certifier that proves through one
+enclosure of a density bound also exposes it as ``bound(r)``, and then
+``check(r, delta)`` is ``bound(r).hi <= delta``.  Two drivers run on top:
 
-* ``find_delta`` narrows the least provable delta by dichotomy;
+* ``find_delta`` narrows the least provable delta by dichotomy, evaluating
+  ``bound`` once per call where a certifier has it;
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
   recording the whole bisection tree.
 
@@ -45,6 +48,13 @@ class Certifier(Protocol):
     proven at any larger delta) and anti-monotone in r (a proof on an
     interval covers its subintervals).  An optional ``probe(r, delta)``
     returning False lets drivers skip a check that cannot succeed.
+
+    An optional ``bound(r)`` returns an Interval whose ``hi`` is a proven
+    upper bound on the density over r, and may raise DomainError where the
+    certifier cannot bound r.  A certifier with ``bound`` must have
+    ``check(r, delta)`` equal to ``bound(r).hi <= delta``, False on
+    DomainError; drivers may then test deltas against one ``bound(r).hi``
+    instead of calling ``check`` and ``probe``.
     """
 
     name: str
@@ -57,9 +67,12 @@ class BlindCertifier:
 
     name = "blind"
 
+    def bound(self, r: Interval) -> Interval:
+        return blind_interval(r)
+
     def check(self, r: Interval, delta: float) -> bool:
         try:
-            return blind_interval(r).hi <= delta
+            return self.bound(r).hi <= delta
         except DomainError:
             return False
 
@@ -69,9 +82,12 @@ class FlorianCertifier:
 
     name = "florian"
 
+    def bound(self, r: Interval) -> Interval:
+        return florian_interval(r)
+
     def check(self, r: Interval, delta: float) -> bool:
         try:
-            return florian_interval(r).hi <= delta
+            return self.bound(r).hi <= delta
         except DomainError:
             return False
 
@@ -118,23 +134,46 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     midpoint.  A defaulted lower start that turns out provable is walked
     downward (the default is a heuristic, not a claim); explicit bounds
     that fail their role raise InitialBoundsInvalid.
+
+    A certifier with ``bound`` is asked for it once, and each candidate
+    delta is tested against its ``hi`` (infinite where ``bound`` raises
+    DomainError), which gives the same verdicts as ``check``.  A defaulted
+    upper start that is not provable, as on wide intervals where the bound
+    at the midpoint lies below the bound on the whole interval, then moves
+    up to that ``hi``.
     """
     if precision <= 0.0:
         raise DomainError("precision must be positive")
+    top = math.inf
+    if hasattr(c, "bound"):
+        try:
+            top = c.bound(r).hi
+        except DomainError:
+            pass
+
+        def proven(delta: float) -> bool:
+            return top <= delta
+    else:
+        def proven(delta: float) -> bool:
+            return _proven(c, r, delta)
+
     explicit_lo = delta_lo is not None
+    explicit_hi = delta_hi is not None
     if delta_hi is None:
         delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
     if delta_lo is None:
         delta_lo = delta1() - _DELTA_LO_OFFSET
-    if not _proven(c, r, delta_hi):
-        raise InitialBoundsInvalid(
-            f"upper start {delta_hi} is not provable on {r} by {c.name}")
-    if _proven(c, r, delta_lo):
+    if not proven(delta_hi):
+        if explicit_hi or top == math.inf:
+            raise InitialBoundsInvalid(
+                f"upper start {delta_hi} is not provable on {r} by {c.name}")
+        delta_hi = top
+    if proven(delta_lo):
         if explicit_lo:
             raise InitialBoundsInvalid(
                 f"lower start {delta_lo} is already provable on {r} by {c.name}")
         gap = max(precision, _DELTA_LO_OFFSET)
-        while delta_lo > 0.0 and _proven(c, r, delta_lo):
+        while delta_lo > 0.0 and proven(delta_lo):
             delta_hi = delta_lo
             delta_lo = max(0.0, delta_lo - gap)
             gap *= 2.0
@@ -142,7 +181,7 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
         mid = 0.5 * (delta_lo + delta_hi)
         if mid <= delta_lo or mid >= delta_hi:
             break
-        if _proven(c, r, mid):
+        if proven(mid):
             delta_hi = mid
         else:
             delta_lo = mid

@@ -312,14 +312,16 @@ def itan(x: Interval) -> Interval:
 # -- atan/acos -------------------------------------------------------------
 
 _ATAN_TERMS = 14
+_ATAN_COEFFS = [Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
+                for i in range(_ATAN_TERMS)]
 
 
 def _atan_series(t: Interval) -> Interval:
     """Arctangent series on |t| <= 0.2, with alternating tail bound."""
     z = t.square()
-    acc = Interval.from_fraction(Fraction((-1) ** (_ATAN_TERMS - 1), 2 * _ATAN_TERMS - 1))
-    for i in reversed(range(_ATAN_TERMS - 1)):
-        acc = acc * z + Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
+    acc = _ATAN_COEFFS[-1]
+    for c in reversed(_ATAN_COEFFS[:-1]):
+        acc = acc * z + c
     tmax = max(-t.lo, t.hi)
     rem = _up(tmax ** (2 * _ATAN_TERMS + 1) / (2 * _ATAN_TERMS + 1))
     return t * acc + Interval(-rem, rem)
@@ -347,7 +349,9 @@ def iacos(x: Interval) -> Interval:
     den = Interval(1.0) + x
     if num.lo < 0.0:
         num = Interval(0.0, max(num.hi, 0.0))
-    return iatan((num / den).sqrt()) * 2
+    # num >= 0 and den > 0, so the quotient is >= 0; only the outward nudge
+    # of an exact zero (at x = 1) can take its lower end below 0
+    return iatan((num / den).sqrt(clamp_tol=math.ulp(0.0))) * 2
 
 
 # -- exp/log ---------------------------------------------------------------
@@ -383,15 +387,16 @@ def iexp(x: Interval) -> Interval:
 
 
 _LOG_TERMS = 26
+_LOG_COEFFS = [Interval.from_fraction(Fraction(1, 2 * i + 1)) for i in range(_LOG_TERMS)]
 
 
 def _log_mantissa(m: Interval) -> Interval:
     """Enclosure of log on [0.5, 1] via 2*atanhated series in (m-1)/(m+1)."""
     t = (m - 1.0) / (m + 1.0)
     z = t.square()
-    acc = Interval.from_fraction(Fraction(1, 2 * _LOG_TERMS - 1))
-    for i in reversed(range(_LOG_TERMS - 1)):
-        acc = acc * z + Interval.from_fraction(Fraction(1, 2 * i + 1))
+    acc = _LOG_COEFFS[-1]
+    for c in reversed(_LOG_COEFFS[:-1]):
+        acc = acc * z + c
     tmax = max(-t.lo, t.hi)
     # Geometric tail bound for atanh: sum t^(2N+1)/(2N+1) * 1/(1 - t^2).
     rem = _up(tmax ** (2 * _LOG_TERMS + 1) / ((2 * _LOG_TERMS + 1) * (1.0 - tmax * tmax)))

@@ -167,6 +167,29 @@ class TestEnvelope:
             for t in rng.uniform(0.2, 0.9, size=30):
                 assert lipschitz_envelope(samples, float(t)) >= g(float(t)) - 1e-12
 
+    def test_grid_form_matches_scalar_loop_bitwise(self):
+        # the sequence form runs over sample arrays; it must give exactly
+        # the caps of the plain loop, as Python floats (repr is CSV output)
+        def loop(samples, r):
+            best = math.inf
+            for s in samples:
+                slope = lipschitz_slope(max(r, s.r))
+                best = min(best, s.value + slope * abs(r - s.r))
+            return best
+
+        rng = np.random.default_rng(20261018)
+        for n in (1, 7, 346):
+            samples = [BoundSample(float(r), float(v)) for r, v in
+                       zip(rng.uniform(0.3, 0.99, size=n), rng.uniform(0.9, 0.96, size=n))]
+            samples.append(BoundSample(0.5, math.nan))
+            grid = [float(r) for r in rng.uniform(0.29, 1.0, size=200)]
+            grid += [s.r for s in samples[:5]]
+            got = lipschitz_envelope(samples, grid)
+            assert isinstance(got, list)
+            assert [repr(x) for x in got] == [repr(loop(samples, r)) for r in grid]
+            assert all(type(x) is float and "np." not in repr(x) for x in got)
+            assert repr(lipschitz_envelope(samples, grid[0])) == repr(got[0])
+
 
 class TestSamples:
     def test_csv_round_trip(self):

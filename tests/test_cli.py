@@ -97,6 +97,10 @@ class TestUpper:
             assert florian_bound(r) - 2e-3 <= value <= florian_bound(r) + bulge
         assert any(line.startswith("samples,") for line in err.splitlines())
 
+    # an unclosed file warns from a finalizer, which pytest reports as an
+    # unraisable-exception warning; both are errors here
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_merged_external_samples(self, capsys, tmp_path):
         extra = tmp_path / "samples.csv"
         extra.write_text("r,value\n0.75,0.89\n")

@@ -62,6 +62,60 @@ class TestFindDelta:
         with pytest.raises(DomainError):
             find_delta(ThresholdCertifier(0.92), Interval(0.5), precision=0.0)
 
+    @pytest.mark.parametrize("certifier", [FlorianCertifier(), BlindCertifier()],
+                             ids=lambda c: c.name)
+    def test_bound_path_matches_check_path(self, certifier):
+        # find_delta reads one bound per call where the certifier has one;
+        # the verdicts, and so every dichotomy step, match those of check
+        class CheckOnly:
+            name = certifier.name
+
+            def check(self, r, delta):
+                return certifier.check(r, delta)
+
+        def outcome(c, r, **starts):
+            try:
+                return repr(find_delta(c, Interval(r), **starts))
+            except (InitialBoundsInvalid, DomainError) as exc:
+                return type(exc).__name__
+
+        grid = [float(r) for r in np.linspace(0.0025, 0.9975, 399)]
+        got = [outcome(certifier, r) for r in grid]
+        assert got == [outcome(CheckOnly(), r) for r in grid]
+        assert sum(g.startswith("0.") for g in got) >= 100
+        # an upper start exactly at the bound is proven on both paths
+        for r in (0.3, 0.7, 0.8):
+            try:
+                top = certifier.bound(Interval(r)).hi
+            except DomainError:
+                continue
+            at_top = outcome(certifier, r, delta_hi=top)
+            assert at_top.startswith("0.")
+            assert at_top == outcome(CheckOnly(), r, delta_hi=top)
+
+    def test_bound_evaluated_once(self):
+        calls = []
+
+        class Counting(FlorianCertifier):
+            def bound(self, r):
+                calls.append(r)
+                return super().bound(r)
+
+        find_delta(Counting(), Interval(0.5))
+        assert calls == [Interval(0.5)]
+
+    def test_wide_interval_default_upper_start(self):
+        # the triangle bound at the midpoint is not provable on the whole
+        # interval; the defaulted upper start moves to the certified bound
+        r = Interval(0.3, 0.5)
+        top = FlorianCertifier().bound(r).hi
+        got = find_delta(FlorianCertifier(), r, precision=1e-4)
+        assert top <= got <= top + 1e-4
+
+    def test_explicit_unprovable_upper_start_still_rejected(self):
+        with pytest.raises(InitialBoundsInvalid):
+            find_delta(FlorianCertifier(), Interval(0.3, 0.5), delta_hi=0.95)
+
 
 class TestCertifyInterval:
     def test_single_leaf_success(self):

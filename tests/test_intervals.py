@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidisc.errors import DomainError
-from bidisc.intervals import (Interval, iacos, iatan, iexp, ilog, ipow, itan,
+from bidisc.intervals import (_LN2_IV, Interval, iacos, iatan, iexp, ilog, ipow, itan,
                               pi_interval)
 
 mpmath.mp.dps = 60
@@ -220,3 +220,58 @@ def test_hypothesis_sum_enclosure(x, y, z):
 def test_hypothesis_sub_then_add_contains_start(x, y):
     out = (Interval(x) - Interval(y)) + Interval(y)
     assert contains_fraction(out, Fraction(x))
+
+
+def test_acos_accepts_one():
+    # the quotient (1 - x)/(1 + x) is an exact 0 at x = 1; its outward
+    # rounding must not push the square root out of its domain
+    assert 0.0 in iacos(Interval(1.0))
+    enc = iacos(Interval(0.5, 1.0))
+    assert 0.0 in enc
+    assert math.acos(0.5) in enc
+
+
+def _ref_atan_point(x: float) -> Interval:
+    # the arctangent series with its coefficients built on every call
+    terms = 14
+    t = Interval(x)
+    for _ in range(3):
+        t = t / (1.0 + (t.square() + 1.0).sqrt())
+    z = t.square()
+    acc = Interval.from_fraction(Fraction((-1) ** (terms - 1), 2 * terms - 1))
+    for i in reversed(range(terms - 1)):
+        acc = acc * z + Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
+    tmax = max(-t.lo, t.hi)
+    rem = math.nextafter(tmax ** (2 * terms + 1) / (2 * terms + 1), math.inf)
+    return (t * acc + Interval(-rem, rem)) * 8
+
+
+def _ref_log_point(x: float) -> Interval:
+    # the atanh series for log with its coefficients built on every call
+    terms = 26
+    m, e = math.frexp(x)
+    mi = Interval(m)
+    t = (mi - 1.0) / (mi + 1.0)
+    z = t.square()
+    acc = Interval.from_fraction(Fraction(1, 2 * terms - 1))
+    for i in reversed(range(terms - 1)):
+        acc = acc * z + Interval.from_fraction(Fraction(1, 2 * i + 1))
+    tmax = max(-t.lo, t.hi)
+    rem = math.nextafter(
+        tmax ** (2 * terms + 1) / ((2 * terms + 1) * (1.0 - tmax * tmax)), math.inf)
+    return (t * acc + Interval(-rem, rem)) * 2 + _LN2_IV * e
+
+
+@pytest.mark.parametrize("fn, ref_point, domain", [
+    (iatan, _ref_atan_point, (-50.0, 50.0)),
+    (iatan, _ref_atan_point, (-1.0, 1.0)),
+    (ilog, _ref_log_point, (1e-6, 1e6)),
+    (ilog, _ref_log_point, (0.5, 2.0)),
+])
+def test_series_match_per_call_coefficients(fn, ref_point, domain):
+    rng = np.random.default_rng(20261018)
+    lo, hi = domain
+    for a, b in rng.uniform(lo, hi, size=(300, 2)):
+        for iv in (Interval(min(a, b), max(a, b)), Interval(a)):
+            ref = Interval(ref_point(iv.lo).lo, ref_point(iv.hi).hi)
+            assert repr(fn(iv)) == repr(ref), iv

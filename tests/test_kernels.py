@@ -4,7 +4,7 @@ import numpy as np
 
 from bidisc import kernels
 from bidisc.flows import interstitial
-from bidisc.geometry import Disc, FundamentalDomain, _window_extents
+from bidisc.geometry import Disc, FundamentalDomain, _window_extents, validate
 
 RNG = np.random.default_rng(20240817)
 
@@ -56,7 +56,7 @@ def workloads():
     # the lattices above have exact small multiples, so a regrouped translate
     # expression would still agree; these two do not
     domain, _ = interstitial(0.03)
-    mwin, nwin = _window_extents(domain)
+    mwin, nwin = _window_extents(domain, 1e-9)
     xy = np.array([[d.x, d.y] for d in domain.discs])
     radii = np.array([d.radius for d in domain.discs])
     out.append((xy, radii, domain.u, domain.v, mwin, nwin, 1e-9))
@@ -102,7 +102,7 @@ def random_cell(rng):
         xy[int(rng.integers(n))] += far[0] * u + far[1] * v
     if rng.random() < 0.5:
         discs = tuple(Disc(x, y, r) for (x, y), r in zip(xy, radii))
-        mwin, nwin = _window_extents(FundamentalDomain(tuple(u), tuple(v), discs))
+        mwin, nwin = _window_extents(FundamentalDomain(tuple(u), tuple(v), discs), tol)
     else:
         mwin, nwin = (int(w) for w in rng.integers(0, 3, size=2))
     return xy, radii, tuple(u), tuple(v), mwin, nwin, tol
@@ -162,3 +162,26 @@ def test_mixed_pair_gap_value():
     out = kernels.periodic_violations(xy, radii, (8.0, 0.0), (0.0, 8.0), 1, 1, 1e-9)
     assert out.shape == (1, 5)
     assert abs(out[0, 4] - (1.0 - 1.3)) < 1e-15
+
+
+def test_negative_tol_widens_window():
+    # asking for near-contacts (tol < 0) reaches past the 2 * rmax window
+    domain = FundamentalDomain((1.0, 0.0), (0.0, 1.0), (Disc(0.2, 0.3, 0.3),))
+    xy = np.array([[0.2, 0.3]])
+    radii = np.array([0.3])
+    for tol in (-3.0, -5.0):
+        rows = np.array(validate(domain, tol=tol), dtype=float).reshape(-1, 5)
+        ref = loop_violations(xy, radii, domain.u, domain.v, 20, 20, tol)
+        assert len(ref) > 0
+        assert np.array_equal(rows, ref)
+
+
+def test_window_unchanged_for_nonnegative_tol():
+    skew = FundamentalDomain((2.5, 0.3), (0.7, 1.9),
+                             (Disc(0.1, 0.2, 0.4), Disc(1.0, 0.9, 0.25)))
+    square = FundamentalDomain((1.0, 0.0), (0.0, 1.0), (Disc(0.2, 0.3, 0.3),))
+    hexagonal, _ = interstitial(0.03)
+    for tol in (0.0, 1e-9, 1e-3):
+        assert _window_extents(hexagonal, tol) == (3, 3)
+        assert _window_extents(skew, tol) == (2, 2)
+        assert _window_extents(square, tol) == (2, 2)
