@@ -29,10 +29,7 @@ R0 = 0.4
 
 
 def jacobian_cond(recipe, values, r):
-    duals = Dual.seed(values)
-    rows = []
-    for f in recipe.residual_system(r):
-        rows.append(f(duals).grad)
+    rows = [out.grad for out in recipe.residual_system(r)(Dual.seed(values))]
     return np.linalg.cond(np.array(rows))
 
 

@@ -164,11 +164,15 @@ def samples_to_csv(samples: Sequence[BoundSample]) -> str:
 
 
 def samples_from_csv(text: str) -> list[BoundSample]:
+    """Samples from ``r,value`` rows under a header; a row with a non-finite
+    r or value raises ValueError."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     out = []
     for line in lines[1:]:
-        r, value = line.split(",")
-        out.append(BoundSample(float(r), float(value)))
+        r, value = (float(field) for field in line.split(","))
+        if not (math.isfinite(r) and math.isfinite(value)):
+            raise ValueError(f"non-finite sample row {line!r}")
+        out.append(BoundSample(r, value))
     return out
 
 

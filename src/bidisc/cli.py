@@ -19,7 +19,7 @@ import sys
 import time
 from typing import Sequence
 
-from .bounds import delta1, lipschitz_envelope, samples_from_csv
+from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
 from .errors import BidiscError, DepthExceeded, DomainError
 from .flows import (DensityCurve, builtin_recipes, eval_flow, find_crossings,
                     load_recipe, lower_bound_curve)
@@ -168,6 +168,10 @@ def cmd_upper(args) -> int:
                 extra = samples_from_csv(fh.read())
         except (OSError, ValueError) as exc:
             raise _ConfigError(f"cannot load samples {args.samples}: {exc}")
+        low = suspicious_samples(extra)
+        if low:
+            print(f"warning: {len(low)} of {len(extra)} rows in {args.samples} "
+                  f"claim a value below delta1 {delta1()!r}", file=sys.stderr)
         samples.extend(extra)
     samples.sort(key=lambda s: (s.r, s.value))
     if not samples:

@@ -164,15 +164,16 @@ class ConstrainedRecipe(FlowRecipe):
             env[name] = expr(env)
         return env
 
-    def residual_system(self, r: float) -> list[Callable]:
+    def residual_system(self, r: float) -> Callable[[Sequence], list]:
+        """Newton system at ratio r: q -> residuals of every equation but the
+        held-out one, all evaluated on one environment."""
         eqs = [e for k, e in enumerate(self.equations) if k != self.verify_index]
 
-        def make(expr):
-            def f(q):
-                return expr(self.environment(q, r))
-            return f
+        def system(q):
+            env = self.environment(q, r)
+            return [e(env) for e in eqs]
 
-        return [make(e) for e in eqs]
+        return system
 
     def build_from(self, values, r: float) -> FundamentalDomain:
         env = self.environment(values, r)
@@ -258,16 +259,21 @@ _MAX_STEP = 1e-3
 _MIN_STEP = 1e-9
 _VERIFY_TOL = 1e-8
 
-# Per-recipe solution paths: name -> sorted list of (r, values).  Correct for
-# single-writer access; concurrent sweeps must partition their r ranges.
+# Per-recipe solution paths: name -> sorted list of (r, values), with
+# _path_keys[name] holding the same r values as a plain list for bisect.
+# Correct for single-writer access; concurrent sweeps must partition their r
+# ranges.
 _paths: dict[str, list[tuple[float, np.ndarray]]] = {}
+_path_keys: dict[str, list[float]] = {}
 
 
 def clear_continuation_cache(name: str | None = None) -> None:
     if name is None:
         _paths.clear()
+        _path_keys.clear()
     else:
         _paths.pop(name, None)
+        _path_keys.pop(name, None)
 
 
 def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
@@ -280,10 +286,27 @@ def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
     return sol
 
 
-def _predict(path: list[tuple[float, np.ndarray]], target: float) -> np.ndarray:
+def _nearest(rs: list[float], target: float) -> int:
+    """First index of the least abs(rs[i] - target) in the sorted list rs.
+
+    The same index as ``min(range(len(rs)), key=...)``.  The rounded
+    distance does not increase up to the insertion point and does not
+    decrease from it, so the least one is at one of its two neighbours, and
+    equal distances before it can only sit directly to its left.
+    """
+    pos = bisect.bisect_left(rs, target)
+    if pos == len(rs) or (pos > 0 and abs(rs[pos - 1] - target) <= abs(rs[pos] - target)):
+        pos -= 1
+    best = abs(rs[pos] - target)
+    while pos > 0 and abs(rs[pos - 1] - target) == best:
+        pos -= 1
+    return pos
+
+
+def _predict(path: list[tuple[float, np.ndarray]], rs: list[float],
+             target: float) -> np.ndarray:
     """Secant extrapolation from the two nearest path points, else nearest."""
-    rs = [p[0] for p in path]
-    k = min(range(len(path)), key=lambda i: abs(rs[i] - target))
+    k = _nearest(rs, target)
     if len(path) == 1:
         return path[k][1].copy()
     k2 = k - 1 if (k == len(path) - 1 or
@@ -301,28 +324,29 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
         seed = _correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
         path = [(recipe.r0, seed)]
         _paths[recipe.name] = path
-    rs = [p[0] for p in path]
+        _path_keys[recipe.name] = [recipe.r0]
+    rs = _path_keys[recipe.name]
     pos = bisect.bisect_left(rs, r)
     if pos < len(rs) and rs[pos] == r:
         return path[pos][1].copy()
 
-    nearest = min(rs, key=lambda t: abs(t - r))
-    sol = path[rs.index(nearest)][1]
-    current = nearest
+    current, sol = path[_nearest(rs, r)]
     step = _MAX_STEP
     while current != r:
         remaining = r - current
         move = math.copysign(min(step, abs(remaining)), remaining)
         target = r if abs(remaining) <= step else current + move
         try:
-            sol = _correct(recipe, target, _predict(path, target))
+            sol = _correct(recipe, target, _predict(path, rs, target))
         except (NoConvergence, SingularJacobian) as exc:
             step *= 0.5
             if step < _MIN_STEP:
                 raise NoSolution(
                     f"{recipe.name}: continuation stalled near r={current}: {exc}") from exc
             continue
-        bisect.insort(path, (target, sol), key=lambda p: p[0])
+        pos = bisect.bisect_right(rs, target)
+        rs.insert(pos, target)
+        path.insert(pos, (target, sol))
         current = target
         step = min(step * 2.0, _MAX_STEP)
     return sol.copy()

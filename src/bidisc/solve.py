@@ -1,7 +1,9 @@
 """Damped Newton iteration for small square systems.
 
-The Jacobian is obtained by forward-mode differentiation: residual callables
-are evaluated on ``Dual`` numbers, so any function written with plain
+A system is one callable that maps a point (a sequence of n unknowns) to the
+list of its n residuals, so work shared by the equations is done once per
+point.  The Jacobian is obtained by forward-mode differentiation: the system
+is evaluated on ``Dual`` numbers, so any function written with plain
 arithmetic (+, -, *, /, integer **) differentiates exactly to roundoff.  No
 finite-difference step tuning is involved.
 """
@@ -23,8 +25,8 @@ class Dual:
     @classmethod
     def seed(cls, values) -> list["Dual"]:
         values = np.asarray(values, dtype=float)
-        n = values.size
-        return [cls(values[i], np.eye(n)[i]) for i in range(n)]
+        eye = np.eye(values.size)
+        return [cls(v, row) for v, row in zip(values, eye)]
 
     def _lift(self, other):
         if isinstance(other, Dual):
@@ -92,12 +94,18 @@ class Dual:
 
 
 def _residuals(system, x):
-    return np.array([float(f(x)) for f in system], dtype=float)
+    return np.array([float(v) for v in system(x)], dtype=float)
 
 
 def newton_solve(system, guess, tol: float = 1e-12, *,
                  max_iter: int = 60, max_halvings: int = 40) -> np.ndarray:
     """Solve the square system F(x) = 0 to max-norm residual <= tol.
+
+    ``system`` maps a point to the list of its residuals, one per unknown;
+    a system whose residual count differs from the unknown count raises
+    ValueError on its first evaluation.  Jacobian rows come from evaluating
+    it on ``Dual.seed(x)``; a residual that comes back as a plain number
+    (one that does not depend on x) has a zero gradient.
 
     Each iteration takes the full Newton step and halves it (up to
     ``max_halvings`` times) until the residual max-norm decreases; if no
@@ -105,20 +113,16 @@ def newton_solve(system, guess, tol: float = 1e-12, *,
     raised.  A singular Jacobian raises SingularJacobian.
     """
     x = np.asarray(guess, dtype=float).copy()
-    if len(system) != x.size:
-        raise ValueError(f"system of {len(system)} equations with {x.size} unknowns is not square")
     fx = _residuals(system, x)
+    if fx.size != x.size:
+        raise ValueError(f"system of {fx.size} equations with {x.size} unknowns is not square")
     norm = np.max(np.abs(fx))
     for _ in range(max_iter):
         if norm <= tol:
             return x
-        duals = Dual.seed(x)
         jac = np.empty((x.size, x.size), dtype=float)
-        for i, f in enumerate(system):
-            out = f(duals)
-            if not isinstance(out, Dual):
-                out = Dual(float(out), np.zeros(x.size))
-            jac[i] = out.grad
+        for i, out in enumerate(system(Dual.seed(x))):
+            jac[i] = out.grad if isinstance(out, Dual) else 0.0
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as exc:

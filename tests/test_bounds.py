@@ -197,6 +197,11 @@ class TestSamples:
         again = samples_from_csv(samples_to_csv(samples))
         assert again == samples
 
+    @pytest.mark.parametrize("row", ["0.75,nan", "inf,0.91", "0.75,-inf"])
+    def test_csv_rejects_non_finite(self, row):
+        with pytest.raises(ValueError):
+            samples_from_csv("r,value\n0.5,0.915\n" + row + "\n")
+
     def test_suspicious_flags_steep_pairs(self):
         # second point drops faster than the two sided slope bound allows
         ok = [BoundSample(0.5, 0.92), BoundSample(0.51, 0.919)]

@@ -111,6 +111,26 @@ class TestUpper:
         at = {row[0]: row[1] for row in curve.samples}
         assert at[0.75] == 0.89
 
+    def test_non_finite_sample_row_is_config_error(self, capsys, tmp_path):
+        extra = tmp_path / "samples.csv"
+        extra.write_text("r,value\n0.75,nan\n")
+        code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
+                             "--samples", str(extra))
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_sample_below_delta1_warns(self, capsys, tmp_path):
+        extra = tmp_path / "samples.csv"
+        extra.write_text("r,value\n0.75,0.95\n0.76,0.5\n")
+        code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
+                             "--samples", str(extra))
+        assert code == 0
+        assert DensityCurve.from_csv(out).samples[-1][1] == 0.5
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "1 of 2 rows" in warnings[0] and "below delta1" in warnings[0]
+
 
 class TestCertify:
     def test_success_exit_zero(self, capsys):

@@ -1,13 +1,17 @@
 """Flow recipes, closed form densities, interstitial refinement."""
 
+import bisect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bidisc import flows
-from bidisc.errors import DomainError, InvalidPacking, RecipeError
+from bidisc.errors import (DomainError, InvalidPacking, NoConvergence,
+                           NoSolution, RecipeError, SingularJacobian)
+from bidisc.expressions import Expr
 from bidisc.flows import (
     DensityCurve,
     builtin_recipes,
@@ -128,6 +132,100 @@ class TestConstrainedFlow:
     def test_clear_cache_unknown_name_is_noop(self):
         clear_continuation_cache("no-such-recipe")
         clear_continuation_cache()
+
+    def test_residual_system_evaluates_defines_once(self, monkeypatch):
+        recipe = builtin_recipes()["flow-r6-1"]
+        calls = []
+        original = Expr.__call__
+
+        def counting(expr, env):
+            calls.append(expr)
+            return original(expr, env)
+
+        monkeypatch.setattr(Expr, "__call__", counting)
+        out = recipe.residual_system(0.5)(recipe.guess)
+        assert len(out) == len(recipe.variables) == 6
+        assert len(calls) == len(recipe.defines) + 6 == 10
+
+
+# Order-of-visit oracle: the path lookup as it was before the key list, one
+# linear scan of the whole path per query.
+
+def _linear_predict(path, target):
+    rs = [p[0] for p in path]
+    k = min(range(len(path)), key=lambda i: abs(rs[i] - target))
+    if len(path) == 1:
+        return path[k][1].copy()
+    k2 = k - 1 if (k == len(path) - 1 or
+                   (k > 0 and abs(rs[k - 1] - target) <= abs(rs[k + 1] - target))) else k + 1
+    (ra, qa), (rb, qb) = path[k], path[k2]
+    if ra == rb:
+        return qa.copy()
+    return qa + (qb - qa) * ((target - ra) / (rb - ra))
+
+
+def _linear_solve_constrained(paths, recipe, r):
+    path = paths.get(recipe.name)
+    if path is None:
+        seed = flows._correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
+        path = [(recipe.r0, seed)]
+        paths[recipe.name] = path
+    rs = [p[0] for p in path]
+    pos = bisect.bisect_left(rs, r)
+    if pos < len(rs) and rs[pos] == r:
+        return path[pos][1].copy()
+    nearest = min(rs, key=lambda t: abs(t - r))
+    sol = path[rs.index(nearest)][1]
+    current = nearest
+    step = flows._MAX_STEP
+    while current != r:
+        remaining = r - current
+        move = math.copysign(min(step, abs(remaining)), remaining)
+        target = r if abs(remaining) <= step else current + move
+        try:
+            sol = flows._correct(recipe, target, _linear_predict(path, target))
+        except (NoConvergence, SingularJacobian) as exc:
+            step *= 0.5
+            if step < flows._MIN_STEP:
+                raise NoSolution(str(exc)) from exc
+            continue
+        bisect.insort(path, (target, sol), key=lambda p: p[0])
+        current = target
+        step = min(step * 2.0, flows._MAX_STEP)
+    return sol.copy()
+
+
+class TestContinuationLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 8), min_size=1, max_size=12), st.integers(-2, 18))
+    def test_nearest_is_first_minimiser(self, values, target):
+        # eighths and sixteenths are exact, so duplicates and exactly
+        # equidistant neighbours both occur
+        rs = sorted(v / 8.0 for v in values)
+        target = target / 16.0
+        expect = min(range(len(rs)), key=lambda i: abs(rs[i] - target))
+        assert flows._nearest(rs, target) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.floats(-0.5, 1.5))
+    def test_nearest_on_arbitrary_floats(self, values, target):
+        rs = sorted(values)
+        expect = min(range(len(rs)), key=lambda i: abs(rs[i] - target))
+        assert flows._nearest(rs, target) == expect
+
+    def test_matches_linear_scan_bit_for_bit(self):
+        recipe = builtin_recipes()["flow-r6-1"]
+        queries = (0.5, 0.45, 0.7, 0.44999, 0.9, 0.6, 0.7, 0.3999)
+        clear_continuation_cache()
+        new = [repr(flows.solve_constrained(recipe, r).tolist()) for r in queries]
+        paths = {}
+        old = [repr(_linear_solve_constrained(paths, recipe, r).tolist()) for r in queries]
+        assert new == old
+        assert (repr([(r, q.tolist()) for r, q in flows._paths[recipe.name]])
+                == repr([(r, q.tolist()) for r, q in paths[recipe.name]]))
+        assert flows._path_keys[recipe.name] == [r for r, _ in flows._paths[recipe.name]]
+        clear_continuation_cache()
+        assert flows._paths == {} and flows._path_keys == {}
 
 
 def recipe_to_dict_841():

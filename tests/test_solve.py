@@ -42,10 +42,8 @@ def test_dual_pow():
 
 def test_newton_circle_line():
     # x^2 + y^2 = 25 and x + y = 7 -> (3, 4) from a nearby start
-    system = [
-        lambda q: q[0] ** 2 + q[1] ** 2 - 25.0,
-        lambda q: q[0] + q[1] - 7.0,
-    ]
+    def system(q):
+        return [q[0] ** 2 + q[1] ** 2 - 25.0, q[0] + q[1] - 7.0]
     sol = newton_solve(system, [2.5, 4.5])
     assert np.allclose(sol, [3.0, 4.0], atol=1e-10)
     assert abs(sol[0] ** 2 + sol[1] ** 2 - 25.0) <= 1e-11
@@ -55,45 +53,51 @@ def test_newton_tangent_triangle():
     # mutually tangent discs: unit at origin, unit at (2, 0), third of
     # radius 1/2 above; exact center x=1, y=sqrt(5)/2
     r = 0.5
-    system = [
-        lambda q: q[0] ** 2 + q[1] ** 2 - (1 + r) ** 2,
-        lambda q: (q[0] - 2.0) ** 2 + q[1] ** 2 - (1 + r) ** 2,
-    ]
+    def system(q):
+        return [q[0] ** 2 + q[1] ** 2 - (1 + r) ** 2,
+                (q[0] - 2.0) ** 2 + q[1] ** 2 - (1 + r) ** 2]
     sol = newton_solve(system, [1.1, 1.0])
     assert np.allclose(sol, [1.0, math.sqrt(5.0) / 2.0], atol=1e-12)
 
 
 def test_newton_needs_square_system():
     with pytest.raises(ValueError):
-        newton_solve([lambda q: q[0]], [1.0, 2.0])
+        newton_solve(lambda q: [q[0]], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        newton_solve(lambda q: [q[0], q[0] - 1.0], [1.0])
 
 
 def test_newton_singular_jacobian():
     # second equation is a multiple of the first, so the Jacobian has
     # rank 1 everywhere and the very first linear solve must fail
-    system = [
-        lambda q: q[0] ** 2 + q[1] - 1.0,
-        lambda q: 2.0 * (q[0] ** 2 + q[1] - 1.0),
-    ]
+    def system(q):
+        return [q[0] ** 2 + q[1] - 1.0, 2.0 * (q[0] ** 2 + q[1] - 1.0)]
     with pytest.raises(SingularJacobian):
         newton_solve(system, [3.0, 3.0])
 
 
+def test_newton_plain_number_residual_has_zero_gradient():
+    # the second residual does not depend on q, so it stays a float on
+    # Dual input; its Jacobian row is zero and the linear solve fails
+    with pytest.raises(SingularJacobian):
+        newton_solve(lambda q: [q[0] - 1.0, 0.5], [0.0, 0.0])
+
+
 def test_newton_no_convergence():
     # residual 1 everywhere but nonzero slope: every step fails to improve
-    system = [lambda q: 1.0 + 0.0 * q[0]]
+    system = lambda q: [1.0 + 0.0 * q[0]]
     with pytest.raises((NoConvergence, SingularJacobian)):
         newton_solve(system, [0.0], max_iter=5)
 
 
 def test_newton_damping_reaches_distant_root():
     # steep exponential-free analogue: x^5 = 32, full steps overshoot badly
-    system = [lambda q: q[0] ** 5 - 32.0]
+    system = lambda q: [q[0] ** 5 - 32.0]
     sol = newton_solve(system, [40.0])
     assert math.isclose(sol[0], 2.0, rel_tol=1e-12)
 
 
 def test_newton_immediate_return_at_root():
-    system = [lambda q: q[0] - 1.0, lambda q: q[1] + 2.0]
+    system = lambda q: [q[0] - 1.0, q[1] + 2.0]
     sol = newton_solve(system, [1.0, -2.0])
     assert sol.tolist() == [1.0, -2.0]
