@@ -12,6 +12,41 @@ from bidisc.ratios import RATIO_TABLE
 
 DELTA1 = 0.9068996821171089
 
+# `bidisc ratios` stdout, byte for byte: a change to how an enclosure is
+# certified must not change which enclosure is printed
+RATIOS_CSV = (
+    "name,lo,hi,polynomial\n"
+    "r1,0.6375559772131965,0.6375559772714041,x^4 - 10x^2 - 8x + 9\n"
+    "ra,0.6199144044076093,0.6199144044658169,x^4 - 12x^3 - 2x^2 + 4x + 1\n"
+    "r2,0.5451510421116836,0.5451510421698913,x^8 - 8x^7 - 44x^6 - 232x^5 - 482x^4 - 24x^3 + 388x^2 - 120x + 9\n"
+    "r3,0.5332964166300371,0.5332964166882448,8x^3 + 3x^2 - 2x - 1\n"
+    "r4,0.4142135623260401,0.4142135623842478,x^2 + 2x - 1\n"
+    "r5,0.38610610482282937,0.386106104881037,9x^4 - 12x^3 - 26x^2 - 12x + 9\n"
+    "rb,0.36910238617565483,0.3691023862338625,x^3 - 5x^2 - x + 1\n"
+    "r6,0.3491981861880049,0.34919818624621257,x^4 - 28x^3 - 10x^2 + 4x + 1\n"
+    "r7,0.28077640634728596,0.2807764064054936,2x^2 + 3x - 1\n"
+    "rc,0.21684533538063988,0.21684533543884754,x^4 - 4x^3 - 2x^2 - 4x + 1\n"
+    "r8,0.15470053837634623,0.1547005384345539,3x^2 + 6x - 1\n"
+    "r9,0.10102051438298076,0.10102051444118842,x^2 - 10x + 1\n"
+)
+
+# (name, lo, hi, integer coefficients) of `bidisc ratios --format json`
+RATIOS_JSON_ROWS = [
+    ("r1", 0.6375559772131965, 0.6375559772714041, (9, -8, -10, 0, 1)),
+    ("ra", 0.6199144044076093, 0.6199144044658169, (1, 4, -2, -12, 1)),
+    ("r2", 0.5451510421116836, 0.5451510421698913,
+     (9, -120, 388, -24, -482, -232, -44, -8, 1)),
+    ("r3", 0.5332964166300371, 0.5332964166882448, (-1, -2, 3, 8)),
+    ("r4", 0.4142135623260401, 0.4142135623842478, (-1, 2, 1)),
+    ("r5", 0.38610610482282937, 0.386106104881037, (9, -12, -26, -12, 9)),
+    ("rb", 0.36910238617565483, 0.3691023862338625, (1, -1, -5, 1)),
+    ("r6", 0.3491981861880049, 0.34919818624621257, (1, 4, -10, -28, 1)),
+    ("r7", 0.28077640634728596, 0.2807764064054936, (-1, 3, 2)),
+    ("rc", 0.21684533538063988, 0.21684533543884754, (1, -4, -2, -4, 1)),
+    ("r8", 0.15470053837634623, 0.1547005384345539, (-1, 6, 3)),
+    ("r9", 0.10102051438298076, 0.10102051444118842, (1, -10, 1)),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,6 +78,19 @@ class TestRatios:
         _, first, _ = run(capsys, "ratios")
         _, second, _ = run(capsys, "ratios")
         assert first == second
+
+    def test_csv_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "ratios")
+        assert code == 0
+        assert out == RATIOS_CSV
+
+    def test_json_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "ratios", "--format", "json")
+        assert code == 0
+        payload = [{"name": name, "lo": lo, "hi": hi,
+                    "polynomial": [[c, 1] for c in coeffs]}
+                   for name, lo, hi, coeffs in RATIOS_JSON_ROWS]
+        assert out == json.dumps(payload, indent=2) + "\n"
 
 
 class TestLower:
