@@ -12,7 +12,7 @@ from .bounds import (BLIND_MIN_RATIO, BoundSample, best_upper, blind_bound,
                      samples_to_csv, suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError,
                      InitialBoundsInvalid, InvalidPacking, NoConvergence,
-                     NoSolution, NotSquarefree, RecipeError, SingularJacobian)
+                     NoSolution, RecipeError, SingularJacobian)
 from .flows import (ConstrainedRecipe, DensityCurve, FlowRecipe,
                     SequentialRecipe, builtin_recipes, closed_form_841,
                     closed_form_r6, eval_flow, find_crossings,
@@ -23,9 +23,8 @@ from .geometry import (Disc, FundamentalDomain, Violation, density,
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
-from .intervals import (Interval, iacos, iatan, iexp, ilog, ipow, itan,
-                        pi_interval)
-from .polynomials import Polynomial, RootBracket, isolate_roots, refine_root
+from .intervals import Interval, iacos, iatan, ipow, itan, pi_interval
+from .polynomials import Polynomial, refine_root
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
 from .solve import Dual, newton_solve
 
@@ -36,16 +35,15 @@ __all__ = [
     "Certifier", "ConstrainedRecipe", "DensityCurve", "DepthExceeded",
     "Disc", "DomainError", "Dual", "FlorianCertifier", "FlowRecipe",
     "FundamentalDomain", "InitialBoundsInvalid", "Interval", "InvalidPacking",
-    "NoConvergence", "NoSolution", "NotSquarefree", "Polynomial", "ProofTrace",
-    "RATIO_TABLE", "RecipeError", "RootBracket", "SequentialRecipe",
+    "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
+    "RATIO_TABLE", "RecipeError", "SequentialRecipe",
     "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
     "best_upper", "blind_bound", "blind_interval", "builtin_recipes",
     "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
     "delta1_interval", "density", "density_interval",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
-    "florian_bound", "florian_interval", "iacos", "iatan", "iexp",
-    "ilog", "interstitial",
-    "interstitial_count", "ipow", "isolate_roots", "itan", "lipschitz_envelope",
+    "florian_bound", "florian_interval", "iacos", "iatan", "interstitial",
+    "interstitial_count", "ipow", "itan", "lipschitz_envelope",
     "lipschitz_slope", "load_recipe", "lower_bound_at", "lower_bound_curve",
     "make_certifier", "newton_solve", "pi_interval", "r_blind", "ratio",
     "ratio_interval", "ratio_polynomial", "recipe_from_dict", "refine_root",

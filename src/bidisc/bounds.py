@@ -164,9 +164,12 @@ def samples_to_csv(samples: Sequence[BoundSample]) -> str:
 
 
 def samples_from_csv(text: str) -> list[BoundSample]:
-    """Samples from ``r,value`` rows under a header; a row with a non-finite
-    r or value raises ValueError."""
+    """Samples from ``r,value`` rows under the ``r,value`` header that
+    samples_to_csv writes; a missing header or a row with a non-finite r or
+    value raises ValueError."""
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if lines and lines[0] != "r,value":
+        raise ValueError(f"first line must be the header 'r,value', got {lines[0]!r}")
     out = []
     for line in lines[1:]:
         r, value = (float(field) for field in line.split(","))

@@ -9,10 +9,6 @@ class DomainError(BidiscError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class NotSquarefree(BidiscError, ValueError):
-    """Root isolation was asked to process a polynomial it cannot deflate."""
-
-
 class NoConvergence(BidiscError, RuntimeError):
     """Newton iteration failed to reach the requested residual tolerance."""
 

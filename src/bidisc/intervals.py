@@ -7,8 +7,8 @@ hardware rounds to nearest, so the rounded endpoint is within one ulp of the
 exact one and the nudge restores containment.  This costs up to two ulps of
 width per operation and needs no fesetround or platform-specific state.
 
-Transcendental enclosures (tan, atan, acos, exp, log) are built from Taylor
-or arctangent series evaluated in interval arithmetic with an explicit
+Transcendental enclosures (tan, atan, acos) are built from Taylor or
+arctangent series evaluated in interval arithmetic with an explicit
 remainder term, never from the libm point routines.
 """
 
@@ -24,8 +24,6 @@ _INF = math.inf
 # them are one ulp wide.
 PI_RAT_LO = Fraction(31415926535897932384626433832795028841971, 10**40)
 PI_RAT_HI = Fraction(31415926535897932384626433832795028841972, 10**40)
-_LN2_RAT_LO = Fraction(6931471805599453094172321214581765680755, 10**40)
-_LN2_RAT_HI = Fraction(6931471805599453094172321214581765680756, 10**40)
 
 
 def _down(x: float) -> float:
@@ -228,19 +226,16 @@ def _fraction_interval(lo: Fraction, hi: Fraction) -> Interval:
 
 
 _PI_IV = _fraction_interval(PI_RAT_LO, PI_RAT_HI)
-_LN2_IV = _fraction_interval(_LN2_RAT_LO, _LN2_RAT_HI)
 
 
-def ipow(a: Interval, b) -> Interval:
-    """a raised to b; b may be an int or an Interval (then a must be > 0).
+def ipow(a: Interval, b: int) -> Interval:
+    """a raised to the integer power b.
 
-    Integer powers go through repeated interval squaring, which stays
-    correct when a straddles 0.  Interval exponents use exp(b*log(a)).
+    Powers go through repeated interval squaring, which stays correct when a
+    straddles 0.
     """
-    if isinstance(b, Interval):
-        return iexp(b * ilog(a))
     if not isinstance(b, int):
-        raise TypeError("exponent must be an int or an Interval")
+        raise TypeError("exponent must be an int")
     if b < 0:
         return Interval(1.0) / ipow(a, -b)
     if b == 0:
@@ -352,65 +347,3 @@ def iacos(x: Interval) -> Interval:
     # num >= 0 and den > 0, so the quotient is >= 0; only the outward nudge
     # of an exact zero (at x = 1) can take its lower end below 0
     return iatan((num / den).sqrt(clamp_tol=math.ulp(0.0))) * 2
-
-
-# -- exp/log ---------------------------------------------------------------
-
-_EXP_TERMS = 22
-_EXP_COEFFS = [Interval.from_fraction(Fraction(1, _FACT[i])) for i in range(_EXP_TERMS)]
-
-
-def _exp_small(s: Interval) -> Interval:
-    """Taylor enclosure of exp on |s| <= 0.35."""
-    acc = _EXP_COEFFS[-1]
-    for c in reversed(_EXP_COEFFS[:-1]):
-        acc = acc * s + c
-    smax = max(-s.lo, s.hi)
-    # |R| <= smax^N / N! * e^smax <= smax^N / N! * 2 on this range.
-    rem = _up(2.0 * smax ** _EXP_TERMS / _FACT[_EXP_TERMS])
-    return acc + Interval(-rem, rem)
-
-
-def _exp_point(x: float) -> Interval:
-    k = round(x / math.log(2))
-    s = Interval(x) - _LN2_IV * k if k else Interval(x)
-    if not (-0.36 <= s.lo and s.hi <= 0.36):
-        raise DomainError("exp argument reduction failed")
-    out = _exp_small(s)
-    if out.lo <= 0.0:
-        out = Interval(min(math.ulp(0.0), out.hi), out.hi)
-    return out * Interval.from_fraction(Fraction(2) ** k)
-
-
-def iexp(x: Interval) -> Interval:
-    return Interval(_exp_point(x.lo).lo, _exp_point(x.hi).hi)
-
-
-_LOG_TERMS = 26
-_LOG_COEFFS = [Interval.from_fraction(Fraction(1, 2 * i + 1)) for i in range(_LOG_TERMS)]
-
-
-def _log_mantissa(m: Interval) -> Interval:
-    """Enclosure of log on [0.5, 1] via 2*atanhated series in (m-1)/(m+1)."""
-    t = (m - 1.0) / (m + 1.0)
-    z = t.square()
-    acc = _LOG_COEFFS[-1]
-    for c in reversed(_LOG_COEFFS[:-1]):
-        acc = acc * z + c
-    tmax = max(-t.lo, t.hi)
-    # Geometric tail bound for atanh: sum t^(2N+1)/(2N+1) * 1/(1 - t^2).
-    rem = _up(tmax ** (2 * _LOG_TERMS + 1) / ((2 * _LOG_TERMS + 1) * (1.0 - tmax * tmax)))
-    return (t * acc + Interval(-rem, rem)) * 2
-
-
-def _log_point(x: float) -> Interval:
-    if x <= 0.0:
-        raise DomainError("log of a nonpositive number")
-    m, e = math.frexp(x)  # x = m * 2^e, m in [0.5, 1)
-    return _log_mantissa(Interval(m)) + _LN2_IV * e
-
-
-def ilog(x: Interval) -> Interval:
-    if x.lo <= 0.0:
-        raise DomainError("log of an interval touching 0")
-    return Interval(_log_point(x.lo).lo, _log_point(x.hi).hi)

@@ -1,18 +1,13 @@
-"""Univariate polynomials over exact rationals, with certified real-root isolation.
+"""Univariate polynomials over exact rationals, with exact-sign bisection.
 
-Coefficients are ``fractions.Fraction`` in ascending degree order.  Root
-counting uses Sturm sequences evaluated at rational points, so every sign
-decision is exact and the isolating brackets are certified, not heuristic.
-Refinement bisects in double precision but keeps evaluating the polynomial
-exactly at each (rational-valued) float midpoint, which keeps the bracket
-signs trustworthy all the way down to a width of a few ulp.
+Coefficients are ``fractions.Fraction`` in ascending degree order.
+Refinement bisects in double precision but evaluates the polynomial exactly
+at each (rational-valued) float midpoint, so every sign decision is exact and
+the bracket signs stay trustworthy all the way down to a width of a few ulp.
 """
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSquarefree
 from .intervals import Interval
 
 
@@ -33,28 +28,11 @@ class Polynomial:
             cs = [Fraction(0)]
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero():
+        if not any(self.coeffs):
             return "0"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
@@ -98,229 +76,34 @@ class Polynomial:
             acc = acc * x + Interval.from_fraction(Fraction(c))
         return acc
 
-    # -- algebra -----------------------------------------------------------
-
     def derivative(self) -> "Polynomial":
-        if self.degree <= 0:
-            return Polynomial([0])
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dd = len(den) - 1
-        if len(rem) - 1 < dd:
-            return Polynomial([0]), Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        lead = den[-1]
-        for k in range(len(rem) - 1, dd - 1, -1):
-            q = rem[k] / lead
-            quot[k - dd] = q
-            if q == 0:
-                continue
-            for j in range(dd + 1):
-                rem[k - dd + j] -= q * den[j]
-        return Polynomial(quot), Polynomial(rem[:dd] if dd else [0])
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
-
-    def squarefree_part(self) -> "Polynomial":
-        if self.is_zero():
-            raise NotSquarefree("cannot deflate the zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        quot, rem = self.divmod(g)
-        if not rem.is_zero():
-            raise NotSquarefree("deflation by gcd(p, p') left a remainder")
-        return quot
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> list:
         return [[c.numerator, c.denominator] for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data) -> "Polynomial":
-        return cls([Fraction(int(n), int(d)) for n, d in data])
 
+def refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
+    """Bisect a bracket across which p changes sign down to width <= tol.
 
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval certified to contain exactly one real root of ``polynomial``."""
-
-    polynomial: Polynomial
-    interval: Interval
-
-
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return chain
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign(q.eval_exact(x)) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots(chain, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _nonroot_split(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
-    """A split point in (a, b) where p does not vanish."""
-    m = (a + b) / 2
-    step = (b - a) / 64
-    while p.eval_exact(m) == 0:
-        m += step
-        step /= 2
-        if not (a < m < b):
-            raise ArithmeticError("could not find a non-root split point")
-    return m
-
-
-def isolate_roots(p: Polynomial, window: Interval) -> list[RootBracket]:
-    """Isolating brackets for every distinct real root of p inside ``window``.
-
-    The polynomial is deflated to its squarefree part first, so multiple
-    roots are reported once.  A root landing exactly on a float endpoint is
-    returned as a degenerate one-point bracket.
+    Signs are decided by exact rational evaluation, so the result still
+    brackets a sign change of p.  If an endpoint or a bisection midpoint is
+    an exact root the degenerate point interval is returned.
     """
-    if p.is_zero():
-        raise NotSquarefree("cannot isolate roots of the zero polynomial")
-    sf = p.squarefree_part()
-    if sf.degree < 1:
-        return []
-    chain = _sturm_chain(sf)
-    a = Fraction(window.lo)
-    b = Fraction(window.hi)
-    out: list[RootBracket] = []
-    if a == b:
-        if sf.eval_exact(a) == 0:
-            out.append(RootBracket(p, Interval(window.lo, window.lo)))
-        return out
-    if sf.eval_exact(a) == 0:
-        out.append(RootBracket(p, Interval(window.lo, window.lo)))
-        a = _shrink_past_root(sf, chain, a, b)
-    if sf.eval_exact(b) == 0:
-        out.append(RootBracket(p, Interval(window.hi, window.hi)))
-        b = _shrink_past_root(sf, chain, b, a)
-    if a >= b:
-        out.sort(key=lambda br: br.interval.lo)
-        return out
-
-    work = [(a, b, _count_roots(chain, a, b))]
-    while work:
-        lo, hi, n = work.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(_certify_bracket(p, sf, chain, lo, hi))
-            continue
-        m = _nonroot_split(sf, lo, hi)
-        work.append((lo, m, _count_roots(chain, lo, m)))
-        work.append((m, hi, _count_roots(chain, m, hi)))
-    out.sort(key=lambda br: br.interval.lo)
-    return out
-
-
-def _shrink_past_root(sf, chain, endpoint: Fraction, toward: Fraction) -> Fraction:
-    """Move an endpoint that is itself a root slightly into the interval,
-    without skipping any other root."""
-    step = (toward - endpoint) / 2**40
-    x = endpoint + step
-    while sf.eval_exact(x) == 0 or _count_roots(chain, *sorted((endpoint, x))) > 1:
-        step /= 2
-        x = endpoint + step
-    return x
-
-
-def _certify_bracket(p, sf, chain, lo: Fraction, hi: Fraction) -> RootBracket:
-    """Turn a rational one-root interval into a float bracket with exact
-    opposite signs at the endpoints (bisecting further if the outward float
-    rounding would let a neighboring root sneak in)."""
-    for _ in range(200):
-        slo = _sign(sf.eval_exact(lo))
-        shi = _sign(sf.eval_exact(hi))
-        if slo != 0 and shi != 0 and slo != shi:
-            flo = _float_below(lo)
-            fhi = _float_above(hi)
-            if (_sign(sf.eval_exact(Fraction(flo))) == slo
-                    and _sign(sf.eval_exact(Fraction(fhi))) == shi):
-                return RootBracket(p, Interval(flo, fhi))
-        m = _nonroot_split(sf, lo, hi)
-        if _count_roots(chain, lo, m) == 1:
-            hi = m
-        else:
-            lo = m
-    raise ArithmeticError("bracket certification did not converge")
-
-
-def _float_below(x: Fraction) -> float:
-    f = float(x)
-    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
-
-
-def _float_above(x: Fraction) -> float:
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
-
-
-def refine_root(bracket: RootBracket, tol: float) -> Interval:
-    """Bisect a certified bracket down to width <= tol.
-
-    Signs are decided by exact rational evaluation, so the result is a
-    certified enclosure.  If a bisection midpoint is an exact root the
-    degenerate point interval is returned.
-    """
-    p = bracket.polynomial.squarefree_part()
-    lo = bracket.interval.lo
-    hi = bracket.interval.hi
-    if lo == hi:
-        return Interval(lo, hi)
-    slo = _sign(p.eval_exact(Fraction(lo)))
-    shi = _sign(p.eval_exact(Fraction(hi)))
+    lo = bracket.lo
+    hi = bracket.hi
+    slo = _sign(p.eval_exact(lo))
     if slo == 0:
         return Interval(lo, lo)
-    if shi == 0:
+    if _sign(p.eval_exact(hi)) == 0:
         return Interval(hi, hi)
     while hi - lo > tol:
         m = 0.5 * (lo + hi)
         if m <= lo or m >= hi:
             break
-        sm = _sign(p.eval_exact(Fraction(m)))
+        sm = _sign(p.eval_exact(m))
         if sm == 0:
             return Interval(m, m)
         if sm == slo:

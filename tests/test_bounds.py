@@ -197,6 +197,13 @@ class TestSamples:
         again = samples_from_csv(samples_to_csv(samples))
         assert again == samples
 
+    @pytest.mark.parametrize("text", ["0.75,0.5\n", "0.75,0.5\n0.8,0.9\n",
+                                      "value,r\n0.75,0.5\n"],
+                             ids=["one-row", "two-rows", "swapped-header"])
+    def test_csv_requires_header(self, text):
+        with pytest.raises(ValueError, match="header"):
+            samples_from_csv(text)
+
     @pytest.mark.parametrize("row", ["0.75,nan", "inf,0.91", "0.75,-inf"])
     def test_csv_rejects_non_finite(self, row):
         with pytest.raises(ValueError):

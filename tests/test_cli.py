@@ -168,6 +168,38 @@ class TestUpper:
         assert out == ""
         assert "non-finite" in err
 
+    def test_headerless_samples_file_is_config_error(self, capsys, tmp_path):
+        # without the r,value header the first row is data, not a header
+        extra = tmp_path / "samples.csv"
+        extra.write_text("0.75,0.5\n")
+        code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
+                             "--samples", str(extra))
+        assert code == 3
+        assert out == ""
+        assert "header" in err
+
+    def test_samples_file_stdout_pinned(self, capsys, tmp_path):
+        # blank lines around the header and rows are skipped
+        extra = tmp_path / "samples.csv"
+        extra.write_text("\nr,value\n0.75,0.89\n0.76,0.9\n\n")
+        code, out, _ = run(capsys, "upper", "--range", "0.75:0.76", "--step", "0.01",
+                           "--samples", str(extra))
+        assert code == 0
+        assert out == (
+            "r,density,tag\n"
+            "0.75,0.89,upper\n"
+            "0.751,0.8932159506175241,upper\n"
+            "0.752,0.8964148064884925,upper\n"
+            "0.753,0.8995966697048947,upper\n"
+            "0.754,0.9027616416370636,upper\n"
+            "0.755,0.905909822939645,upper\n"
+            "0.756,0.9090413135575105,upper\n"
+            "0.757,0.9094207030690836,upper\n"
+            "0.758,0.9062804687127224,upper\n"
+            "0.759,0.9031402343563613,upper\n"
+            "0.76,0.9,upper\n"
+        )
+
     def test_sample_below_delta1_warns(self, capsys, tmp_path):
         extra = tmp_path / "samples.csv"
         extra.write_text("r,value\n0.75,0.95\n0.76,0.5\n")

@@ -1,24 +1,14 @@
-"""Root isolation and refinement on exact rational polynomials."""
+"""Exact evaluation and exact-sign bisection on rational polynomials."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from bidisc.errors import NotSquarefree
 from bidisc.intervals import Interval
-from bidisc.polynomials import Polynomial, RootBracket, isolate_roots, refine_root
+from bidisc.polynomials import Polynomial, refine_root
 
 RNG = np.random.default_rng(41)
-
-
-def poly_with_roots(roots):
-    """Product of (x - root) monomials over exact rationals."""
-    p = Polynomial([1])
-    for r in roots:
-        p = p * Polynomial([-Fraction(r), 1])
-    return p
 
 
 def test_eval_exact_and_float_agree():
@@ -39,70 +29,9 @@ def test_derivative():
     assert p.derivative().coeffs == (Fraction(0), Fraction(6), Fraction(3))
 
 
-def test_divmod_and_gcd():
-    a = poly_with_roots([1, 2, 3])
-    b = poly_with_roots([2, 5])
-    q, rem = a.divmod(b)
-    # q*b + rem == a, checked exactly at degree+1 points
-    for x in (Fraction(0), Fraction(1, 2), Fraction(7), Fraction(-3), Fraction(11, 3)):
-        assert q.eval_exact(x) * b.eval_exact(x) + rem.eval_exact(x) == a.eval_exact(x)
-    g = a.gcd(b)
-    assert g.coeffs == poly_with_roots([2]).coeffs  # monic common factor
-
-
-def test_squarefree_part_deflates_multiples():
-    p = poly_with_roots([1, 1, 2])
-    sf = p.squarefree_part()
-    assert sf.degree == 2
-    assert sf.eval_exact(1) == 0 and sf.eval_exact(2) == 0
-
-
-def test_isolate_simple_roots():
-    roots = [Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)]
-    p = poly_with_roots(roots)
-    brackets = isolate_roots(p, Interval(0.0, 1.0))
-    assert len(brackets) == 3
-    for br, root in zip(brackets, roots):
-        assert Fraction(br.interval.lo) <= root <= Fraction(br.interval.hi)
-
-
-def test_isolate_random_linear_factor_products():
-    for _ in range(25):
-        k = int(RNG.integers(1, 6))
-        # distinct rational roots with comfortable separation
-        raw = sorted(RNG.choice(np.arange(1, 64), size=k, replace=False))
-        roots = [Fraction(int(n), 64) for n in raw]
-        p = poly_with_roots(roots)
-        brackets = isolate_roots(p, Interval(0.0, 1.0))
-        assert len(brackets) == len(roots)
-        for br, root in zip(brackets, roots):
-            ref = refine_root(br, 1e-12)
-            assert Fraction(ref.lo) <= root <= Fraction(ref.hi)
-            assert ref.width <= 1e-12
-
-
-def test_isolate_reports_multiple_root_once():
-    p = poly_with_roots([Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)])
-    brackets = isolate_roots(p, Interval(0.0, 1.0))
-    assert len(brackets) == 2
-
-
-def test_isolate_window_endpoint_root():
-    p = poly_with_roots([Fraction(1, 2), Fraction(3, 4)])
-    brackets = isolate_roots(p, Interval(0.5, 1.0))
-    assert len(brackets) == 2
-    assert brackets[0].interval.lo == brackets[0].interval.hi == 0.5
-
-
-def test_isolate_zero_polynomial_raises():
-    with pytest.raises(NotSquarefree):
-        isolate_roots(Polynomial([0]), Interval(0.0, 1.0))
-
-
 def test_refine_root_certifies_sign_change():
     p = Polynomial([-1, 2, 1])  # x^2 + 2x - 1, positive root sqrt(2) - 1
-    br = isolate_roots(p, Interval(0.0, 1.0))[0]
-    out = refine_root(br, 1e-14)
+    out = refine_root(p, Interval(0.0, 1.0), 1e-14)
     true = math.sqrt(2.0) - 1.0
     assert out.lo <= true <= out.hi
     assert out.width <= 1e-14
@@ -111,15 +40,9 @@ def test_refine_root_certifies_sign_change():
 
 
 def test_refine_hits_exact_root():
-    p = poly_with_roots([Fraction(1, 2)])
-    br = isolate_roots(p, Interval(0.0, 1.0))[0]
-    out = refine_root(br, 1e-18)
+    p = Polynomial([-Fraction(1, 2), 1])  # x - 1/2
+    out = refine_root(p, Interval(0.0, 1.0), 1e-18)
     assert out.lo == out.hi == 0.5
-
-
-def test_polynomial_json_round_trip():
-    p = Polynomial([Fraction(1, 3), -2, 5])
-    assert Polynomial.from_json(p.to_json()).coeffs == p.coeffs
 
 
 def test_str_form():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bidisc.ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
+from bidisc.ratios import (_CACHE_SIZE, RATIO_TABLE, ratio, ratio_interval,
+                           ratio_polynomial)
 
 # 16-digit reference doubles, frozen from exact bisection of the minimal
 # polynomials at 30 decimal digits
@@ -116,8 +117,8 @@ def test_certified_value(name):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_enclosure_brackets_a_sign_change(name):
-    # independent of Sturm: the minimal polynomial changes sign across the
-    # certified enclosure (endpoints evaluated exactly)
+    # checked here, not taken from ratio_interval: the minimal polynomial
+    # changes sign across the certified enclosure (endpoints evaluated exactly)
     p = ratio_polynomial(name)
     iv = ratio_interval(name, tol=1e-12)
     if iv.lo == iv.hi:
@@ -130,6 +131,61 @@ def test_enclosure_brackets_a_sign_change(name):
 def test_enclosure_bytes_pinned(name):
     got = tuple(repr(ratio_interval(name, tol)) for tol in PINNED_TOLS)
     assert got == PINNED_REPRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_stored_bracket_is_narrow_and_holds_reference(name):
+    _, (lo, hi) = RATIO_TABLE[name]
+    assert hi - lo <= 1e-9
+    assert lo <= REFERENCE[name] <= hi
+
+
+@pytest.fixture
+def patched_table(monkeypatch):
+    """Replace one table entry's bracket; the cache is cleared around it."""
+    ratio_interval.cache_clear()
+
+    def patch(name, bracket):
+        coeffs, _ = RATIO_TABLE[name]
+        monkeypatch.setitem(RATIO_TABLE, name, (coeffs, bracket))
+
+    yield patch
+    ratio_interval.cache_clear()
+
+
+def test_bracket_without_sign_change_is_refused(patched_table):
+    _, (lo, hi) = RATIO_TABLE["r4"]
+    patched_table("r4", (lo + 1e-6, hi + 1e-6))
+    with pytest.raises(ValueError, match="sign"):
+        ratio_interval("r4")
+
+
+def test_bracket_holding_three_roots_is_refused(patched_table):
+    # r2's polynomial has roots near 0.121, 0.225 and 0.545: the end signs
+    # differ, but the derivative's enclosure spans 0
+    p = ratio_polynomial("r2")
+    assert p.eval_exact(0.1) * p.eval_exact(0.6) < 0
+    patched_table("r2", (0.1, 0.6))
+    with pytest.raises(ValueError, match="derivative"):
+        ratio_interval("r2")
+
+
+def test_bracket_with_unbounded_derivative_sign_is_refused(patched_table):
+    # (0, 1) holds only the ra root and the end signs differ, but the
+    # derivative's enclosure there is about [-36, 4]
+    p = ratio_polynomial("ra")
+    assert p.eval_exact(0) * p.eval_exact(1) < 0
+    patched_table("ra", (0.0, 1.0))
+    with pytest.raises(ValueError, match="derivative"):
+        ratio_interval("ra")
+
+
+def test_cache_is_bounded():
+    ratio_interval.cache_clear()
+    for k in range(200):
+        ratio_interval("r4", 1e-10 * (1 + k / 200))
+    assert ratio_interval.cache_info().currsize == _CACHE_SIZE
+    ratio_interval.cache_clear()
 
 
 def test_ordering_matches_subscripts():
