@@ -121,25 +121,36 @@ def cmd_lower(args) -> int:
     lo, hi = _parse_range(args.range)
     recipes = _load_recipes(args.recipe)
     grid = _grid(lo, hi, args.step)
-    curve = lower_bound_curve(grid, recipes)
+    curve, flow_samples = lower_bound_curve(grid, recipes)
 
     # Where does each construction cross the hexagonal baseline? The
     # interstitial construction strictly exceeds it everywhere it applies,
-    # so only recipe curves can cross.
+    # so only recipe curves can cross. The curve pass's samples are scanned
+    # over the recipe's part of the range; the recipe is evaluated again
+    # only at range ends off the grid and inside sign-change brackets.
     level = delta1()
     crossings = []
-    for recipe in recipes.values():
+    for name, recipe in recipes.items():
+        samples = flow_samples[name]
+        failed = sum(value is None for _, value in samples)
+        if failed:
+            print(f"warning: recipe {name} failed at {failed} of {len(samples)} "
+                  f"grid points", file=sys.stderr)
         rlo = max(lo, recipe.valid_range[0])
         rhi = min(hi, recipe.valid_range[1])
-        if rlo >= rhi:
+        scanned = [(r, value) for r, value in samples if rlo <= r <= rhi]
+        if rlo >= rhi or any(value is None for _, value in scanned):
             continue
 
         def fn(r, _recipe=recipe):
             return eval_flow(_recipe, r)[1]
 
         try:
-            found = find_crossings(fn, level, (rlo, rhi),
-                                   scan_step=min(args.step, 1e-3))
+            if not scanned or scanned[0][0] != rlo:
+                scanned.insert(0, (rlo, fn(rlo)))
+            if scanned[-1][0] != rhi:
+                scanned.append((rhi, fn(rhi)))
+            found = find_crossings(fn, level, scanned)
         except BidiscError:
             continue
         crossings.extend(found)

@@ -376,7 +376,8 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
         raise InvalidPacking(f"{recipe.name}: census {census} != {recipe.census} at r={r}")
     bad = validate(domain, tol=1e-9)
     if bad:
-        raise InvalidPacking(f"{recipe.name}: {len(bad)} overlap(s) at r={r}, worst {bad[0]}")
+        worst = min(bad, key=lambda row: row.gap)
+        raise InvalidPacking(f"{recipe.name}: {len(bad)} overlap(s) at r={r}, worst {worst}")
     return domain, density(domain)
 
 
@@ -491,47 +492,59 @@ def lower_bound_at(r: float, recipes: dict[str, FlowRecipe] | None = None) -> fl
     it applies, and every registered recipe whose range covers the ratio;
     recipe evaluations that fail are skipped.
     """
-    if recipes is None:
-        recipes = builtin_recipes()
-    best = delta1()
-    if 0.0 < r <= ratio("r8") + 1e-12:
-        best = max(best, interstitial(r)[1])
-    for recipe in recipes.values():
-        if recipe.contains(r):
-            try:
-                best = max(best, eval_flow(recipe, r)[1])
-            except (NoSolution, InvalidPacking, DomainError):
-                continue
-    return best
+    curve, _ = lower_bound_curve([r], recipes)
+    return curve.samples[0][1]
 
 
 def lower_bound_curve(grid: Sequence[float],
-                      recipes: dict[str, FlowRecipe] | None = None) -> DensityCurve:
-    """lower_bound_at sampled over a sorted grid."""
+                      recipes: dict[str, FlowRecipe] | None = None
+                      ) -> tuple[DensityCurve, dict[str, list[tuple[float, float | None]]]]:
+    """lower_bound_at sampled over a sorted grid, with the samples behind it.
+
+    Returns the curve and, for each recipe name, the ``(r, density)`` pairs
+    at the grid ratios its range covers, in grid order; density is None
+    where the evaluation failed.  Each recipe is evaluated once per ratio.
+    """
     if recipes is None:
         recipes = builtin_recipes()
-    return DensityCurve(tuple(
-        (float(r), lower_bound_at(float(r), recipes), "lower") for r in grid))
+    rows = []
+    per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
+    for r in map(float, grid):
+        best = delta1()
+        if 0.0 < r <= ratio("r8") + 1e-12:
+            best = max(best, interstitial(r)[1])
+        for name, recipe in recipes.items():
+            if recipe.contains(r):
+                try:
+                    value = eval_flow(recipe, r)[1]
+                except (NoSolution, InvalidPacking, DomainError):
+                    value = None
+                else:
+                    best = max(best, value)
+                per_recipe[name].append((r, value))
+        rows.append((r, best, "lower"))
+    return DensityCurve(tuple(rows)), per_recipe
 
 
 def find_crossings(fn: Callable[[float], float], level: float,
-                   rng: tuple[float, float], tol: float = 1e-9,
-                   scan_step: float = 1e-3) -> list[Interval]:
-    """Brackets of sign changes of fn - level, each narrowed to width <= tol."""
-    lo, hi = float(rng[0]), float(rng[1])
-    if hi < lo:
-        raise DomainError("empty range")
-    count = max(2, int(math.ceil((hi - lo) / scan_step)) + 1)
-    xs = [float(x) for x in np.linspace(lo, hi, count)]
+                   samples: Sequence[tuple[float, float]],
+                   tol: float = 1e-9) -> list[Interval]:
+    """Brackets of sign changes of fn - level, each narrowed to width <= tol.
+
+    ``samples`` are ``(x, fn(x))`` pairs sorted by x.  Adjacent samples on
+    opposite sides of the level are bisected with fn, which is called only
+    there; a sample exactly at the level is a point bracket.  Sign changes
+    between samples that cancel out go unseen, so the sample spacing sets
+    the resolution.
+    """
     out = []
-    fprev = fn(xs[0]) - level
-    for k in range(1, len(xs)):
-        fcur = fn(xs[k]) - level
-        if fprev == 0.0:
-            out.append(Interval(xs[k - 1], xs[k - 1]))
+    xprev, fprev = None, 0.0
+    for x, fx in samples:
+        fcur = fx - level
+        if fcur == 0.0:
+            out.append(Interval(x, x))
         elif fprev * fcur < 0.0:
-            a, b = xs[k - 1], xs[k]
-            fa = fprev
+            a, b, fa = xprev, x, fprev
             while b - a > tol:
                 mid = 0.5 * (a + b)
                 fm = fn(mid) - level
@@ -543,7 +556,5 @@ def find_crossings(fn: Callable[[float], float], level: float,
                 else:
                     a, fa = mid, fm
             out.append(Interval(a, b))
-        fprev = fcur
-    if fprev == 0.0:
-        out.append(Interval(xs[-1], xs[-1]))
+        xprev, fprev = x, fcur
     return out

@@ -40,12 +40,17 @@ def ratio_polynomial(name: str) -> Polynomial:
     return Polynomial(coeffs)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def ratio_interval(name: str, tol: float = 1e-12) -> Interval:
     """Certified enclosure of the named ratio, width <= tol.
 
-    Raises ValueError if the stored bracket fails either check.
+    Raises ValueError if the stored bracket fails either check.  Results
+    are cached per (name, float(tol)), however the call spells them.
     """
+    return _enclosure(name, float(tol))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _enclosure(name: str, tol: float) -> Interval:
     coeffs, (lo, hi) = RATIO_TABLE[name]
     p = Polynomial(coeffs)
     bracket = Interval(lo, hi)
@@ -55,6 +60,10 @@ def ratio_interval(name: str, tol: float = 1e-12) -> Interval:
         raise ValueError(f"{name} polynomial may have several roots in {bracket!r}: "
                          f"its derivative is not bounded away from 0 there")
     return refine_root(p, bracket, tol)
+
+
+ratio_interval.cache_info = _enclosure.cache_info
+ratio_interval.cache_clear = _enclosure.cache_clear
 
 
 def ratio(name: str) -> float:

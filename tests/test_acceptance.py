@@ -137,7 +137,10 @@ def test_criterion_04():
 
 def test_criterion_05():
     def body():
-        found = find_crossings(closed_form_841, delta1(), (ratio("r4"), ratio("r1")))
+        lo, hi = ratio("r4"), ratio("r1")
+        xs = np.linspace(lo, hi, int(math.ceil((hi - lo) / 1e-3)) + 1)
+        samples = [(float(x), closed_form_841(float(x))) for x in xs]
+        found = find_crossings(closed_form_841, delta1(), samples)
         if not found:
             return False, "no crossing found"
         off = abs(found[0].mid - 0.4378)

@@ -1,10 +1,14 @@
 """End to end runs of the command line front end."""
 
+import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from bidisc import cli, flows
 from bidisc.bounds import samples_from_csv
 from bidisc.cli import main
 from bidisc.flows import DensityCurve, closed_form_841
@@ -127,6 +131,111 @@ class TestLower:
         assert out == ""
         curve = DensityCurve.from_csv(target.read_text())
         assert len(curve.samples) == 2
+
+
+# sha256 of the CSV stdout of `bidisc lower --range 0.36:0.99 --step 0.001`,
+# the bytes the benchmark expects of its lower sweep
+LOWER_036_SHA256 = "071e6155bc3ebe222799cb1603498dd10ef4104e03805cda70c758f0b5d5b2b3"
+
+# crossing brackets recorded when the crossings were found by a separate
+# np.linspace scan at min(step, 1e-3); brackets found since must meet them
+CROSSINGS_036 = [(0.437841242151108, 0.43784124310198264),
+                 (0.6274606873551003, 0.627460688305975)]
+CROSSINGS_030 = [(0.35585347881279183, 0.3558534794799493),
+                 (0.4378412422461955, 0.4378412429118077),
+                 (0.6274606872600128, 0.627460687925625)]
+
+
+@pytest.fixture(scope="module")
+def cold_lower():
+    """`bidisc lower ARGS` from a cold continuation cache, as a new process
+    runs it, returning (stdout, stderr, eval_flow calls); memoised per ARGS."""
+    runs = {}
+
+    def lower(*argv):
+        if argv not in runs:
+            calls = [0]
+
+            def counted(original):
+                def wrapper(*args, **kwargs):
+                    calls[0] += 1
+                    return original(*args, **kwargs)
+                return wrapper
+
+            flows.clear_continuation_cache()
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "eval_flow", counted(cli.eval_flow))
+                mp.setattr(flows, "eval_flow", counted(flows.eval_flow))
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["lower", *argv])
+            assert code == 0
+            runs[argv] = (out.getvalue(), err.getvalue(), calls[0])
+        return runs[argv]
+
+    return lower
+
+
+def stderr_crossings(err):
+    rows = [line.split(",") for line in err.splitlines() if line.startswith("crossing,")]
+    return [(float(lo), float(hi)) for _, lo, hi in rows]
+
+
+def assert_crossings_meet(found, recorded):
+    assert len(found) == len(recorded)
+    for (lo, hi), (rlo, rhi) in zip(found, recorded):
+        assert lo <= hi and hi - lo <= 1e-9
+        assert lo <= rhi and rlo <= hi
+
+
+class TestLowerPinned:
+    def test_csv_stdout_pinned(self, cold_lower):
+        out, _, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001")
+        assert hashlib.sha256(out.encode()).hexdigest() == LOWER_036_SHA256
+
+    def test_json_matches_csv_run(self, cold_lower):
+        csv_out, csv_err, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001")
+        out, _, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001",
+                               "--format", "json")
+        obj = json.loads(out)
+        assert obj["curve"] == DensityCurve.from_csv(csv_out).to_json()
+        assert [tuple(iv) for iv in obj["crossings"]] == stderr_crossings(csv_err)
+
+    def test_crossings_036(self, cold_lower):
+        _, err, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001")
+        assert_crossings_meet(stderr_crossings(err), CROSSINGS_036)
+        assert "warning:" not in err
+
+    def test_crossings_030_step_00007(self, cold_lower):
+        _, err, _ = cold_lower("--range", "0.3:0.99", "--step", "0.0007")
+        assert_crossings_meet(stderr_crossings(err), CROSSINGS_030)
+
+    def test_eval_flow_work(self, cold_lower):
+        # 854 (grid point, recipe) evaluations for the curve, the two ends of
+        # flow-841-mid's range, which lie off the grid, and at most 20
+        # bisection steps for each of the two crossings
+        _, _, calls = cold_lower("--range", "0.36:0.99", "--step", "0.001")
+        assert calls <= 854 + 2 + 2 * 20
+
+
+    def test_partly_failing_recipe_warns(self, cold_lower, tmp_path):
+        # flow-841-mid with its range widened below r4, where its discs
+        # overlap: it fails at 0.4, 0.405 and 0.41 and matches the built-in
+        # elsewhere, so the curve is unchanged and its crossings are dropped
+        with open("src/bidisc/data/flow_841_mid.json") as fh:
+            obj = json.load(fh)
+        obj["name"], obj["valid_range"] = "wide", [0.4, "r1"]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        plain_out, plain_err, _ = cold_lower("--range", "0.4:0.45", "--step", "0.005")
+        out, err, _ = cold_lower("--range", "0.4:0.45", "--step", "0.005",
+                                 "--recipe", str(path))
+        assert out == plain_out
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: recipe wide failed at 3 of 11 grid points"]
+        assert "warning:" not in plain_err
+        assert len(stderr_crossings(err)) == 1
+        assert stderr_crossings(err) == stderr_crossings(plain_err)
 
 
 class TestUpper:

@@ -28,6 +28,7 @@ from bidisc.flows import (
 )
 from bidisc.bounds import delta1
 from bidisc.geometry import Violation, density, validate
+from bidisc.intervals import Interval
 from bidisc.ratios import ratio
 
 DELTA1 = 0.9068996821171089
@@ -102,6 +103,15 @@ class TestSequentialFlow:
         bad = recipe_from_dict(obj)
         with pytest.raises(InvalidPacking):
             eval_flow(bad, 0.5)
+
+    def test_overlap_message_names_least_gap(self, monkeypatch):
+        # validate lists rows in (i, j, m, n) order, not by gap
+        rows = [Violation(0, 1, 0, 0, -1e-6), Violation(1, 2, 0, 1, -1e-3)]
+        monkeypatch.setattr(flows, "validate", lambda domain, tol: rows)
+        with pytest.raises(InvalidPacking) as info:
+            eval_flow(builtin_recipes()["flow-841-mid"], 0.5)
+        assert "2 overlap(s)" in str(info.value)
+        assert str(info.value).endswith(f"worst {rows[1]}")
 
 
 class TestConstrainedFlow:
@@ -270,10 +280,17 @@ class TestRecipeParsing:
             recipe_from_dict(obj)
 
 
+def linspace_samples(fn, lo, hi, step=1e-3):
+    """(x, fn(x)) at the np.linspace points of [lo, hi] at most step apart."""
+    count = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    return [(float(x), fn(float(x))) for x in np.linspace(lo, hi, count)]
+
+
 class TestCrossings:
     def test_branch_841_crossings(self):
         lo, hi = ratio("r4"), ratio("r1")
-        found = find_crossings(closed_form_841, DELTA1, (lo, hi))
+        found = find_crossings(closed_form_841, DELTA1,
+                               linspace_samples(closed_form_841, lo, hi))
         assert len(found) == 2
         assert 0.43784124244422377 in found[0]
         assert 0.62746068743222321 in found[1]
@@ -281,12 +298,38 @@ class TestCrossings:
             assert enc.width <= 2e-9
 
     def test_branch_r6_crossing(self):
-        found = find_crossings(closed_form_r6, DELTA1, (ratio("r6"), 0.99))
+        found = find_crossings(closed_form_r6, DELTA1,
+                               linspace_samples(closed_form_r6, ratio("r6"), 0.99))
         assert len(found) == 1
         assert 0.35585347928492635 in found[0]
 
     def test_no_crossing_on_flat_function(self):
-        assert find_crossings(lambda r: 0.5, 0.9, (0.1, 0.9)) == []
+        flat = lambda r: 0.5
+        assert find_crossings(flat, 0.9, linspace_samples(flat, 0.1, 0.9)) == []
+
+    def test_fn_called_only_inside_brackets(self):
+        calls = []
+
+        def fn(r):
+            calls.append(r)
+            return closed_form_841(r)
+
+        samples = [(r, closed_form_841(r)) for r in (0.42, 0.43, 0.44, 0.5, 0.62, 0.63)]
+        found = find_crossings(fn, DELTA1, samples)
+        assert len(found) == 2
+        assert 0.43784124244422377 in found[0]
+        assert 0.62746068743222321 in found[1]
+        assert all(0.43 < r < 0.44 or 0.62 < r < 0.63 for r in calls)
+        # each 0.01 bracket halves to <= 1e-9 in ceil(log2(1e7)) = 24 steps
+        assert len(calls) == 2 * 24
+
+    def test_sample_on_level_is_point_bracket(self):
+        samples = [(0.1, 0.5), (0.2, 0.9), (0.3, 1.0)]
+        found = find_crossings(lambda r: pytest.fail("no bisection"), 0.9, samples)
+        assert found == [Interval(0.2, 0.2)]
+
+    def test_no_samples(self):
+        assert find_crossings(closed_form_841, DELTA1, []) == []
 
 
 class TestInterstitial:
@@ -362,8 +405,30 @@ class TestLowerEnvelope:
         r8 = ratio("r8")
         assert math.isclose(lower_bound_at(r8), 0.9503079938772262, abs_tol=1e-12)
 
+    def test_curve_hands_back_recipe_samples(self):
+        recipes = builtin_recipes()
+        curve, per_recipe = lower_bound_curve([0.3, 0.42, 0.5, 0.9], recipes)
+        assert set(per_recipe) == set(recipes)
+        assert [r for r, _ in per_recipe["flow-841-mid"]] == [0.42, 0.5]
+        assert [r for r, _ in per_recipe["flow-r6-1"]] == [0.42, 0.5, 0.9]
+        for name, samples in per_recipe.items():
+            for r, value in samples:
+                assert value == eval_flow(recipes[name], r)[1]
+        assert curve.samples[1][1] == max(v for s in per_recipe.values()
+                                          for r, v in s if r == 0.42)
+
+    def test_failed_recipe_samples_are_none(self):
+        # flow-841-mid's discs overlap below r4
+        obj = recipe_to_dict_841()
+        obj["name"], obj["valid_range"] = "wide", [0.4, "r1"]
+        wide = recipe_from_dict(obj)
+        curve, per_recipe = lower_bound_curve([0.405, 0.42], {"wide": wide})
+        assert per_recipe == {"wide": [(0.405, None), (0.42, curve.samples[1][1])]}
+        assert curve.samples[0][1] == DELTA1
+        assert curve.samples[1][1] == eval_flow(wide, 0.42)[1]
+
     def test_curve_rows(self):
-        curve = lower_bound_curve([0.1, 0.42, 0.9])
+        curve, _ = lower_bound_curve([0.1, 0.42, 0.9])
         assert [row[2] for row in curve.samples] == ["lower"] * 3
         values = [row[1] for row in curve.samples]
         assert math.isclose(values[0], interstitial(0.1)[1], rel_tol=1e-15)

@@ -188,6 +188,16 @@ def test_cache_is_bounded():
     ratio_interval.cache_clear()
 
 
+def test_cache_keys_on_value_not_call_form():
+    ratio_interval.cache_clear()
+    first = ratio_interval("r1")
+    assert ratio_interval("r1", 1e-12) is first
+    assert ratio_interval("r1", tol=1e-12) is first
+    info = ratio_interval.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    ratio_interval.cache_clear()
+
+
 def test_ordering_matches_subscripts():
     order = ["r1", "ra", "r2", "r3", "r4", "r5", "rb", "r6", "r7", "rc", "r8", "r9"]
     values = [ratio(n) for n in order]
