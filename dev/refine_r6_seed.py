@@ -21,7 +21,7 @@ from bidisc.flows import (builtin_recipes, closed_form_841, closed_form_r6,
                           eval_flow, clear_continuation_cache)
 from bidisc.geometry import density, validate
 from bidisc.ratios import ratio
-from bidisc.solve import Dual, newton_solve
+from bidisc.solve import newton_solve
 
 HAND_SEED = {"x1": 2.891, "y2": 2.521, "x3": 1.345, "y3": 0.387,
              "x4": 1.89, "y4": 0.985}
@@ -29,8 +29,8 @@ R0 = 0.4
 
 
 def jacobian_cond(recipe, values, r):
-    rows = [out.grad for out in recipe.residual_system(r)(Dual.seed(values))]
-    return np.linalg.cond(np.array(rows))
+    _, jacobian = recipe.newton_system
+    return np.linalg.cond(np.array(jacobian(values, r)))
 
 
 def main():
@@ -45,7 +45,9 @@ def main():
                           rec.variables, rec.defines, rec.equations, held,
                           rec.r0, tuple(guess), rec.lattice, rec.cell)
         try:
-            sol = newton_solve(trial.residual_system(R0), guess, tol=1e-13)
+            residuals, jacobian = trial.newton_system
+            sol = newton_solve(lambda q: residuals(q, R0), lambda q: jacobian(q, R0),
+                               guess, tol=1e-13)
         except (NoConvergence, SingularJacobian) as exc:
             print(f"  held={held}: solver failed: {exc}")
             continue

@@ -26,14 +26,14 @@ from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
 from .intervals import Interval, iacos, iatan, ipow, itan, pi_interval
 from .polynomials import Polynomial, refine_root
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
-from .solve import Dual, newton_solve
+from .solve import newton_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BLIND_MIN_RATIO", "BidiscError", "BlindCertifier", "BoundSample",
     "Certifier", "ConstrainedRecipe", "DensityCurve", "DepthExceeded",
-    "Disc", "DomainError", "Dual", "FlorianCertifier", "FlowRecipe",
+    "Disc", "DomainError", "FlorianCertifier", "FlowRecipe",
     "FundamentalDomain", "InitialBoundsInvalid", "Interval", "InvalidPacking",
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",

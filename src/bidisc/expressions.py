@@ -1,13 +1,19 @@
-"""Safe arithmetic expression compiler for recipe files.
+"""Safe arithmetic expressions for recipe files, and Newton code built from them.
 
 Recipe equations are stored as plain strings like
 ``(x4 - x3)**2 + (y4 - y3)**2 - (2*r)**2``.  They are parsed with ``ast``,
-checked against a whitelist of arithmetic node types, and compiled once.
-The resulting callable evaluates in any scalar algebra that supports
-+, -, *, / and integer ** : floats, ``Dual`` numbers, ``Interval``.
+checked against a whitelist of arithmetic node types (+, -, *, / and
+integer-constant **), and compiled once.  An ``Expr`` evaluates on a name
+map of floats or ``Interval`` values.
+
+``compile_system`` turns a recipe's defines and equations into two
+straight-line functions on local variables: the residuals, evaluated as
+``Expr`` would evaluate them, and the Jacobian by forward-mode
+differentiation, one float per partial derivative.
 """
 
 import ast
+import math
 from collections.abc import Mapping, Sequence
 
 from .errors import RecipeError
@@ -16,15 +22,24 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 
 
+def _exponent(node: ast.AST):
+    """The integer an exponent node stands for, ``n`` or ``-n``, else None."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return sign * node.value
+    return None
+
+
 def _check(node: ast.AST, names: set[str], src: str) -> None:
     if isinstance(node, ast.Expression):
         _check(node.body, names, src)
     elif isinstance(node, ast.BinOp):
         if not isinstance(node.op, _ALLOWED_BINOPS):
             raise RecipeError(f"operator not allowed in {src!r}")
-        if isinstance(node.op, ast.Pow):
-            if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
-                raise RecipeError(f"only integer constant exponents allowed in {src!r}")
+        if isinstance(node.op, ast.Pow) and _exponent(node.right) is None:
+            raise RecipeError(f"only integer constant exponents allowed in {src!r}")
         _check(node.left, names, src)
         _check(node.right, names, src)
     elif isinstance(node, ast.UnaryOp):
@@ -61,3 +76,175 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self.source!r})"
+
+
+# ---------------------------------------------------------------------------
+# straight-line Newton code
+
+_OPERATOR = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
+             ast.UAdd: "+", ast.USub: "-"}
+
+
+def _tree(expr: Expr) -> ast.AST:
+    """The expression's ast, passed through ``_check`` again: code is only
+    ever generated from whitelisted nodes."""
+    tree = ast.parse(expr.source, mode="eval")
+    _check(tree, set(expr.names), expr.source)
+    return tree.body
+
+
+def _literal(value) -> str:
+    # a source literal is never negative or nan; 1e999 parses as inf
+    if isinstance(value, float) and not math.isfinite(value):
+        return "1e999"
+    return repr(value)
+
+
+def _plain(node: ast.AST, local: Mapping[str, str]) -> str:
+    """Source evaluating ``node`` as ``Expr`` does, over renamed locals."""
+    if isinstance(node, ast.BinOp):
+        op = _OPERATOR[type(node.op)]
+        return f"({_plain(node.left, local)} {op} {_plain(node.right, local)})"
+    if isinstance(node, ast.UnaryOp):
+        return f"({_OPERATOR[type(node.op)]}{_plain(node.operand, local)})"
+    if isinstance(node, ast.Name):
+        return local[node.id]
+    return _literal(node.value)
+
+
+class _Forward:
+    """Forward-mode code: each node becomes a value and n partials.
+
+    ``emit`` returns ``(value, grads)`` source fragments.  ``grads`` is None
+    for a node free of the unknowns, whose value is plain arithmetic;
+    otherwise the value is a float and ``grads`` holds one fragment per
+    unknown.  A plain operand meeting such a node joins as ``float(value)``
+    with ``0.0`` partials, and ``p + u`` and ``p * u`` are computed as
+    ``u + p`` and ``u * p``.  Values that several fragments read are bound
+    to temporaries ``t0, t1, ...`` in ``lines``; partials are used once and
+    stay inline.
+    """
+
+    def __init__(self, local: dict[str, tuple[str, list[str] | None]], n: int):
+        self.local = local
+        self.n = n
+        self.lines: list[str] = []
+
+    def bind(self, src: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {src}")
+        return name
+
+    def lift(self, node: ast.AST, value: str) -> tuple[str, list[str]]:
+        if isinstance(node, ast.Constant):
+            value = _literal(float(node.value))
+        else:
+            value = self.bind(f"float({value})")
+        return value, ["0.0"] * self.n
+
+    def emit(self, node: ast.AST) -> tuple[str, list[str] | None]:
+        if isinstance(node, ast.Name):
+            return self.local[node.id]
+        if isinstance(node, ast.Constant):
+            return _literal(node.value), None
+        op = _OPERATOR[type(node.op)]
+        if isinstance(node, ast.UnaryOp):
+            a, ga = self.emit(node.operand)
+            if ga is None:
+                return f"({op}{a})", None
+            if op == "+":
+                return a, ga
+            return self.bind(f"-{a}"), [f"(-{g})" for g in ga]
+        if op == "**":
+            return self.power(node)
+        a, ga = self.emit(node.left)
+        b, gb = self.emit(node.right)
+        if ga is None and gb is None:
+            return f"({a} {op} {b})", None
+        if ga is None:
+            if op in ("+", "*"):
+                (a, ga), (b, gb) = (b, gb), self.lift(node.left, a)
+            else:
+                a, ga = self.lift(node.left, a)
+        elif gb is None:
+            b, gb = self.lift(node.right, b)
+        if op == "/":
+            inv = self.bind(f"1.0 / {b}")
+            si = self.bind(f"{a} * {inv}")
+            return si, [f"(({x} - {si} * {y}) * {inv})" for x, y in zip(ga, gb)]
+        if op == "*":
+            return (self.bind(f"{a} * {b}"),
+                    [f"({x} * {b} + {a} * {y})" for x, y in zip(ga, gb)])
+        return self.bind(f"{a} {op} {b}"), [f"({x} {op} {y})" for x, y in zip(ga, gb)]
+
+    def power(self, node: ast.BinOp) -> tuple[str, list[str] | None]:
+        n = _exponent(node.right)
+        a, ga = self.emit(node.left)
+        if ga is None:
+            return f"({a} ** {_plain(node.right, {})})", None
+        if n == 0:
+            return "1.0", ["0.0"] * self.n
+        w = self.bind(f"{a} ** {abs(n) - 1}")
+        value = self.bind(f"{w} * {a}")
+        nw = self.bind(f"{abs(n)} * {w}")
+        grads = [f"({nw} * {g})" for g in ga]
+        if n > 0:
+            return value, grads
+        inv = self.bind(f"1.0 / {value}")
+        si = self.bind(f"1.0 * {inv}")
+        return si, [f"((0.0 - {si} * {g}) * {inv})" for g in grads]
+
+    def define(self, node: ast.AST) -> tuple[str, list[str] | None]:
+        """``emit`` with the value and partials bound, for repeated use."""
+        value, grads = self.emit(node)
+        if grads is None:
+            return self.bind(value), None
+        return value, [g if g in ("0.0", "1.0") else self.bind(g) for g in grads]
+
+
+def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
+                   equations: Sequence[Expr]):
+    """Straight-line ``residuals(q, r)`` and ``jacobian(q, r)`` of equations.
+
+    ``q`` holds the values of ``unknowns`` in order and ``r`` the value of
+    the name ``r``.  The defines are evaluated in order before the
+    equations, as in an environment map.  ``residuals`` returns the
+    equation values, computed by the same operations on the same scalar
+    types as ``Expr`` computes them.  ``jacobian`` returns one row of
+    partial derivatives per equation, in Python floats; the row of an
+    equation free of the unknowns is zero.  Every recipe name becomes a
+    generated local, so none can shadow a temporary, a parameter or a
+    builtin.
+    """
+    n = len(unknowns)
+    names = {"r": "r"}
+    local = {"r": ("r", None)}
+    for i, name in enumerate(unknowns):
+        names[name] = f"x{i}"
+        local[name] = (f"x{i}", ["1.0" if k == i else "0.0" for k in range(n)])
+    forward = _Forward(local, n)
+    plain = []
+    for j, (name, expr) in enumerate(defines):
+        tree = _tree(expr)
+        plain.append(f"    d{j} = {_plain(tree, names)}")
+        names[name] = f"d{j}"
+        local[name] = forward.define(tree)
+    trees = [_tree(e) for e in equations]
+    rows = []
+    for tree in trees:
+        grads = forward.emit(tree)[1] or ["0.0"] * n
+        rows.append("[" + ", ".join(grads) + "]")
+    source = "\n".join([
+        "def residuals(q, r):",
+        *([f"    {', '.join(f'x{i}' for i in range(n))}, = q"] if n else []),
+        *plain,
+        f"    return [{', '.join(_plain(tree, names) for tree in trees)}]",
+        "",
+        "def jacobian(q, r):",
+        *(f"    x{i} = float(q[{i}])" for i in range(n)),
+        *forward.lines,
+        f"    return [{', '.join(rows)}]",
+    ])
+    namespace = {"__builtins__": {}, "float": float}
+    exec(compile(source, "<recipe system>", "exec"), namespace)
+    return namespace["residuals"], namespace["jacobian"]

@@ -21,6 +21,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -29,7 +30,7 @@ import numpy as np
 from .bounds import SQRT3, delta1
 from .errors import (DomainError, InvalidPacking, NoConvergence, NoSolution,
                      RecipeError, SingularJacobian)
-from .expressions import Expr
+from .expressions import Expr, compile_system
 from .geometry import Disc, FundamentalDomain, density, stick, validate
 from .intervals import Interval
 from .ratios import ratio
@@ -164,16 +165,12 @@ class ConstrainedRecipe(FlowRecipe):
             env[name] = expr(env)
         return env
 
-    def residual_system(self, r: float) -> Callable[[Sequence], list]:
-        """Newton system at ratio r: q -> residuals of every equation but the
-        held-out one, all evaluated on one environment."""
+    @cached_property
+    def newton_system(self) -> tuple[Callable, Callable]:
+        """``residuals(q, r)`` and ``jacobian(q, r)`` of every equation but
+        the held-out one, compiled on first use."""
         eqs = [e for k, e in enumerate(self.equations) if k != self.verify_index]
-
-        def system(q):
-            env = self.environment(q, r)
-            return [e(env) for e in eqs]
-
-        return system
+        return compile_system(self.variables, self.defines, eqs)
 
     def build_from(self, values, r: float) -> FundamentalDomain:
         env = self.environment(values, r)
@@ -277,7 +274,8 @@ def clear_continuation_cache(name: str | None = None) -> None:
 
 
 def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
-    sol = newton_solve(recipe.residual_system(r), guess, tol=1e-12)
+    residuals, jacobian = recipe.newton_system
+    sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess, tol=1e-12)
     held = recipe.equations[recipe.verify_index]
     resid = held(recipe.environment(sol, r))
     if abs(resid) > _VERIFY_TOL:
@@ -321,7 +319,10 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     """Unknown values at ratio r, walked from the recipe's seed point."""
     path = _paths.get(recipe.name)
     if path is None:
-        seed = _correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
+        try:
+            seed = _correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
+        except (NoConvergence, SingularJacobian) as exc:
+            raise NoSolution(f"{recipe.name}: no solution at r0={recipe.r0}: {exc}") from exc
         path = [(recipe.r0, seed)]
         _paths[recipe.name] = path
         _path_keys[recipe.name] = [recipe.r0]

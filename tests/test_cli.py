@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -137,6 +138,10 @@ class TestLower:
 # the bytes the benchmark expects of its lower sweep
 LOWER_036_SHA256 = "071e6155bc3ebe222799cb1603498dd10ef4104e03805cda70c758f0b5d5b2b3"
 
+# the benchmark's recorded outcomes, read and never written here
+EXPECTED = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                       / "perfbench" / "expected.json").read_text())
+
 # crossing brackets recorded when the crossings were found by a separate
 # np.linspace scan at min(step, 1e-3); brackets found since must meet them
 CROSSINGS_036 = [(0.437841242151108, 0.43784124310198264),
@@ -217,6 +222,33 @@ class TestLowerPinned:
         _, _, calls = cold_lower("--range", "0.36:0.99", "--step", "0.001")
         assert calls <= 854 + 2 + 2 * 20
 
+
+    @pytest.mark.parametrize("variant", range(len(EXPECTED["lower_sweep"])))
+    def test_benchmark_lower_sweep_bytes(self, cold_lower, variant):
+        # the benchmark's lower_sweep variants: the lower end moves up by
+        # 1e-4 per variant, far less than a grid step
+        out, _, _ = cold_lower("--range", f"{0.36 + variant * 1e-4:.4f}:0.99",
+                               "--step", "0.001")
+        expected = EXPECTED["lower_sweep"][variant]
+        assert expected["exit"] == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+
+    @pytest.mark.parametrize("guess", [0.0, 1e8])
+    def test_recipe_without_seed_solution_warns(self, cold_lower, tmp_path, guess):
+        # every guess equal: the Jacobian at the seed point is singular, so
+        # the recipe fails at every grid point and adds nothing
+        with open("src/bidisc/data/flow_r6_1.json") as fh:
+            obj = json.load(fh)
+        obj["name"] = "stuck"
+        obj["guess"] = {name: guess for name in obj["guess"]}
+        path = tmp_path / "stuck.json"
+        path.write_text(json.dumps(obj))
+        plain_out, _, _ = cold_lower("--range", "0.5:0.51", "--step", "0.01")
+        out, err, _ = cold_lower("--range", "0.5:0.51", "--step", "0.01",
+                                 "--recipe", str(path))
+        assert out == plain_out
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: recipe stuck failed at 2 of 2 grid points"]
 
     def test_partly_failing_recipe_warns(self, cold_lower, tmp_path):
         # flow-841-mid with its range widened below r4, where its discs

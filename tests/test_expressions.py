@@ -1,10 +1,14 @@
-"""Whitelisted arithmetic expressions used by recipe files."""
+"""Whitelisted arithmetic expressions used by recipe files, and the
+Newton code compiled from them."""
 
+import random
+
+import numpy as np
 import pytest
 
 from bidisc.errors import RecipeError
-from bidisc.expressions import Expr
-from bidisc.solve import Dual
+from bidisc.expressions import Expr, compile_system
+from bidisc.flows import builtin_recipes, recipe_from_dict
 
 
 def test_eval_basic():
@@ -15,17 +19,6 @@ def test_eval_basic():
 def test_eval_power_and_unary():
     e = Expr("-(a**2) + 2**3", ("a",))
     assert e({"a": 3.0}) == -9.0 + 8.0
-
-
-def test_eval_with_duals():
-    # expressions must stay generic so the Newton driver can push
-    # Dual numbers through them
-    e = Expr("u*u + v", ("u", "v"))
-    u = Dual(3.0, (1.0, 0.0))
-    v = Dual(5.0, (0.0, 1.0))
-    out = e({"u": u, "v": v})
-    assert out.val == 14.0
-    assert tuple(out.grad) == (6.0, 1.0)
 
 
 def test_unknown_name_rejected():
@@ -48,6 +41,14 @@ def test_non_integer_exponent_rejected():
         Expr("x1**0.5", ("x1",))
 
 
+def test_negated_integer_exponent_accepted():
+    assert Expr("x1**-2", ("x1",))({"x1": 2.0}) == 0.25
+    with pytest.raises(RecipeError):
+        Expr("x1**--2", ("x1",))
+    with pytest.raises(RecipeError):
+        Expr("x1**-0.5", ("x1",))
+
+
 def test_non_numeric_constant_rejected():
     with pytest.raises(RecipeError):
         Expr("x1 + 'a'", ("x1",))
@@ -63,3 +64,180 @@ def test_statements_rejected():
         Expr("__import__('os')", ("x1",))
     with pytest.raises(RecipeError):
         Expr("[x1 for x1 in (1,)]", ("x1",))
+
+
+# ---------------------------------------------------------------------------
+# compiled Newton systems against forward-mode dual numbers
+#
+# The oracle is the dual-number class the Jacobian was computed with before
+# it was compiled: a value paired with a numpy gradient vector, pushed
+# through Expr evaluation.  The compiled code must do the same floating-point
+# operations in the same order, so both agree by repr, signed zeros included.
+
+
+class Dual:
+    """Scalar value paired with a gradient vector."""
+
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val: float, grad):
+        self.val = float(val)
+        self.grad = np.asarray(grad, dtype=float)
+
+    @classmethod
+    def seed(cls, values) -> list["Dual"]:
+        values = np.asarray(values, dtype=float)
+        eye = np.eye(values.size)
+        return [cls(v, row) for v, row in zip(values, eye)]
+
+    def _lift(self, other):
+        if isinstance(other, Dual):
+            return other
+        if isinstance(other, (int, float)):
+            return Dual(other, np.zeros_like(self.grad))
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Dual(self.val + o.val, self.grad + o.grad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.val, -self.grad)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Dual(self.val - o.val, self.grad - o.grad)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return Dual(self.val * o.val, self.grad * o.val + self.val * o.grad)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        inv = 1.0 / o.val
+        return Dual(self.val * inv, (self.grad - self.val * inv * o.grad) * inv)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n == 0:
+            return Dual(1.0, np.zeros_like(self.grad))
+        if n < 0:
+            return 1.0 / self.__pow__(-n)
+        v = self.val ** (n - 1)
+        return Dual(v * self.val, n * v * self.grad)
+
+
+def newton_equations(recipe):
+    return [e for k, e in enumerate(recipe.equations) if k != recipe.verify_index]
+
+
+def dual_rows(recipe, q, r):
+    """Jacobian rows as the dual numbers gave them."""
+    env = recipe.environment(Dual.seed(q), r)
+    rows = []
+    for e in newton_equations(recipe):
+        out = e(env)
+        rows.append(out.grad.tolist() if isinstance(out, Dual) else [0.0] * len(q))
+    return rows
+
+
+def assert_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
+    residuals, jacobian = recipe.newton_system
+    rng = random.Random(seed)
+    for _ in range(points):
+        q = np.array([rng.uniform(lo, hi) for _ in recipe.variables])
+        r = rng.uniform(0.1, 1.0)
+        assert repr(jacobian(q, r)) == repr(dual_rows(recipe, q, r))
+        env = recipe.environment(q, r)
+        expected = [e(env) for e in newton_equations(recipe)]
+        got = residuals(q, r)
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert repr([float(v) for v in got]) == repr([float(v) for v in expected])
+
+
+def constrained(variables, defines, equations, verify_index):
+    return recipe_from_dict({
+        "name": "test", "kind": "constrained", "valid_range": [0.1, 1.0],
+        "census": {"unit": 1, "ratio": 0}, "variables": list(variables),
+        "defines": defines, "equations": equations, "verify_index": verify_index,
+        "r0": 0.5, "guess": {v: 1.0 for v in variables},
+        "lattice": {"u": ["1", "0"], "v": ["0", "1"]}, "cell": [["0", "0", "one"]]})
+
+
+def test_flow_r6_jacobian_and_residuals_match_duals():
+    assert_matches_oracle(builtin_recipes()["flow-r6-1"], 1000, seed=1)
+
+
+def test_flow_r6_matches_duals_near_its_solution():
+    recipe = builtin_recipes()["flow-r6-1"]
+    residuals, jacobian = recipe.newton_system
+    q = np.array(recipe.guess)
+    assert repr(jacobian(q, recipe.r0)) == repr(dual_rows(recipe, q, recipe.r0))
+    assert max(abs(v) for v in residuals(q, recipe.r0)) < 1e-12
+
+
+def test_every_operator_matches_duals():
+    recipe = constrained(
+        ("u", "v", "w", "z"),
+        {"y1": "0", "k": "2*r - 1", "s": "-u + v/3", "p": "y1 - w"},
+        ["-u + v/3 - 2/w + (1 - v)*w + s*k + 2",
+         "u/v + 3*w - 2.5*u**3 + v**0 + w**-2 + (k - r)**-2 + (s*w)**3 - (u*v + 1)**-2",
+         "y1*u + k*v - p + u*k**2 - r/(u*v) + (-w)**3*z",
+         "r**2 - 3 + k",
+         "u - v + z"],
+        verify_index=4)
+    rows = recipe.newton_system[1](np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
+    assert rows[3] == [0.0, 0.0, 0.0, 0.0]
+    assert_matches_oracle(recipe, 1000, seed=2)
+
+
+def test_signed_zero_partials_match_duals():
+    # a partial with respect to an unknown an equation does not use is a
+    # signed zero, and adding a constant's 0.0 gradient or subtracting from
+    # 0.0 turns -0.0 into 0.0; leaving either step out shows up here
+    recipe = constrained(("u", "v"), {}, ["-u + 1", "u**-2 - 3", "u + v"], verify_index=2)
+    assert repr(recipe.newton_system[1]((2.0, 1.0), 0.5)) == "[[-1.0, 0.0], [-0.25, 0.0]]"
+    assert_matches_oracle(recipe, 100, seed=4)
+
+
+def test_shadowing_names_match_duals():
+    # recipe names that are the generator's own names: the function
+    # parameter, a temporary, an inverse and a builtin
+    recipe = constrained(
+        ("q", "t0", "inv"),
+        {"float": "q*t0 - inv/2", "x0": "float**2 + r", "d0": "t0 - q"},
+        ["q + float*inv - x0", "t0**2 - d0*float", "inv/float - q/t0 + d0", "q - 1"],
+        verify_index=3)
+    assert_matches_oracle(recipe, 1000, seed=3)
+
+
+def test_compiled_code_refuses_other_syntax():
+    e = Expr("x1 + 1", ("x1",))
+    e.source = "abs(x1)"            # past validation, as a corrupted object
+    with pytest.raises(RecipeError):
+        compile_system(("x1",), (), [e])

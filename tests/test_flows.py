@@ -143,19 +143,47 @@ class TestConstrainedFlow:
         clear_continuation_cache("no-such-recipe")
         clear_continuation_cache()
 
-    def test_residual_system_evaluates_defines_once(self, monkeypatch):
+    def test_newton_system_compiled_lazily_without_expr_calls(self, monkeypatch):
+        compiled = []
+        original = flows.compile_system
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(flows, "compile_system", counting_compile)
+        monkeypatch.setattr(flows, "_BUILTIN", None)
         recipe = builtin_recipes()["flow-r6-1"]
+        assert compiled == []
+        residuals, jacobian = recipe.newton_system
+        assert recipe.newton_system == (residuals, jacobian)
+        assert len(compiled) == 1
+
         calls = []
-        original = Expr.__call__
+        expr_call = Expr.__call__
 
         def counting(expr, env):
             calls.append(expr)
-            return original(expr, env)
+            return expr_call(expr, env)
 
         monkeypatch.setattr(Expr, "__call__", counting)
-        out = recipe.residual_system(0.5)(recipe.guess)
-        assert len(out) == len(recipe.variables) == 6
-        assert len(calls) == len(recipe.defines) + 6 == 10
+        q = np.array(recipe.guess)
+        assert len(residuals(q, 0.5)) == len(recipe.variables) == 6
+        assert np.array(jacobian(q, 0.5)).shape == (6, 6)
+        assert calls == []
+
+    def test_seed_point_failure_is_no_solution(self):
+        with open("src/bidisc/data/flow_r6_1.json") as fh:
+            obj = json.load(fh)
+        obj["name"] = "zero-guess"
+        obj["guess"] = {name: 0.0 for name in obj["guess"]}
+        recipe = recipe_from_dict(obj)
+        clear_continuation_cache("zero-guess")
+        with pytest.raises(NoSolution, match="r0=0.4"):
+            flows.solve_constrained(recipe, 0.5)
+        with pytest.raises(NoSolution):
+            eval_flow(recipe, 0.5)
+        assert "zero-guess" not in flows._paths
 
 
 # Order-of-visit oracle: the path lookup as it was before the key list, one
