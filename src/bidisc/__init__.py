@@ -5,11 +5,11 @@ periodic packings built by explicit recipes, and rigorous upper bounds from
 interval-arithmetic certifiers driven by a branch and bound harness.
 """
 
-from .bounds import (BLIND_MIN_RATIO, BoundSample, best_upper, blind_bound,
-                     blind_interval, delta1, delta1_interval, florian_angles,
-                     florian_bound, florian_interval, lipschitz_envelope,
-                     lipschitz_slope, r_blind, samples_from_csv,
-                     samples_to_csv, suspicious_samples)
+from .bounds import (BLIND_MIN_RATIO, BoundSample, blind_bound, blind_interval,
+                     delta1, delta1_interval, florian_angles, florian_bound,
+                     florian_interval, lipschitz_envelope, lipschitz_slope,
+                     r_blind, samples_from_csv, samples_to_csv,
+                     suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError,
                      InitialBoundsInvalid, InvalidPacking, NoConvergence,
                      NoSolution, RecipeError, SingularJacobian)
@@ -38,7 +38,7 @@ __all__ = [
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
     "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
-    "best_upper", "blind_bound", "blind_interval", "builtin_recipes",
+    "blind_bound", "blind_interval", "builtin_recipes",
     "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
     "delta1_interval", "density", "density_interval",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",

@@ -132,9 +132,8 @@ def blind_interval(r: Interval) -> Interval:
 
 def r_blind() -> float:
     """Ratio where the polygonal bound equals delta1, in closed form."""
-    t7 = 7.0 * math.tan(math.pi / 7.0)
+    t7, t5 = _blind_tangents()
     t6 = 6.0 * math.tan(math.pi / 6.0)
-    t5 = 5.0 * math.tan(math.pi / 5.0)
     return math.sqrt((t7 - t6) / (t6 - t5))
 
 
@@ -208,20 +207,10 @@ def lipschitz_envelope(samples: Sequence[BoundSample],
 
     def at(x: float) -> float:
         hi = np.maximum(x, rs)
-        caps = values + math.pi / (hi * hi * SQRT3) * np.abs(x - rs)
+        caps = values + lipschitz_slope(hi) * np.abs(x - rs)
         return float(np.fmin.reduce(caps, initial=math.inf))
 
     if np.ndim(r):
         return [at(x) for x in r]
     return at(r)
 
-
-def best_upper(r: float, samples: Sequence[BoundSample] = ()) -> tuple[float, str]:
-    """Least applicable upper bound at r with the name of its source."""
-    _check_ratio(r)
-    candidates = [(florian_bound(r), "florian")]
-    if BLIND_MIN_RATIO <= r <= 1.0:
-        candidates.append((blind_bound(r), "blind"))
-    if samples:
-        candidates.append((lipschitz_envelope(samples, r), "envelope"))
-    return min(candidates, key=lambda c: c[0])

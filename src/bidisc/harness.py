@@ -1,15 +1,15 @@
 """Proof drivers over pluggable certifiers, with full traces.
 
-A certifier is a decision procedure: ``check(r, delta)`` returns True only
-when it has rigorously established that every packing with ratio in the
-interval r has density at most delta.  A certifier that proves through one
-enclosure of a density bound also exposes it as ``bound(r)``, and then
-``check(r, delta)`` is ``bound(r).hi <= delta``.  Two drivers run on top:
+A certifier is its bound: ``bound(r)`` returns an Interval whose ``hi`` is
+a proven upper bound on the density of every packing with ratio in the
+interval r, and raises DomainError where the certifier cannot bound r.  Two
+drivers run on top, both reading one enclosure per interval:
 
-* ``find_delta`` narrows the least provable delta by dichotomy, evaluating
-  ``bound`` once per call where a certifier has it;
+* ``find_delta`` narrows the least provable delta by dichotomy against the
+  ``hi`` of one enclosure;
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
-  recording the whole bisection tree.
+  recording the whole bisection tree, and stops early on nodes that no
+  bisection can prove.
 
 Shipped certifiers wrap the interval forms of the analytic bounds, plus a
 synthetic threshold certifier for driver tests.  The real strength of a
@@ -19,16 +19,14 @@ never strengthen them.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
-                     BLIND_MIN_RATIO)
-from .bounds import florian_interval
+                     florian_interval)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from .intervals import Interval
 
@@ -40,67 +38,52 @@ _DELTA_LO_OFFSET = 1e-6
 _DELTA_HI_HEADROOM = 1e-9
 
 
-@runtime_checkable
 class Certifier(Protocol):
-    """check must be a pure decision procedure: True means proven.
+    """``bound(r)`` encloses, over the ratio interval r, a function g whose
+    value at each ratio is a proven upper bound on the density there.
 
-    Implementations must be monotone in delta (anything proven at delta is
-    proven at any larger delta) and anti-monotone in r (a proof on an
-    interval covers its subintervals).  An optional ``probe(r, delta)``
-    returning False lets drivers skip a check that cannot succeed.
-
-    An optional ``bound(r)`` returns an Interval whose ``hi`` is a proven
-    upper bound on the density over r, and may raise DomainError where the
-    certifier cannot bound r.  A certifier with ``bound`` must have
-    ``check(r, delta)`` equal to ``bound(r).hi <= delta``, False on
-    DomainError; drivers may then test deltas against one ``bound(r).hi``
-    instead of calling ``check`` and ``probe``.
+    Inclusion: the enclosure over r contains g(x) for every x in r, so for
+    any interval s containing a point x, ``bound(s).hi >= bound(x).lo``.  A
+    point with ``bound(x).lo > delta`` therefore refutes delta on every
+    interval that contains it.  DomainError is inherited the same way:
+    where ``bound(x)`` raises it, ``bound(s)`` raises it for every interval
+    s that contains x.
     """
 
     name: str
 
-    def check(self, r: Interval, delta: float) -> bool: ...
+    def bound(self, r: Interval) -> Interval: ...
 
 
 class BlindCertifier:
-    """Proves delta bounds through the polygonal bound where it is valid."""
+    """Bounds density by the polygonal bound where it is valid."""
 
     name = "blind"
 
     def bound(self, r: Interval) -> Interval:
         return blind_interval(r)
 
-    def check(self, r: Interval, delta: float) -> bool:
-        try:
-            return self.bound(r).hi <= delta
-        except DomainError:
-            return False
-
 
 class FlorianCertifier:
-    """Proves delta bounds through the tangent-triangle bound."""
+    """Bounds density by the tangent-triangle bound."""
 
     name = "florian"
 
     def bound(self, r: Interval) -> Interval:
         return florian_interval(r)
 
-    def check(self, r: Interval, delta: float) -> bool:
-        try:
-            return self.bound(r).hi <= delta
-        except DomainError:
-            return False
-
 
 class ThresholdCertifier:
-    """Synthetic driver-test certifier: proven exactly when delta >= t."""
+    """Synthetic driver-test certifier: the bound is t at every ratio."""
 
     def __init__(self, t: float):
         self.t = float(t)
+        if not math.isfinite(self.t):
+            raise DomainError(f"threshold must be finite, got {t!r}")
         self.name = f"threshold:{self.t!r}"
 
-    def check(self, r: Interval, delta: float) -> bool:
-        return delta >= self.t
+    def bound(self, r: Interval) -> Interval:
+        return Interval(self.t)
 
 
 def make_certifier(spec: str) -> Certifier:
@@ -117,11 +100,12 @@ def make_certifier(spec: str) -> Certifier:
     raise DomainError(f"unknown certifier {spec!r}")
 
 
-def _proven(c: Certifier, r: Interval, delta: float) -> bool:
-    probe = getattr(c, "probe", None)
-    if probe is not None and not probe(r, delta):
-        return False
-    return c.check(r, delta)
+def _enclosure(c: Certifier, r: Interval) -> Interval | None:
+    """``c.bound(r)``, or None where c cannot bound r."""
+    try:
+        return c.bound(r)
+    except DomainError:
+        return None
 
 
 def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
@@ -135,27 +119,19 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     downward (the default is a heuristic, not a claim); explicit bounds
     that fail their role raise InitialBoundsInvalid.
 
-    A certifier with ``bound`` is asked for it once, and each candidate
-    delta is tested against its ``hi`` (infinite where ``bound`` raises
-    DomainError), which gives the same verdicts as ``check``.  A defaulted
-    upper start that is not provable, as on wide intervals where the bound
-    at the midpoint lies below the bound on the whole interval, then moves
-    up to that ``hi``.
+    The certifier's bound is read once, and a candidate delta is proven
+    when that enclosure's ``hi`` is at most delta (never where ``bound``
+    raises DomainError).  A defaulted upper start that is not provable, as
+    on wide intervals where the bound at the midpoint lies below the bound
+    on the whole interval, moves up to that ``hi``.
     """
     if precision <= 0.0:
         raise DomainError("precision must be positive")
-    top = math.inf
-    if hasattr(c, "bound"):
-        try:
-            top = c.bound(r).hi
-        except DomainError:
-            pass
+    enclosure = _enclosure(c, r)
+    top = math.inf if enclosure is None else enclosure.hi
 
-        def proven(delta: float) -> bool:
-            return top <= delta
-    else:
-        def proven(delta: float) -> bool:
-            return _proven(c, r, delta)
+    def proven(delta: float) -> bool:
+        return top <= delta
 
     explicit_lo = delta_lo is not None
     explicit_hi = delta_hi is not None
@@ -262,20 +238,35 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> ProofTrace:
     """Prove delta on all of r by depth-first bisection, left child first.
 
+    A node is proven when its enclosure's ``hi`` is at most delta.  An
+    unproven node becomes a failing leaf, without descending, once no
+    bisection of it can succeed: when its enclosure has ``lo > delta``, or
+    when ``bound`` raises DomainError on it and on each of its ends and its
+    float midpoint the point bound raises DomainError or has ``lo > delta``
+    (see the inclusion property on Certifier).
+
     Returns the trace on success; raises DepthExceeded carrying the trace
-    (failing leaves marked) when the depth cap stops the recursion on any
-    subinterval.  Children share their parent's float midpoint, so the
-    leaves of any trace tile the root interval exactly.
+    (failing leaves marked) when the depth cap or a refutation stops the
+    recursion on any subinterval.  Children share their parent's float
+    midpoint, so the leaves of any trace tile the root interval exactly.
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
     start = time.perf_counter()
 
+    def hopeless(iv: Interval, mid: float, enclosure: Interval | None) -> bool:
+        if enclosure is None:
+            points = (_enclosure(c, Interval(x)) for x in (iv.lo, mid, iv.hi))
+            return all(p is None or p.lo > delta for p in points)
+        return enclosure.lo > delta
+
     def descend(iv: Interval, depth: int) -> TraceNode:
-        if _proven(c, iv, delta):
+        enclosure = _enclosure(c, iv)
+        if enclosure is not None and enclosure.hi <= delta:
             return TraceNode(iv, delta, True)
         mid = 0.5 * (iv.lo + iv.hi)
-        if depth >= max_depth or not iv.lo < mid < iv.hi:
+        if (depth >= max_depth or not iv.lo < mid < iv.hi
+                or hopeless(iv, mid, enclosure)):
             return TraceNode(iv, delta, False)
         left = descend(Interval(iv.lo, mid), depth + 1)
         right = descend(Interval(mid, iv.hi), depth + 1)

@@ -8,7 +8,6 @@ import pytest
 from bidisc.bounds import (
     BLIND_MIN_RATIO,
     BoundSample,
-    best_upper,
     blind_bound,
     blind_interval,
     delta1,
@@ -218,20 +217,3 @@ class TestSamples:
         flagged = suspicious_samples(bad)
         assert len(flagged) >= 1
 
-
-class TestBestUpper:
-    def test_florian_only_region(self):
-        value, tag = best_upper(0.3)
-        assert tag == "florian"
-        assert value == florian_bound(0.3)
-
-    def test_blind_wins_near_one(self):
-        value, tag = best_upper(0.9)
-        assert tag == "blind"
-        assert value == blind_bound(0.9)
-
-    def test_envelope_can_win(self):
-        samples = [BoundSample(0.3, 0.91)]
-        value, tag = best_upper(0.3, samples)
-        assert tag == "envelope"
-        assert value < florian_bound(0.3)

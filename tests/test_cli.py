@@ -270,6 +270,27 @@ class TestLowerPinned:
         assert stderr_crossings(err) == stderr_crossings(plain_err)
 
 
+
+# the benchmark's certifier parts: each variant moves one end of the range
+# by far less than a grid step (lower end of upper_sweep up by 1e-4, upper
+# end of certify_tree down by 5e-4)
+CERTIFIER_PARTS = {
+    "upper_sweep": lambda j: ["upper", "--range", f"{0.3 + j * 1e-4:.4f}:0.99",
+                              "--step", "0.002", "--certifier", "florian"],
+    "certify_tree": lambda j: ["certify", "--range", f"0.3:{0.99 - j * 5e-4:.4f}",
+                               "--certifier", "florian", "--delta", "0.931"],
+}
+
+
+@pytest.mark.parametrize("variant", range(8))
+@pytest.mark.parametrize("part", sorted(CERTIFIER_PARTS))
+def test_benchmark_certifier_bytes(capsys, part, variant):
+    code, out, _ = run(capsys, *CERTIFIER_PARTS[part](variant))
+    expected = EXPECTED[part][variant]
+    assert code == expected["exit"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
+
+
 class TestUpper:
     def test_envelope_output(self, capsys):
         code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
@@ -341,6 +362,16 @@ class TestUpper:
             "0.76,0.9,upper\n"
         )
 
+    def test_threshold_certifier_samples(self, capsys):
+        # the triangle bound at each grid ratio lies below t, so every
+        # sample's dichotomy starts from t itself
+        code, out, _ = run(capsys, "upper", "--certifier", "threshold:0.92",
+                           "--range", "0.5:0.6", "--format", "json")
+        assert code == 0
+        samples = json.loads(out)["samples"]
+        assert len(samples) == 101
+        assert all(0.92 <= value <= 0.92 + 1e-4 for _, value in samples)
+
     def test_sample_below_delta1_warns(self, capsys, tmp_path):
         extra = tmp_path / "samples.csv"
         extra.write_text("r,value\n0.75,0.95\n0.76,0.5\n")
@@ -368,6 +399,32 @@ class TestCertify:
         assert code == 2
         assert "unproven" in out
         assert "certification failed" in err
+
+    def test_out_of_domain_range_fails_fast(self, capsys):
+        # blind cannot bound r < 0.6735; refuted nodes are not split, so
+        # the default depth of 40 costs O(40) nodes, not 2**40
+        code, out, err = run(capsys, "certify", "--range", "0.3:0.99",
+                             "--delta", "0.931", "--format", "json")
+        assert code == 2
+        obj = json.loads(out)
+        assert not obj["success"]
+        assert obj["node_count"] <= 2 * 40
+        assert "certification failed" in err
+
+    def test_threshold_above_delta_is_one_leaf(self, capsys):
+        code, out, _ = run(capsys, "certify", "--range", "0.5:0.6",
+                           "--certifier", "threshold:0.93", "--delta", "0.92",
+                           "--max-depth", "12")
+        assert code == 2
+        assert out == "lo,hi,delta,verdict\n0.5,0.6,0.92,unproven\n"
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exit_three(self, capsys, t):
+        code, out, err = run(capsys, "certify", "--range", "0.5:0.6",
+                             "--certifier", f"threshold:{t}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_explicit_delta_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--range", "0.9:0.99",

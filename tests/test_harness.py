@@ -7,14 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from bidisc.bounds import BoundSample, blind_bound, delta1
+from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_bound, delta1
 from bidisc.errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from bidisc.harness import (
+    DEFAULT_MAX_DEPTH,
     DEFAULT_PRECISION,
     BlindCertifier,
     FlorianCertifier,
     ProofTrace,
     ThresholdCertifier,
+    TraceNode,
     certify_interval,
     find_delta,
     make_certifier,
@@ -64,34 +66,14 @@ class TestFindDelta:
 
     @pytest.mark.parametrize("certifier", [FlorianCertifier(), BlindCertifier()],
                              ids=lambda c: c.name)
-    def test_bound_path_matches_check_path(self, certifier):
-        # find_delta reads one bound per call where the certifier has one;
-        # the verdicts, and so every dichotomy step, match those of check
-        class CheckOnly:
-            name = certifier.name
-
-            def check(self, r, delta):
-                return certifier.check(r, delta)
-
-        def outcome(c, r, **starts):
-            try:
-                return repr(find_delta(c, Interval(r), **starts))
-            except (InitialBoundsInvalid, DomainError) as exc:
-                return type(exc).__name__
-
-        grid = [float(r) for r in np.linspace(0.0025, 0.9975, 399)]
-        got = [outcome(certifier, r) for r in grid]
-        assert got == [outcome(CheckOnly(), r) for r in grid]
-        assert sum(g.startswith("0.") for g in got) >= 100
-        # an upper start exactly at the bound is proven on both paths
+    def test_upper_start_at_bound_proven(self, certifier):
         for r in (0.3, 0.7, 0.8):
             try:
                 top = certifier.bound(Interval(r)).hi
             except DomainError:
                 continue
-            at_top = outcome(certifier, r, delta_hi=top)
-            assert at_top.startswith("0.")
-            assert at_top == outcome(CheckOnly(), r, delta_hi=top)
+            got = find_delta(certifier, Interval(r), delta_hi=top)
+            assert top <= got <= top + DEFAULT_PRECISION
 
     def test_bound_evaluated_once(self):
         calls = []
@@ -125,8 +107,9 @@ class TestCertifyInterval:
         assert trace.root.verdict
 
     def test_split_leaves_tile_exactly(self):
-        # t slightly above delta forces splitting via the probe hook before
-        # success; all leaves must chain without gaps or overlaps
+        # the bound on the whole range lies above delta, which forces
+        # splitting before success; all leaves must chain without gaps or
+        # overlaps
         c = make_certifier("florian")
         trace = certify_interval(c, Interval(0.9, 0.99), 0.9075)
         assert trace.success
@@ -166,6 +149,111 @@ class TestCertifyInterval:
         assert trace.node_count >= 2 * trace.leaf_count - 1
 
 
+def full_bisection(c, r, delta, max_depth):
+    """certify_interval's tree when every unproven node is split down to
+    max_depth: the bisection before refuted nodes became leaves."""
+
+    def check(iv):
+        if isinstance(c, ThresholdCertifier):
+            return delta >= c.t
+        try:
+            return c.bound(iv).hi <= delta
+        except DomainError:
+            return False
+
+    def descend(iv, depth):
+        if check(iv):
+            return TraceNode(iv, delta, True)
+        mid = 0.5 * (iv.lo + iv.hi)
+        if depth >= max_depth or not iv.lo < mid < iv.hi:
+            return TraceNode(iv, delta, False)
+        left = descend(Interval(iv.lo, mid), depth + 1)
+        right = descend(Interval(mid, iv.hi), depth + 1)
+        return TraceNode(iv, delta, left.verdict and right.verdict, (left, right))
+
+    return ProofTrace(descend(r, 1))
+
+
+class VeeCertifier:
+    """Test certifier with a domain edge and a minimum inside its domain:
+    bound 0.85 + |x - 0.5| for x >= 0.2.  Rounding to nearest is monotone,
+    so the float enclosures keep the inclusion property exactly."""
+
+    name = "vee"
+
+    def bound(self, r):
+        if r.lo < 0.2:
+            raise DomainError(f"vee needs r >= 0.2, got {r}")
+        ends = sorted(abs(x - 0.5) for x in (r.lo, r.hi))
+        low = 0.0 if r.lo <= 0.5 <= r.hi else ends[0]
+        return Interval(0.85 + low, 0.85 + ends[1])
+
+
+def refuted(c, iv, delta):
+    """The rule under which certify_interval stops splitting a node."""
+
+    def above(x):
+        try:
+            return c.bound(x).lo > delta
+        except DomainError:
+            return True
+
+    try:
+        return c.bound(iv).lo > delta
+    except DomainError:
+        mid = 0.5 * (iv.lo + iv.hi)
+        return all(above(Interval(x)) for x in (iv.lo, mid, iv.hi))
+
+
+class TestRefutation:
+    def test_blind_outside_its_domain_stops_early(self):
+        # blind cannot bound r < BLIND_MIN_RATIO: the failing leaves
+        # localise that edge in O(max_depth) nodes, not 2**max_depth
+        with pytest.raises(DepthExceeded) as err:
+            certify_interval(BlindCertifier(), Interval(0.3, 0.99), 0.931)
+        trace = err.value.trace
+        assert trace.node_count <= 2 * DEFAULT_MAX_DEPTH
+        for leaf in trace.root.leaves():
+            assert leaf.verdict == (leaf.interval.lo >= BLIND_MIN_RATIO)
+
+    @pytest.mark.parametrize("certifier",
+                             [FlorianCertifier(), BlindCertifier(),
+                              ThresholdCertifier(0.92), VeeCertifier()],
+                             ids=lambda c: c.name)
+    def test_matches_full_bisection(self, certifier):
+        # same verdict as splitting every unproven node; on success the same
+        # trace, on failure the same tree cut at refuted nodes
+        rng = np.random.default_rng(20261018)
+        failures = 0
+
+        def compare(new, old, depth, max_depth):
+            assert new.interval == old.interval and new.verdict == old.verdict
+            if new.children:
+                assert len(old.children) == 2
+                for a, b in zip(new.children, old.children):
+                    compare(a, b, depth + 1, max_depth)
+            elif old.children:
+                assert not new.verdict and depth < max_depth
+                assert refuted(certifier, new.interval, new.delta)
+
+        for _ in range(12):
+            lo, hi = sorted(float(x) for x in rng.uniform(0.05, 1.0, size=2))
+            delta = float(rng.uniform(0.88, 0.96))
+            max_depth = int(rng.integers(8, 11))
+            old = full_bisection(certifier, Interval(lo, hi), delta, max_depth)
+            try:
+                new = certify_interval(certifier, Interval(lo, hi), delta, max_depth)
+            except DepthExceeded as exc:
+                new = exc.trace
+            assert new.success == old.success
+            if new.success:
+                assert new.to_json() == old.to_json()
+            else:
+                failures += 1
+                compare(new.root, old.root, 1, max_depth)
+        assert 0 < failures < 12
+
+
 class TestSerialization:
     def test_trace_json_deterministic(self):
         c = make_certifier("florian")
@@ -198,8 +286,8 @@ class TestMakeCertifier:
         assert make_certifier("blind").name == "blind"
         assert make_certifier("florian").name == "florian"
         t = make_certifier("threshold:0.93")
-        assert t.check(Interval(0.5), 0.94)
-        assert not t.check(Interval(0.5), 0.92)
+        assert t.bound(Interval(0.5, 0.6)) == Interval(0.93)
+        assert make_certifier("florian").bound(Interval(0.5)).hi <= 0.93
 
     def test_unknown_spec(self):
         with pytest.raises(DomainError):
@@ -221,21 +309,3 @@ class TestSweep:
     def test_empty_grid(self):
         assert sweep(FlorianCertifier(), [], precision=1e-3) == []
 
-
-class TestProbeHook:
-    def test_probe_narrows_before_split(self):
-        # a certifier whose check fails on wide intervals but whose probe
-        # supplies the midpoint refinement used by the driver
-        class Fussy:
-            name = "fussy"
-
-            def check(self, r, delta):
-                return r.width <= 0.01
-
-            def probe(self, r, delta):
-                return r.mid
-
-        trace = certify_interval(Fussy(), Interval(0.5, 0.58), 0.95)
-        assert trace.success
-        for leaf in trace.root.leaves():
-            assert leaf.interval.width <= 0.01
