@@ -23,7 +23,7 @@ from .geometry import (Disc, FundamentalDomain, Violation, density,
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
-from .intervals import Interval, iacos, iatan, ipow, itan, pi_interval
+from .intervals import Interval, iacos, iatan, ipow, pi_interval
 from .polynomials import Polynomial, refine_root
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
 from .solve import newton_solve
@@ -43,7 +43,7 @@ __all__ = [
     "delta1_interval", "density", "density_interval",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
     "florian_bound", "florian_interval", "iacos", "iatan", "interstitial",
-    "interstitial_count", "ipow", "itan", "lipschitz_envelope",
+    "interstitial_count", "ipow", "lipschitz_envelope",
     "lipschitz_slope", "load_recipe", "lower_bound_at", "lower_bound_curve",
     "make_certifier", "newton_solve", "pi_interval", "r_blind", "ratio",
     "ratio_interval", "ratio_polynomial", "recipe_from_dict", "refine_root",

@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .errors import DomainError
-from .intervals import Interval, iacos, itan, pi_interval
+from .intervals import Interval, iacos, pi_interval
+from .polynomials import Polynomial, checked_root
 
 SQRT3 = math.sqrt(3.0)
 
@@ -93,20 +95,26 @@ def blind_bound(r: float) -> float:
     return math.pi * (1.0 + r * r) / (t7 + t5 * r * r)
 
 
-_TANGENT_IVS: tuple[Interval, Interval] | None = None
+# n -> (ascending integer coefficients of the minimal polynomial of
+# tan(pi/n)**2, bracket holding exactly that root): the other roots are
+# tan(k*pi/n)**2 for k = 2, 3 (n = 7) and k = 2 (n = 5), all above 1.5
+TANGENT_TABLE: dict[int, tuple[tuple[int, ...], tuple[float, float]]] = {
+    7: ((-7, 35, -21, 1), (0.2319141134796165, 0.23191411347961655)),
+    5: ((5, -10, 1), (0.5278640450004205, 0.5278640450004207)),
+}
 
 
+@cache
 def _tangent_intervals() -> tuple[Interval, Interval]:
-    global _TANGENT_IVS
-    if _TANGENT_IVS is None:
-        pi_iv = pi_interval()
-        t7 = Interval(7.0, 7.0) * itan(pi_iv / Interval(7.0, 7.0))
-        t5 = Interval(5.0, 5.0) * itan(pi_iv / Interval(5.0, 5.0))
-        # monotonicity of the bound in r**2 rests on t5 > t7; certify it here
-        if not t5.lo > t7.hi:
-            raise ArithmeticError("tangent constants violate expected ordering")
-        _TANGENT_IVS = (t7, t5)
-    return _TANGENT_IVS
+    """Enclosures of t7 = 7*tan(pi/7) and t5 = 5*tan(pi/5), as n times the
+    square root of the checked root of tan(pi/n)**2's minimal polynomial."""
+    t7, t5 = (Interval(n) * checked_root(f"tan(pi/{n})**2", Polynomial(coeffs),
+                                         Interval(*bracket), 0.0).sqrt()
+              for n, (coeffs, bracket) in TANGENT_TABLE.items())
+    # monotonicity of the bound in r**2 rests on t5 > t7; certify it here
+    if not t5.lo > t7.hi:
+        raise ArithmeticError("tangent constants violate expected ordering")
+    return t7, t5
 
 
 def blind_interval(r: Interval) -> Interval:

@@ -120,15 +120,15 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     that fail their role raise InitialBoundsInvalid.
 
     The certifier's bound is read once, and a candidate delta is proven
-    when that enclosure's ``hi`` is at most delta (never where ``bound``
-    raises DomainError).  A defaulted upper start that is not provable, as
-    on wide intervals where the bound at the midpoint lies below the bound
-    on the whole interval, moves up to that ``hi``.
+    when that enclosure's ``hi`` is at most delta.  Where the certifier
+    cannot bound r, its DomainError propagates.  A defaulted upper start
+    that is not provable, as on wide intervals where the bound at the
+    midpoint lies below the bound on the whole interval, moves up to that
+    ``hi``.
     """
     if precision <= 0.0:
         raise DomainError("precision must be positive")
-    enclosure = _enclosure(c, r)
-    top = math.inf if enclosure is None else enclosure.hi
+    top = c.bound(r).hi
 
     def proven(delta: float) -> bool:
         return top <= delta
@@ -140,7 +140,7 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     if delta_lo is None:
         delta_lo = delta1() - _DELTA_LO_OFFSET
     if not proven(delta_hi):
-        if explicit_hi or top == math.inf:
+        if explicit_hi:
             raise InitialBoundsInvalid(
                 f"upper start {delta_hi} is not provable on {r} by {c.name}")
         delta_hi = top

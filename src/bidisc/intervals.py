@@ -7,9 +7,9 @@ hardware rounds to nearest, so the rounded endpoint is within one ulp of the
 exact one and the nudge restores containment.  This costs up to two ulps of
 width per operation and needs no fesetround or platform-specific state.
 
-Transcendental enclosures (tan, atan, acos) are built from Taylor or
-arctangent series evaluated in interval arithmetic with an explicit
-remainder term, never from the libm point routines.
+Transcendental enclosures (atan, acos) are built from the arctangent series
+evaluated in interval arithmetic with an explicit remainder term, never from
+the libm point routines.
 """
 
 import math
@@ -247,61 +247,6 @@ def ipow(a: Interval, b: int) -> Interval:
     if b % 2:
         out = out * a
     return out
-
-
-# -- sin/cos/tan -----------------------------------------------------------
-
-_SIN_TERMS = 12
-_FACT = [math.factorial(k) for k in range(2 * _SIN_TERMS + 2)]
-_SIN_COEFFS = [Interval.from_fraction(Fraction((-1) ** i, _FACT[2 * i + 1]))
-               for i in range(_SIN_TERMS)]
-_COS_COEFFS = [Interval.from_fraction(Fraction((-1) ** i, _FACT[2 * i]))
-               for i in range(_SIN_TERMS)]
-
-
-def _sin_small(t: Interval) -> Interval:
-    """Taylor enclosure of sin on |t| <= 1.6."""
-    z = t.square()
-    acc = _SIN_COEFFS[-1]
-    for c in reversed(_SIN_COEFFS[:-1]):
-        acc = acc * z + c
-    # Alternating series tail bound: |R| <= max|t|^(2N+1) / (2N+1)!
-    tmax = max(-t.lo, t.hi)
-    rem = _up(tmax ** (2 * _SIN_TERMS + 1) / _FACT[2 * _SIN_TERMS + 1])
-    out = t * acc + Interval(-rem, rem)
-    return Interval(max(out.lo, -1.0), min(out.hi, 1.0))
-
-
-def _cos_small(t: Interval) -> Interval:
-    z = t.square()
-    acc = _COS_COEFFS[-1]
-    for c in reversed(_COS_COEFFS[:-1]):
-        acc = acc * z + c
-    tmax = max(-t.lo, t.hi)
-    rem = _up(tmax ** (2 * _SIN_TERMS) / _FACT[2 * _SIN_TERMS])
-    out = acc + Interval(-rem, rem)
-    return Interval(max(out.lo, -1.0), min(out.hi, 1.0))
-
-
-def itan(x: Interval) -> Interval:
-    """Certified tangent.  The input must stay clear of the poles.
-
-    The argument is reduced modulo an enclosure of pi and tan is computed as
-    sin/cos of the reduced argument.  Reduction that lands on or across a
-    half-pi boundary (a pole inside the interval, or an interval wider than
-    the period) raises DomainError.
-    """
-    pi_iv = _PI_IV
-    k = round(x.mid / math.pi)
-    t = x - pi_iv * k if k else x
-    half_lo = pi_iv.lo / 2.0
-    if not (-half_lo <= t.lo and t.hi <= half_lo):
-        raise DomainError("tan over an interval touching a pole")
-    s = _sin_small(t)
-    c = _cos_small(t)
-    if c.lo <= 0.0:
-        raise DomainError("tan too close to a pole for a certified enclosure")
-    return s / c
 
 
 # -- atan/acos -------------------------------------------------------------

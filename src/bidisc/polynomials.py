@@ -4,6 +4,8 @@ Coefficients are ``fractions.Fraction`` in ascending degree order.
 Refinement bisects in double precision but evaluates the polynomial exactly
 at each (rational-valued) float midpoint, so every sign decision is exact and
 the bracket signs stay trustworthy all the way down to a width of a few ulp.
+``checked_root`` first proves that a stored bracket holds exactly one simple
+root; it certifies the critical radii and the polygonal bound's constants.
 """
 
 from fractions import Fraction
@@ -111,3 +113,19 @@ def refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
         else:
             hi = m
     return Interval(lo, hi)
+
+
+def checked_root(name: str, p: Polynomial, bracket: Interval, tol: float) -> Interval:
+    """Enclosure, width <= tol, of the one simple root of p in bracket.
+
+    Two exact checks prove the bracket holds exactly one simple root: p has
+    strictly opposite signs at the endpoints (evaluated over rationals), and
+    an interval enclosure of its derivative over the bracket excludes 0.
+    Raises ValueError naming the constant if either check fails.
+    """
+    if p.eval_exact(bracket.lo) * p.eval_exact(bracket.hi) >= 0:
+        raise ValueError(f"{name} polynomial does not change sign across {bracket!r}")
+    if 0.0 in p.derivative().eval_interval(bracket):
+        raise ValueError(f"{name} polynomial may have several roots in {bracket!r}: "
+                         f"its derivative is not bounded away from 0 there")
+    return refine_root(p, bracket, tol)

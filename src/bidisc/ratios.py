@@ -2,17 +2,16 @@
 
 Each entry pairs a small-to-large radius ratio with its integer minimal
 polynomial (ascending coefficients) and a stored float bracket, 2^-30 wide,
-around the root that is the ratio.  Two exact checks prove the bracket holds
-exactly one simple root: the polynomial has strictly opposite signs at the
-endpoints (evaluated over rationals), and an interval enclosure of its
-derivative over the bracket excludes 0.  The certified value then comes from
-exact-sign bisection of the bracket, never from a decimal literal.
+around the root that is the ratio.  ``polynomials.checked_root`` proves the
+bracket holds exactly one simple root, by exact end signs and a derivative
+enclosure, then bisects it with exact signs; the certified value never comes
+from a decimal literal.
 """
 
 from functools import lru_cache
 
 from .intervals import Interval
-from .polynomials import Polynomial, refine_root
+from .polynomials import Polynomial, checked_root
 
 # Distinct (name, tol) enclosures kept; callers use a handful of tols
 _CACHE_SIZE = 64
@@ -51,15 +50,8 @@ def ratio_interval(name: str, tol: float = 1e-12) -> Interval:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _enclosure(name: str, tol: float) -> Interval:
-    coeffs, (lo, hi) = RATIO_TABLE[name]
-    p = Polynomial(coeffs)
-    bracket = Interval(lo, hi)
-    if p.eval_exact(lo) * p.eval_exact(hi) >= 0:
-        raise ValueError(f"{name} polynomial does not change sign across {bracket!r}")
-    if 0.0 in p.derivative().eval_interval(bracket):
-        raise ValueError(f"{name} polynomial may have several roots in {bracket!r}: "
-                         f"its derivative is not bounded away from 0 there")
-    return refine_root(p, bracket, tol)
+    coeffs, bracket = RATIO_TABLE[name]
+    return checked_root(name, Polynomial(coeffs), Interval(*bracket), tol)
 
 
 ratio_interval.cache_info = _enclosure.cache_info

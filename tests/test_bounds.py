@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bidisc.bounds import (
     BLIND_MIN_RATIO,
+    TANGENT_TABLE,
     BoundSample,
     blind_bound,
     blind_interval,
@@ -20,6 +22,7 @@ from bidisc.bounds import (
     r_blind,
     samples_from_csv,
     samples_to_csv,
+    _tangent_intervals,
     suspicious_samples,
 )
 from bidisc.errors import DomainError
@@ -124,6 +127,87 @@ class TestBlind:
         enc = blind_interval(Interval(0.75))
         assert BLIND_REFERENCE[0.75] in enc
         assert enc.width <= 1e-14
+
+
+# tan(k*pi/n)**2 for k = 1 .. (n - 1)/2 are the roots of these, ascending
+# coefficients; written out here so the table is checked against them
+TANGENT_MINIMAL = {7: (-7, 35, -21, 1), 5: (5, -10, 1)}
+
+
+def mp_tan_squared(k, n):
+    return mpmath.tan(k * mpmath.pi / n) ** 2
+
+
+def mp_contains(iv, value):
+    return mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)
+
+
+@pytest.fixture
+def patched_tangents(monkeypatch):
+    """Replace one tangent table entry; the cached constants are cleared
+    around it."""
+    _tangent_intervals.cache_clear()
+
+    def patch(n, coeffs, bracket):
+        monkeypatch.setitem(TANGENT_TABLE, n, (coeffs, bracket))
+
+    yield patch
+    _tangent_intervals.cache_clear()
+
+
+class TestTangentConstants:
+    @pytest.mark.parametrize("n", sorted(TANGENT_MINIMAL))
+    def test_polynomial_roots_are_tangent_squares(self, n):
+        coeffs = TANGENT_MINIMAL[n]
+        assert TANGENT_TABLE[n][0] == coeffs
+        assert len(coeffs) - 1 == (n - 1) // 2
+        with mpmath.workdps(50):
+            for k in range(1, (n - 1) // 2 + 1):
+                x = mp_tan_squared(k, n)
+                assert abs(mpmath.polyval(coeffs[::-1], x)) <= mpmath.mpf(10) ** -40
+
+    @pytest.mark.parametrize("n", sorted(TANGENT_MINIMAL))
+    def test_bracket_holds_the_first_root_only(self, n):
+        _, (lo, hi) = TANGENT_TABLE[n]
+        bracket = Interval(lo, hi)
+        with mpmath.workdps(50):
+            assert mp_contains(bracket, mp_tan_squared(1, n))
+            for k in range(2, (n - 1) // 2 + 1):
+                assert not mp_contains(bracket, mp_tan_squared(k, n))
+
+    def test_enclosures_contain_the_constants(self):
+        with mpmath.workdps(50):
+            for n, enclosure in zip((7, 5), _tangent_intervals()):
+                truth = n * mpmath.tan(mpmath.pi / n)
+                assert mp_contains(enclosure, truth)
+                assert enclosure.width <= 6 * math.ulp(float(truth))
+
+    def test_bracket_without_sign_change_is_refused(self, patched_tangents):
+        coeffs, (lo, hi) = TANGENT_TABLE[7]
+        patched_tangents(7, coeffs, (lo + 1e-6, hi + 1e-6))
+        with pytest.raises(ValueError, match=r"tan\(pi/7\)\*\*2 .*sign"):
+            _tangent_intervals()
+
+    def test_corrupted_polynomial_is_refused(self, patched_tangents):
+        # x**2 - 10x + 4 has its roots at 5 -+ sqrt(21), far from the bracket
+        _, bracket = TANGENT_TABLE[5]
+        patched_tangents(5, (4, -10, 1), bracket)
+        with pytest.raises(ValueError, match=r"tan\(pi/5\)\*\*2 .*sign"):
+            _tangent_intervals()
+
+    def test_bracket_holding_three_roots_is_refused(self, patched_tangents):
+        # (0, 20) holds all three roots; the end signs differ, but the
+        # derivative's enclosure spans 0
+        coeffs, _ = TANGENT_TABLE[7]
+        patched_tangents(7, coeffs, (0.0, 20.0))
+        with pytest.raises(ValueError, match=r"tan\(pi/7\)\*\*2 .*derivative"):
+            _tangent_intervals()
+
+    def test_ordering_is_checked(self, patched_tangents):
+        # the pentagon's entry under n = 7 makes t7 = 7*tan(pi/5) > t5
+        patched_tangents(7, *TANGENT_TABLE[5])
+        with pytest.raises(ArithmeticError, match="ordering"):
+            _tangent_intervals()
 
 
 class TestEnvelope:

@@ -291,6 +291,30 @@ def test_benchmark_certifier_bytes(capsys, part, variant):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["stdout_sha256"]
 
 
+# stdout sha256 of blind-certifier runs, recorded while t7 and t5 were still
+# enclosed by an interval tangent series: a change to how the constants are
+# certified must not change these bytes
+BLIND_RUNS = {
+    "upper_csv": (["upper", "--certifier", "blind", "--range", "0.68:0.99"], 0,
+                  "685c85795779e4aaea99bc396ca232e0dd3426786e4244760baf07fb14780e92"),
+    "upper_json": (["upper", "--certifier", "blind", "--range", "0.68:0.99",
+                    "--format", "json"], 0,
+                   "fefc4005ebb69aa47b726fa1a1f371b60b0cc0178401b9bf054bec383608a2b0"),
+    "certify_proven": (["certify", "--range", "0.743:0.99"], 0,
+                       "9159b788778b9cd1417a5169dc41b1429b922b3f45e6b5efc91e7eeb63af5818"),
+    "certify_failing": (["certify", "--certifier", "blind", "--range", "0.7:0.99"], 2,
+                        "7eb25e206b5c5c0623501a889c3a26b5d9a8183ea01bfc18fd3ea0076ccf11e4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLIND_RUNS))
+def test_blind_bytes(capsys, name):
+    argv, exit_code, digest = BLIND_RUNS[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestUpper:
     def test_envelope_output(self, capsys):
         code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",

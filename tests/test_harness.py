@@ -75,6 +75,12 @@ class TestFindDelta:
             got = find_delta(certifier, Interval(r), delta_hi=top)
             assert top <= got <= top + DEFAULT_PRECISION
 
+    def test_certifier_domain_error_propagates(self):
+        # the polygonal bound needs r >= 0.6735; its own reason reaches the
+        # caller, not a complaint about the upper start
+        with pytest.raises(DomainError, match="polygonal bound needs ratio"):
+            find_delta(BlindCertifier(), Interval(0.5))
+
     def test_bound_evaluated_once(self):
         calls = []
 
@@ -304,7 +310,8 @@ class TestSweep:
         for s in samples:
             reference = blind_bound(s.r)
             assert reference - 1e-9 <= s.value <= reference + 1e-4 + 1e-9
-        assert any("0.5" in rec.message for rec in caplog.records)
+        assert any("0.5" in rec.message and "polygonal bound needs ratio" in rec.message
+                   for rec in caplog.records)
 
     def test_empty_grid(self):
         assert sweep(FlorianCertifier(), [], precision=1e-3) == []

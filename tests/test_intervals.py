@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidisc.errors import DomainError
-from bidisc.intervals import Interval, iacos, iatan, ipow, itan, pi_interval
+from bidisc.intervals import Interval, iacos, iatan, ipow, pi_interval
 
 mpmath.mp.dps = 60
 
@@ -152,11 +152,12 @@ def test_pi_interval():
     assert iv.width <= 2 * math.ulp(3.15)
 
 
+# a tangent row came first, removed with the interval tangent; the ids are
+# spelled out so the remaining rows keep their names
 @pytest.mark.parametrize("fn,mp_fn,domain", [
-    (itan, mpmath.tan, (-1.5, 1.5)),
     (iatan, mpmath.atan, (-50.0, 50.0)),
     (iacos, mpmath.acos, (-0.999, 0.999)),
-])
+], ids=["iatan-f-domain1", "iacos-f-domain2"])
 def test_transcendental_enclosure(fn, mp_fn, domain):
     lo, hi = domain
     pts = RNG.uniform(lo, hi, size=400)
@@ -170,11 +171,6 @@ def test_transcendental_enclosure(fn, mp_fn, domain):
     fat = fn(Interval(a, b))
     assert contains_mp(fat, mp_fn(mpmath.mpf(a)))
     assert contains_mp(fat, mp_fn(mpmath.mpf(b)))
-
-
-def test_tan_rejects_pole_straddle():
-    with pytest.raises(DomainError):
-        itan(Interval(1.5, 1.7))  # pi/2 inside
 
 
 def test_acos_domain():
