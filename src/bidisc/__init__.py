@@ -19,7 +19,7 @@ from .flows import (ConstrainedRecipe, DensityCurve, FlowRecipe,
                     interstitial, interstitial_count, load_recipe,
                     lower_bound_at, lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density,
-                       density_interval, stick, validate)
+                       density_interval, stick, validate, validate_many)
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
@@ -48,5 +48,5 @@ __all__ = [
     "make_certifier", "newton_solve", "pi_interval", "r_blind", "ratio",
     "ratio_interval", "ratio_polynomial", "recipe_from_dict", "refine_root",
     "samples_from_csv", "samples_to_csv", "stick", "suspicious_samples",
-    "sweep", "validate",
+    "sweep", "validate", "validate_many",
 ]

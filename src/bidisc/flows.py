@@ -31,7 +31,7 @@ from .bounds import SQRT3, delta1
 from .errors import (DomainError, InvalidPacking, NoConvergence, NoSolution,
                      RecipeError, SingularJacobian)
 from .expressions import Expr, compile_system
-from .geometry import Disc, FundamentalDomain, density, stick, validate
+from .geometry import Disc, FundamentalDomain, density, stick, validate, validate_many
 from .intervals import Interval
 from .ratios import ratio
 from .solve import newton_solve
@@ -357,8 +357,8 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
 # evaluation
 
 
-def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
-    """Build the recipe's packing at ratio r and return it with its density."""
+def _build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
+    """The recipe's packing at ratio r, range and disc census checked."""
     if not recipe.contains(r):
         raise DomainError(
             f"r={r} outside valid range [{recipe.valid_range[0]}, {recipe.valid_range[1]}] "
@@ -375,6 +375,12 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
             ok = ok and census.get(r, 0) == n_ratio
     if not ok:
         raise InvalidPacking(f"{recipe.name}: census {census} != {recipe.census} at r={r}")
+    return domain
+
+
+def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
+    """Build the recipe's packing at ratio r and return it with its density."""
+    domain = _build_checked(recipe, r)
     bad = validate(domain, tol=1e-9)
     if bad:
         worst = min(bad, key=lambda row: row.gap)
@@ -508,23 +514,27 @@ def lower_bound_curve(grid: Sequence[float],
     """
     if recipes is None:
         recipes = builtin_recipes()
-    rows = []
-    per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
-    for r in map(float, grid):
-        best = delta1()
+    # every cell is built first, in grid order, so continuation stays
+    # sequential; then all of them are scanned for overlaps at once
+    grid = [float(r) for r in grid]
+    best, cells = [delta1() for _ in grid], []
+    for k, r in enumerate(grid):
         if 0.0 < r <= ratio("r8") + 1e-12:
-            best = max(best, interstitial(r)[1])
+            best[k] = max(best[k], interstitial(r)[1])
         for name, recipe in recipes.items():
             if recipe.contains(r):
                 try:
-                    value = eval_flow(recipe, r)[1]
+                    cells.append((k, name, _build_checked(recipe, r)))
                 except (NoSolution, InvalidPacking, DomainError):
-                    value = None
-                else:
-                    best = max(best, value)
-                per_recipe[name].append((r, value))
-        rows.append((r, best, "lower"))
-    return DensityCurve(tuple(rows)), per_recipe
+                    cells.append((k, name, None))
+    scans = iter(validate_many([domain for *_, domain in cells if domain is not None], 1e-9))
+    per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
+    for k, name, domain in cells:
+        value = None if domain is None or next(scans) else density(domain)
+        if value is not None:
+            best[k] = max(best[k], value)
+        per_recipe[name].append((grid[k], value))
+    return DensityCurve(tuple((r, b, "lower") for r, b in zip(grid, best))), per_recipe
 
 
 def find_crossings(fn: Callable[[float], float], level: float,

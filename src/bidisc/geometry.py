@@ -2,7 +2,8 @@
 
 A packing candidate is described by a fundamental domain: two lattice
 vectors u, v and the discs whose translates by the lattice tile the plane.
-``validate`` checks every periodic pair for overlap, ``density`` measures
+``validate`` checks every periodic pair for overlap (``validate_many`` does
+so for many domains in one scan), ``density`` measures
 covered area per cell, and ``stick`` is the basic constructor that rolls a
 new disc into tangency with two existing ones.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidPacking, NoSolution
 from .intervals import Interval, pi_interval
-from .kernels import periodic_violations
+from .kernels import batch_violations
 
 
 class Disc(NamedTuple):
@@ -129,7 +130,7 @@ def density_interval(domain: FundamentalDomain) -> Interval:
 def _window_extents(domain: FundamentalDomain, tol: float) -> tuple[int, int]:
     """Translate window half-widths that cannot miss a pair with gap < -tol.
 
-    This is the outer clip of the scan: ``periodic_violations`` visits, for
+    This is the outer clip of the scan: ``batch_violations`` visits, for
     each pair, only the translates within reach of contact, and never more
     than mwin steps along u and nwin along v from the lattice point nearest
     to c_i - c_j.  The per-pair reach lies inside this window: a translate
@@ -154,8 +155,19 @@ def validate(domain: FundamentalDomain, tol: float = 1e-9) -> list[Violation]:
     Empty result means no two discs (over all lattice translates) are
     closer than the sum of their radii minus tol.
     """
-    xy = np.array([[d.x, d.y] for d in domain.discs])
-    radii = np.array([d.radius for d in domain.discs])
-    mwin, nwin = _window_extents(domain, tol)
-    rows = periodic_violations(xy, radii, domain.u, domain.v, mwin, nwin, tol)
-    return [Violation(int(i), int(j), int(m), int(n), float(g)) for i, j, m, n, g in rows]
+    return validate_many([domain], tol)[0]
+
+
+def validate_many(domains: Sequence[FundamentalDomain],
+                  tol: float = 1e-9) -> list[list[Violation]]:
+    """``[validate(d, tol) for d in domains]``, from one scan of all their cells."""
+    discs = [d for domain in domains for d in domain.discs]
+    windows = [_window_extents(domain, tol) for domain in domains]
+    rows = batch_violations(
+        [(d.x, d.y) for d in discs], [d.radius for d in discs],
+        np.cumsum([0] + [len(domain.discs) for domain in domains]),
+        [((dm.u[0], dm.v[0]), (dm.u[1], dm.v[1])) for dm in domains],
+        [w[0] for w in windows], [w[1] for w in windows], tol)
+    found = [Violation(int(i), int(j), int(m), int(n), float(g)) for _, i, j, m, n, g in rows]
+    cuts = np.searchsorted(rows[:, 0], np.arange(len(domains) + 1))
+    return [found[a:b] for a, b in zip(cuts[:-1], cuts[1:])]

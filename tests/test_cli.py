@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -154,28 +155,34 @@ CROSSINGS_030 = [(0.35585347881279183, 0.3558534794799493),
 @pytest.fixture(scope="module")
 def cold_lower():
     """`bidisc lower ARGS` from a cold continuation cache, as a new process
-    runs it, returning (stdout, stderr, eval_flow calls); memoised per ARGS."""
+    runs it, returning (stdout, stderr, work); memoised per ARGS.  work
+    counts `eval_flow` calls, the curve's `validate_many` calls and the
+    cells they scan."""
     runs = {}
 
     def lower(*argv):
         if argv not in runs:
-            calls = [0]
+            work = Counter()
 
-            def counted(original):
+            def counted(original, name, cells=None):
                 def wrapper(*args, **kwargs):
-                    calls[0] += 1
+                    work[name] += 1
+                    if cells:
+                        work[cells] += len(args[0])
                     return original(*args, **kwargs)
                 return wrapper
 
             flows.clear_continuation_cache()
             out, err = io.StringIO(), io.StringIO()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "eval_flow", counted(cli.eval_flow))
-                mp.setattr(flows, "eval_flow", counted(flows.eval_flow))
+                mp.setattr(cli, "eval_flow", counted(cli.eval_flow, "eval_flow"))
+                mp.setattr(flows, "eval_flow", counted(flows.eval_flow, "eval_flow"))
+                mp.setattr(flows, "validate_many",
+                           counted(flows.validate_many, "validate_many", "cells"))
                 with redirect_stdout(out), redirect_stderr(err):
                     code = main(["lower", *argv])
             assert code == 0
-            runs[argv] = (out.getvalue(), err.getvalue(), calls[0])
+            runs[argv] = (out.getvalue(), err.getvalue(), work)
         return runs[argv]
 
     return lower
@@ -216,11 +223,20 @@ class TestLowerPinned:
         assert_crossings_meet(stderr_crossings(err), CROSSINGS_030)
 
     def test_eval_flow_work(self, cold_lower):
-        # 854 (grid point, recipe) evaluations for the curve, the two ends of
-        # flow-841-mid's range, which lie off the grid, and at most 20
-        # bisection steps for each of the two crossings
-        _, _, calls = cold_lower("--range", "0.36:0.99", "--step", "0.001")
-        assert calls <= 854 + 2 + 2 * 20
+        # the curve's 854 (grid point, recipe) cells are scanned in one
+        # batch; eval_flow runs only at the two ends of flow-841-mid's
+        # range, which lie off the grid, and for at most 20 bisection steps
+        # for each of the two crossings
+        _, _, work = cold_lower("--range", "0.36:0.99", "--step", "0.001")
+        assert (work["validate_many"], work["cells"]) == (1, 854)
+        assert work["eval_flow"] <= 2 + 2 * 20
+
+    def test_small_ratios_above_delta1(self, cold_lower):
+        # interstitial cells of up to 3417 discs
+        out, _, _ = cold_lower("--range", "0.005:0.01", "--step", "0.001")
+        curve = DensityCurve.from_csv(out)
+        assert len(curve.samples) == 6
+        assert all(value > DELTA1 for _, value, _ in curve.samples)
 
 
     @pytest.mark.parametrize("variant", range(len(EXPECTED["lower_sweep"])))

@@ -3,6 +3,7 @@
 import bisect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,19 @@ class TestInterstitial:
         domain, _ = interstitial(r)
         assert len(domain.discs) == discs
         assert validate(domain) == []
+
+    def test_small_radius_scan_memory(self):
+        # 3417 discs: 5.8M pairs i <= j, of which the scan forms only those
+        # within reach of contact
+        domain, _ = interstitial(0.005)
+        tracemalloc.start()
+        try:
+            assert validate(domain) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(domain.discs) == 3417
+        assert peak < 64e6
 
     def test_refuses_overlapping_domain(self, monkeypatch):
         overlap = Violation(1, 2, 0, 0, -1e-3)

@@ -14,6 +14,7 @@ from bidisc.geometry import (
     density_interval,
     stick,
     validate,
+    validate_many,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -196,3 +197,19 @@ class TestValidate:
         d = FundamentalDomain((4.0, 0.0), (0.0, 4.0),
                               (Disc(0.0, 0.0, 1.0), Disc(2.0, 0.0, 1.0)))
         assert validate(d) == []
+
+    def test_validate_many_is_validate_per_domain(self):
+        domains = [
+            hex_domain(),
+            FundamentalDomain((1.8, 0.0), (0.0, 10.0), (Disc(0.0, 0.0, 1.0),)),
+            FundamentalDomain((10.0, 0.0), (0.0, 10.0),
+                              (Disc(0.0, 0.0, 1.0), Disc(11.5, 0.0, 1.0))),
+            FundamentalDomain((2.5, 0.3), (0.7, 1.9),
+                              (Disc(0.1, 0.2, 0.9), Disc(1.0, 0.9, 0.25))),
+        ]
+        for tol in (1e-9, -0.5):
+            got = validate_many(domains, tol)
+            assert got == [validate(d, tol) for d in domains]
+            assert got == validate_many(domains[::-1], tol)[::-1]
+            assert sum(map(bool, got)) == (3 if tol > 0 else 4)
+        assert validate_many([]) == []

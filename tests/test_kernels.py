@@ -1,8 +1,12 @@
 """The overlap scan against a loop oracle, and its reporting conventions."""
 
-import numpy as np
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
-from bidisc import kernels
+import numpy as np
+import pytest
+
+from bidisc import cli, flows, geometry, kernels
 from bidisc.flows import interstitial
 from bidisc.geometry import Disc, FundamentalDomain, _window_extents, validate
 
@@ -12,7 +16,7 @@ RNG = np.random.default_rng(20240817)
 def loop_violations(xy, radii, u, v, mwin, nwin, tol):
     """Reference scan, one pair and one translate at a time.
 
-    Uses the same float expressions as ``kernels.periodic_violations``, so
+    Uses the same float expressions as ``kernels.batch_violations``, so
     the two must agree bit for bit.  The loop visits (i, j, m, n) in
     ascending order, so its rows need no sort.
     """
@@ -38,6 +42,27 @@ def loop_violations(xy, radii, u, v, mwin, nwin, tol):
                     if gap < -tol:
                         rows.append((i, j, m, n, gap))
     return np.array(rows, dtype=float).reshape(-1, 5)
+
+
+def batch(cells):
+    """``kernels.batch_violations`` in one call over cells given as (xy,
+    radii, u, v, mwin, nwin, tol) with one tol, its rows split per cell as
+    (i, j, m, n, gap)."""
+    cells = list(cells)
+    start = np.cumsum([0] + [len(c[1]) for c in cells])
+    rows = kernels.batch_violations(
+        np.concatenate([np.asarray(c[0], dtype=float).reshape(-1, 2) for c in cells]),
+        np.concatenate([c[1] for c in cells]), start,
+        [((u[0], v[0]), (u[1], v[1])) for _, _, u, v, *_ in cells],
+        [c[4] for c in cells], [c[5] for c in cells], cells[0][6])
+    assert rows.shape[1] == 6 and np.all(np.diff(rows[:, 0]) >= 0)
+    cuts = np.searchsorted(rows[:, 0], np.arange(len(cells) + 1))
+    return [rows[lo:hi, 1:] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def scan(xy, radii, u, v, mwin, nwin, tol):
+    """The batch kernel on one cell."""
+    return batch([(xy, radii, u, v, mwin, nwin, tol)])[0]
 
 
 def workloads():
@@ -70,8 +95,18 @@ def workloads():
 def test_matches_loop_oracle_exactly():
     for xy, radii, u, v, mwin, nwin, tol in workloads():
         ref = loop_violations(xy, radii, u, v, mwin, nwin, tol)
-        got = kernels.periodic_violations(xy, radii, u, v, mwin, nwin, tol)
+        got = scan(xy, radii, u, v, mwin, nwin, tol)
         assert np.array_equal(ref, got)
+
+
+def test_mixed_batch_matches_loop_oracle_per_cell():
+    cells = workloads()
+    refs = [loop_violations(*cell) for cell in cells]
+    order = np.random.default_rng(5).permutation(len(cells))
+    got = batch(cells[k] for k in order)
+    assert sum(len(ref) > 0 for ref in refs) >= 2
+    for k, rows in zip(order, got):
+        assert np.array_equal(refs[k], rows)
 
 
 def random_cell(rng):
@@ -109,21 +144,75 @@ def random_cell(rng):
 
 
 def test_matches_loop_oracle_on_random_cells():
+    # one cell at a time, then all cells of one tol in one batch
     rng = np.random.default_rng(7321)
-    flagged = 0
-    for _ in range(200):
-        cell = random_cell(rng)
-        ref = loop_violations(*cell)
-        got = kernels.periodic_violations(*cell)
-        assert np.array_equal(ref, got), cell
-        flagged += len(ref) > 0
-    assert 0 < flagged < 200
+    cells = [random_cell(rng) for _ in range(200)]
+    refs = [loop_violations(*cell) for cell in cells]
+    for cell, ref in zip(cells, refs):
+        assert np.array_equal(ref, scan(*cell)), cell
+    assert 0 < sum(len(ref) > 0 for ref in refs) < 200
+    for tol in sorted({cell[6] for cell in cells}):
+        group = [k for k, cell in enumerate(cells) if cell[6] == tol]
+        for k, rows in zip(group, batch(cells[k] for k in group)):
+            assert np.array_equal(refs[k], rows), cells[k]
+
+
+def edge_cells():
+    """Cells at the edges of the pair pruning, as (xy, radii, u, v, mwin,
+    nwin, tol)."""
+    out = []
+    # On the lattice 2Z x 2Z the lattice coordinates are x / 2 and y / 2 to
+    # the last bit, so fractional parts land within an ulp of 0 and 1
+    # (-2 * tiny has frac(A) == 1.0): overlapping pairs across the
+    # wrap-around.  Equal radii leave the pair order to the disc index.
+    tiny, below, above = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    xs = [0.0, 2 * tiny, -2 * tiny, 2 * below, 2.0, 2 * above, -2 * below, 4 * below]
+    xy = np.array([(x, 0.37 * k) for k, x in enumerate(xs)])
+    for tol in (1e-9, -1e-3):
+        out.append((xy, np.full(len(xs), 0.2), (2.0, 0.0), (0.0, 2.0), 2, 2, tol))
+    # the same on a skewed lattice whose inverse is inexact: discs spread
+    # along v from lattice points, one far away, and nudged by an ulp of x
+    u, v = (2.3, 0.1), (0.4, 1.9)
+    pts = [(m * u[0] + (n + 0.16 * k) * v[0], m * u[1] + (n + 0.16 * k) * v[1])
+           for k, (m, n) in enumerate(((0, 0), (1, 0), (0, 1), (-1, 1), (3, -2), (40, -17)))]
+    xy = np.array([(x + s * np.spacing(2.0 + abs(x)), y) for (x, y), s in zip(pts, (1, -1) * 3)])
+    out.append((xy, np.array([0.25, 0.2, 0.25, 0.1, 0.25, 0.2]), u, v, 3, 3, 1e-9))
+    # Search windows either side of half a cell: on 2Z x 2Z, (2r - tol) / 2
+    # is 0.5 + nudge, and a chain of discs along u holds pairs one ulp
+    # either side of contact (r_i + r_j - tol apart), so that a pair in
+    # reach lies at the end of its window.
+    for tol in (0.0, 1e-9, -1e-3):
+        for nudge in (-1e-6, -1e-12, 0.0, 1e-12, 1e-6):
+            r = (1.0 + tol) / 2 + nudge
+            step = 2 * r - tol
+            xs = np.cumsum([0.0, step, np.nextafter(step, 0.0), np.nextafter(step, 9.0), 0.5])
+            xy = np.column_stack((xs, np.full(len(xs), 0.7)))
+            out.append((xy, np.full(len(xs), r), (2.0, 0.0), (0.0, 2.0), 2, 2, tol))
+    # one-disc cells touching their own translates, with a negative tol
+    for tol in (1e-9, -0.3):
+        out.append((np.array([[0.3, 0.4]]), np.array([1.0]), (1.9, 0.0), (0.2, 1.9), 3, 3, tol))
+    # a tol above the small discs' diameter: they search no window at all
+    xy = np.array([[0.1, 0.2], [0.5, 0.3], [1.2, 1.1], [1.0, 0.4]])
+    out.append((xy, np.array([1.0, 0.3, 0.3, 1.0]), (1.9, 0.0), (0.2, 1.9), 3, 3, 0.7))
+    return out
+
+
+def test_edge_cells_match_loop_oracle():
+    cells = edge_cells()
+    refs = [loop_violations(*cell) for cell in cells]
+    for cell, ref in zip(cells, refs):
+        assert np.array_equal(ref, scan(*cell)), cell
+    assert sum(len(ref) > 0 for ref in refs) > len(cells) // 2
+    for tol in sorted({cell[6] for cell in cells}):
+        group = [k for k, cell in enumerate(cells) if cell[6] == tol]
+        for k, rows in zip(group, batch(cells[k] for k in group)):
+            assert np.array_equal(refs[k], rows), cells[k]
 
 
 def test_no_violation_shape():
     xy = np.array([[0.0, 0.0], [5.0, 5.0]])
     radii = np.array([1.0, 1.0])
-    out = kernels.periodic_violations(xy, radii, (10.0, 0.0), (0.0, 10.0), 1, 1, 1e-9)
+    out = scan(xy, radii, (10.0, 0.0), (0.0, 10.0), 1, 1, 1e-9)
     assert out.shape == (0, 5)
 
 
@@ -132,7 +221,7 @@ def test_self_pair_half_lattice_dedup():
     # exactly once, from the canonical half of the translate lattice
     xy = np.array([[0.3, 0.4]])
     radii = np.array([1.0])
-    out = kernels.periodic_violations(xy, radii, (1.9, 0.0), (0.2, 1.9), 2, 2, 0.0)
+    out = scan(xy, radii, (1.9, 0.0), (0.2, 1.9), 2, 2, 0.0)
     assert len(out) > 0
     seen = set()
     for i, j, m, n, gap in out:
@@ -149,7 +238,7 @@ def test_far_disc_recentred_before_scan():
     u, v = (10.0, 0.0), (0.0, 10.0)
     xy = np.array([[0.0, 0.0], [1.5 + 7 * 10.0, 3 * 10.0]])
     radii = np.array([1.0, 1.0])
-    out = kernels.periodic_violations(xy, radii, u, v, 1, 1, 1e-9)
+    out = scan(xy, radii, u, v, 1, 1, 1e-9)
     assert out.shape == (1, 5)
     i, j, m, n, gap = out[0]
     assert (i, j, m, n) == (0.0, 1.0, -7.0, -3.0)
@@ -159,7 +248,7 @@ def test_far_disc_recentred_before_scan():
 def test_mixed_pair_gap_value():
     xy = np.array([[0.0, 0.0], [1.0, 0.0]])
     radii = np.array([1.0, 0.3])
-    out = kernels.periodic_violations(xy, radii, (8.0, 0.0), (0.0, 8.0), 1, 1, 1e-9)
+    out = scan(xy, radii, (8.0, 0.0), (0.0, 8.0), 1, 1, 1e-9)
     assert out.shape == (1, 5)
     assert abs(out[0, 4] - (1.0 - 1.3)) < 1e-15
 
@@ -185,3 +274,35 @@ def test_window_unchanged_for_nonnegative_tol():
         assert _window_extents(hexagonal, tol) == (3, 3)
         assert _window_extents(skew, tol) == (2, 2)
         assert _window_extents(square, tol) == (2, 2)
+
+
+@pytest.fixture(scope="module")
+def benchmark_cells():
+    """The cells the benchmark's ``packings`` workload scans: every cell of
+    ``bidisc lower --range 0.36:0.99 --step 0.001`` from a cold
+    continuation cache, then the interstitial cells at four radii."""
+    seen = []
+    original = geometry.validate_many
+
+    def recording(domains, tol=1e-9):
+        seen.extend(domains)
+        return original(domains, tol)
+
+    flows.clear_continuation_cache()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "validate_many", recording)
+        mp.setattr(flows, "validate_many", recording)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["lower", "--range", "0.36:0.99", "--step", "0.001"]) == 0
+    return seen, [interstitial(r)[0] for r in (0.03, 0.02, 0.015, 0.01)]
+
+
+@pytest.mark.parametrize("tol,flagged", [(1e-9, (0, 0)), (-1e-3, (12382, 3462))])
+def test_benchmark_cells_batch_equals_per_cell(benchmark_cells, tol, flagged):
+    # all cells in one batch, small and large together, against one scan
+    # per cell; the negative tol flags near-contacts, so rows are compared
+    lower, large = benchmark_cells
+    assert len(lower) == 896
+    got = geometry.validate_many(lower + large, tol)
+    assert got == [validate(domain, tol) for domain in lower + large]
+    assert (sum(map(len, got[:len(lower)])), sum(map(len, got[len(lower):]))) == flagged
