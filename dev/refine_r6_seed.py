@@ -29,7 +29,7 @@ R0 = 0.4
 
 
 def jacobian_cond(recipe, values, r):
-    _, jacobian = recipe.newton_system
+    jacobian = recipe.compiled[1]
     return np.linalg.cond(np.array(jacobian(values, r)))
 
 
@@ -45,14 +45,13 @@ def main():
                           rec.variables, rec.defines, rec.equations, held,
                           rec.r0, tuple(guess), rec.lattice, rec.cell)
         try:
-            residuals, jacobian = trial.newton_system
+            residuals, jacobian, values = trial.compiled
             sol = newton_solve(lambda q: residuals(q, R0), lambda q: jacobian(q, R0),
                                guess, tol=1e-13)
         except (NoConvergence, SingularJacobian) as exc:
             print(f"  held={held}: solver failed: {exc}")
             continue
-        env = trial.environment(sol, R0)
-        resid = abs(trial.equations[held](env))
+        resid = abs(values(sol, R0)[0])
         cond = jacobian_cond(trial, sol, R0)
         dom = trial.build_from(sol, R0)
         dens = density(dom)

@@ -1,20 +1,20 @@
-"""Safe arithmetic expressions for recipe files, and Newton code built from them.
+"""Safe arithmetic expressions for recipe files, and the code built from them.
 
 Recipe equations are stored as plain strings like
-``(x4 - x3)**2 + (y4 - y3)**2 - (2*r)**2``.  They are parsed with ``ast``,
-checked against a whitelist of arithmetic node types (+, -, *, / and
-integer-constant **), and compiled once.  An ``Expr`` evaluates on a name
-map of floats or ``Interval`` values.
+``(x4 - x3)**2 + (y4 - y3)**2 - (2*r)**2``.  They are parsed with ``ast``
+and checked against a whitelist of arithmetic node types (+, -, *, / and
+integer-constant **).  An ``Expr`` holds the checked source and its names.
 
-``compile_system`` turns a recipe's defines and equations into two
-straight-line functions on local variables: the residuals, evaluated as
-``Expr`` would evaluate them, and the Jacobian by forward-mode
-differentiation, one float per partial derivative.
+``compile_system`` turns a recipe's defines and expressions into three
+straight-line functions on local variables: the Newton residuals, their
+Jacobian by forward-mode differentiation, one float per partial derivative,
+and ``values``, which evaluates any other expressions of the recipe (its
+held-out equation, lattice and cell) by the same arithmetic as the residuals.
 """
 
 import ast
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from .errors import RecipeError
 
@@ -57,38 +57,33 @@ def _check(node: ast.AST, names: set[str], src: str) -> None:
 
 
 class Expr:
-    """A validated, compiled arithmetic expression over named scalars."""
+    """A validated arithmetic expression over named scalars."""
 
-    __slots__ = ("source", "names", "_code")
+    __slots__ = ("source", "names")
 
     def __init__(self, source: str, names: Sequence[str]):
         self.source = source
         self.names = tuple(names)
-        try:
-            tree = ast.parse(source, mode="eval")
-        except SyntaxError as exc:
-            raise RecipeError(f"cannot parse expression {source!r}: {exc}") from exc
-        _check(tree, set(self.names), source)
-        self._code = compile(tree, "<recipe>", "eval")
-
-    def __call__(self, env: Mapping):
-        return eval(self._code, {"__builtins__": {}}, env)
+        _tree(self)
 
     def __repr__(self):
         return f"Expr({self.source!r})"
 
 
 # ---------------------------------------------------------------------------
-# straight-line Newton code
+# straight-line code
 
 _OPERATOR = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
              ast.UAdd: "+", ast.USub: "-"}
 
 
 def _tree(expr: Expr) -> ast.AST:
-    """The expression's ast, passed through ``_check`` again: code is only
-    ever generated from whitelisted nodes."""
-    tree = ast.parse(expr.source, mode="eval")
+    """The expression's ast, parsed and passed through ``_check`` on every
+    call: code is only ever generated from whitelisted nodes."""
+    try:
+        tree = ast.parse(expr.source, mode="eval")
+    except SyntaxError as exc:
+        raise RecipeError(f"cannot parse expression {expr.source!r}: {exc}") from exc
     _check(tree, set(expr.names), expr.source)
     return tree.body
 
@@ -100,8 +95,8 @@ def _literal(value) -> str:
     return repr(value)
 
 
-def _plain(node: ast.AST, local: Mapping[str, str]) -> str:
-    """Source evaluating ``node`` as ``Expr`` does, over renamed locals."""
+def _plain(node: ast.AST, local: dict[str, str]) -> str:
+    """Source evaluating ``node`` as written, over renamed locals."""
     if isinstance(node, ast.BinOp):
         op = _OPERATOR[type(node.op)]
         return f"({_plain(node.left, local)} {op} {_plain(node.right, local)})"
@@ -203,18 +198,18 @@ class _Forward:
 
 
 def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
-                   equations: Sequence[Expr]):
-    """Straight-line ``residuals(q, r)`` and ``jacobian(q, r)`` of equations.
+                   equations: Sequence[Expr], outputs: Sequence[Expr]):
+    """Straight-line ``residuals``, ``jacobian`` and ``values``, each ``(q, r)``.
 
     ``q`` holds the values of ``unknowns`` in order and ``r`` the value of
-    the name ``r``.  The defines are evaluated in order before the
-    equations, as in an environment map.  ``residuals`` returns the
-    equation values, computed by the same operations on the same scalar
-    types as ``Expr`` computes them.  ``jacobian`` returns one row of
-    partial derivatives per equation, in Python floats; the row of an
-    equation free of the unknowns is zero.  Every recipe name becomes a
-    generated local, so none can shadow a temporary, a parameter or a
-    builtin.
+    the name ``r``.  Each function evaluates the defines in order first.
+    ``residuals`` returns the values of ``equations`` and ``values`` those
+    of ``outputs``, each the source's operations done on the scalar types
+    it is given: a numpy ``q`` gives numpy floats, an integer constant stays
+    an int.  ``jacobian`` returns one row of partial derivatives per
+    equation, in Python floats; the row of an equation free of the unknowns
+    is zero.  Every recipe name becomes a generated local, so none can
+    shadow a temporary, a parameter or a builtin.
     """
     n = len(unknowns)
     names = {"r": "r"}
@@ -223,10 +218,10 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
         names[name] = f"x{i}"
         local[name] = (f"x{i}", ["1.0" if k == i else "0.0" for k in range(n)])
     forward = _Forward(local, n)
-    plain = []
+    prelude = [f"    {', '.join(f'x{i}' for i in range(n))}, = q"] if n else []
     for j, (name, expr) in enumerate(defines):
         tree = _tree(expr)
-        plain.append(f"    d{j} = {_plain(tree, names)}")
+        prelude.append(f"    d{j} = {_plain(tree, names)}")
         names[name] = f"d{j}"
         local[name] = forward.define(tree)
     trees = [_tree(e) for e in equations]
@@ -236,9 +231,12 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
         rows.append("[" + ", ".join(grads) + "]")
     source = "\n".join([
         "def residuals(q, r):",
-        *([f"    {', '.join(f'x{i}' for i in range(n))}, = q"] if n else []),
-        *plain,
+        *prelude,
         f"    return [{', '.join(_plain(tree, names) for tree in trees)}]",
+        "",
+        "def values(q, r):",
+        *prelude,
+        f"    return [{', '.join(_plain(_tree(e), names) for e in outputs)}]",
         "",
         "def jacobian(q, r):",
         *(f"    x{i} = float(q[{i}])" for i in range(n)),
@@ -247,4 +245,4 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
     ])
     namespace = {"__builtins__": {}, "float": float}
     exec(compile(source, "<recipe system>", "exec"), namespace)
-    return namespace["residuals"], namespace["jacobian"]
+    return namespace["residuals"], namespace["jacobian"], namespace["values"]

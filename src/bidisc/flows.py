@@ -156,30 +156,22 @@ class ConstrainedRecipe(FlowRecipe):
         if len(self.guess) != len(self.variables):
             raise RecipeError(f"{self.name}: guess length mismatch")
 
-    def environment(self, values, r):
-        """Name map for expression evaluation; defines are filled in order."""
-        env = {"r": r}
-        for name, value in zip(self.variables, values):
-            env[name] = value
-        for name, expr in self.defines:
-            env[name] = expr(env)
-        return env
-
     @cached_property
-    def newton_system(self) -> tuple[Callable, Callable]:
+    def compiled(self) -> tuple[Callable, Callable, Callable]:
         """``residuals(q, r)`` and ``jacobian(q, r)`` of every equation but
-        the held-out one, compiled on first use."""
+        the held-out one, and ``values(q, r)`` of the held-out equation, the
+        lattice vectors and the cell centres, compiled on first use."""
         eqs = [e for k, e in enumerate(self.equations) if k != self.verify_index]
-        return compile_system(self.variables, self.defines, eqs)
+        (ux, uy), (vx, vy) = self.lattice
+        outputs = [self.equations[self.verify_index], ux, uy, vx, vy,
+                   *(e for ex, ey, _ in self.cell for e in (ex, ey))]
+        return compile_system(self.variables, self.defines, eqs, outputs)
 
     def build_from(self, values, r: float) -> FundamentalDomain:
-        env = self.environment(values, r)
-        ux, uy = self.lattice[0]
-        vx, vy = self.lattice[1]
-        cell = []
-        for ex, ey, sel in self.cell:
-            cell.append(Disc(ex(env), ey(env), 1.0 if sel == "one" else r))
-        return FundamentalDomain((ux(env), uy(env)), (vx(env), vy(env)), tuple(cell))
+        _, ux, uy, vx, vy, *xy = self.compiled[2](values, r)
+        cell = tuple(Disc(x, y, 1.0 if sel == "one" else r)
+                     for x, y, (_, _, sel) in zip(xy[::2], xy[1::2], self.cell))
+        return FundamentalDomain((ux, uy), (vx, vy), cell)
 
     def build(self, r: float) -> FundamentalDomain:
         return self.build_from(solve_constrained(self, r), r)
@@ -274,10 +266,9 @@ def clear_continuation_cache(name: str | None = None) -> None:
 
 
 def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
-    residuals, jacobian = recipe.newton_system
+    residuals, jacobian, values = recipe.compiled
     sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess, tol=1e-12)
-    held = recipe.equations[recipe.verify_index]
-    resid = held(recipe.environment(sol, r))
+    resid = values(sol, r)[0]
     if abs(resid) > _VERIFY_TOL:
         raise InvalidPacking(
             f"{recipe.name}: held-out contact residual {resid:.3e} at r={r}")

@@ -26,10 +26,6 @@ class Disc(NamedTuple):
     y: float
     radius: float
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 class Violation(NamedTuple):
     """Overlapping periodic pair: disc i against disc j shifted by m*u + n*v."""

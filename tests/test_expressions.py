@@ -9,16 +9,25 @@ import pytest
 from bidisc.errors import RecipeError
 from bidisc.expressions import Expr, compile_system
 from bidisc.flows import builtin_recipes, recipe_from_dict
+from bidisc.geometry import Disc, FundamentalDomain
+
+
+def value_of(source, names, point):
+    """``source`` over ``names`` at ``point``, through the compiled ``values``."""
+    values = compile_system(names, (), (), [Expr(source, names)])[2]
+    return values(point, 0.0)[0]
 
 
 def test_eval_basic():
-    e = Expr("x1/2 + 3*y2 - 1", ("x1", "y2"))
-    assert e({"x1": 4.0, "y2": 2.0}) == 2.0 + 6.0 - 1.0
+    assert value_of("x1/2 + 3*y2 - 1", ("x1", "y2"), (4.0, 2.0)) == 2.0 + 6.0 - 1.0
 
 
 def test_eval_power_and_unary():
-    e = Expr("-(a**2) + 2**3", ("a",))
-    assert e({"a": 3.0}) == -9.0 + 8.0
+    assert value_of("-(a**2) + 2**3", ("a",), (3.0,)) == -9.0 + 8.0
+
+
+def test_expr_is_not_callable():
+    assert not callable(Expr("x1 + 1", ("x1",)))
 
 
 def test_unknown_name_rejected():
@@ -42,7 +51,7 @@ def test_non_integer_exponent_rejected():
 
 
 def test_negated_integer_exponent_accepted():
-    assert Expr("x1**-2", ("x1",))({"x1": 2.0}) == 0.25
+    assert value_of("x1**-2", ("x1",), (2.0,)) == 0.25
     with pytest.raises(RecipeError):
         Expr("x1**--2", ("x1",))
     with pytest.raises(RecipeError):
@@ -67,12 +76,27 @@ def test_statements_rejected():
 
 
 # ---------------------------------------------------------------------------
-# compiled Newton systems against forward-mode dual numbers
+# compiled recipe code against eval and forward-mode dual numbers
 #
-# The oracle is the dual-number class the Jacobian was computed with before
-# it was compiled: a value paired with a numpy gradient vector, pushed
-# through Expr evaluation.  The compiled code must do the same floating-point
+# The oracles are the evaluation the recipe expressions had before they were
+# compiled: ``eval`` of each source on a name map, filled with the unknowns,
+# r and then each define in order, and the dual-number class the Jacobian
+# was computed with, a value paired with a numpy gradient vector, pushed
+# through that evaluation.  The compiled code must do the same floating-point
 # operations in the same order, so both agree by repr, signed zeros included.
+
+
+def oracle(expr, env):
+    return eval(compile(expr.source, "<recipe>", "eval"), {"__builtins__": {}}, env)
+
+
+def environment(recipe, q, r):
+    env = {"r": r}
+    for name, value in zip(recipe.variables, q):
+        env[name] = value
+    for name, expr in recipe.defines:
+        env[name] = oracle(expr, env)
+    return env
 
 
 class Dual:
@@ -158,35 +182,56 @@ def newton_equations(recipe):
 
 def dual_rows(recipe, q, r):
     """Jacobian rows as the dual numbers gave them."""
-    env = recipe.environment(Dual.seed(q), r)
+    env = environment(recipe, Dual.seed(q), r)
     rows = []
     for e in newton_equations(recipe):
-        out = e(env)
+        out = oracle(e, env)
         rows.append(out.grad.tolist() if isinstance(out, Dual) else [0.0] * len(q))
     return rows
 
 
 def assert_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
-    residuals, jacobian = recipe.newton_system
+    residuals, jacobian, _ = recipe.compiled
     rng = random.Random(seed)
     for _ in range(points):
         q = np.array([rng.uniform(lo, hi) for _ in recipe.variables])
         r = rng.uniform(0.1, 1.0)
         assert repr(jacobian(q, r)) == repr(dual_rows(recipe, q, r))
-        env = recipe.environment(q, r)
-        expected = [e(env) for e in newton_equations(recipe)]
+        env = environment(recipe, q, r)
+        expected = [oracle(e, env) for e in newton_equations(recipe)]
         got = residuals(q, r)
         assert [type(v) for v in got] == [type(v) for v in expected]
         assert repr([float(v) for v in got]) == repr([float(v) for v in expected])
 
 
-def constrained(variables, defines, equations, verify_index):
+def assert_geometry_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
+    """The held-out value and ``build_from``'s domain equal the oracle's."""
+    values = recipe.compiled[2]
+    rng = random.Random(seed)
+    for _ in range(points):
+        q = np.array([rng.uniform(lo, hi) for _ in recipe.variables])
+        r = rng.uniform(0.1, 1.0)
+        env = environment(recipe, q, r)
+        held = oracle(recipe.equations[recipe.verify_index], env)
+        got = values(q, r)[0]
+        assert (type(got), repr(got)) == (type(held), repr(held))
+        (ux, uy), (vx, vy) = recipe.lattice
+        domain = FundamentalDomain(
+            (oracle(ux, env), oracle(uy, env)), (oracle(vx, env), oracle(vy, env)),
+            tuple(Disc(oracle(ex, env), oracle(ey, env), 1.0 if sel == "one" else r)
+                  for ex, ey, sel in recipe.cell))
+        assert repr(recipe.build_from(q, r).to_json()) == repr(domain.to_json())
+
+
+def constrained(variables, defines, equations, verify_index,
+                lattice=(("1", "0"), ("0", "1")), cell=(("0", "0", "one"),)):
     return recipe_from_dict({
         "name": "test", "kind": "constrained", "valid_range": [0.1, 1.0],
         "census": {"unit": 1, "ratio": 0}, "variables": list(variables),
         "defines": defines, "equations": equations, "verify_index": verify_index,
         "r0": 0.5, "guess": {v: 1.0 for v in variables},
-        "lattice": {"u": ["1", "0"], "v": ["0", "1"]}, "cell": [["0", "0", "one"]]})
+        "lattice": {"u": list(lattice[0]), "v": list(lattice[1])},
+        "cell": [list(row) for row in cell]})
 
 
 def test_flow_r6_jacobian_and_residuals_match_duals():
@@ -195,14 +240,14 @@ def test_flow_r6_jacobian_and_residuals_match_duals():
 
 def test_flow_r6_matches_duals_near_its_solution():
     recipe = builtin_recipes()["flow-r6-1"]
-    residuals, jacobian = recipe.newton_system
+    residuals, jacobian, _ = recipe.compiled
     q = np.array(recipe.guess)
     assert repr(jacobian(q, recipe.r0)) == repr(dual_rows(recipe, q, recipe.r0))
     assert max(abs(v) for v in residuals(q, recipe.r0)) < 1e-12
 
 
-def test_every_operator_matches_duals():
-    recipe = constrained(
+def every_operator_recipe():
+    return constrained(
         ("u", "v", "w", "z"),
         {"y1": "0", "k": "2*r - 1", "s": "-u + v/3", "p": "y1 - w"},
         ["-u + v/3 - 2/w + (1 - v)*w + s*k + 2",
@@ -210,8 +255,15 @@ def test_every_operator_matches_duals():
          "y1*u + k*v - p + u*k**2 - r/(u*v) + (-w)**3*z",
          "r**2 - 3 + k",
          "u - v + z"],
-        verify_index=4)
-    rows = recipe.newton_system[1](np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
+        verify_index=4,
+        lattice=(("k*u - 3", "y1 + r"), ("s**2 + 1/p", "-(w*r)**-2")),
+        cell=(("0", "0", "one"), ("u/k - p", "-s + r**3", "ratio"),
+              ("2.5*p*w", "k**0 - z/3", "ratio")))
+
+
+def test_every_operator_matches_duals():
+    recipe = every_operator_recipe()
+    rows = recipe.compiled[1](np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
     assert rows[3] == [0.0, 0.0, 0.0, 0.0]
     assert_matches_oracle(recipe, 1000, seed=2)
 
@@ -221,7 +273,7 @@ def test_signed_zero_partials_match_duals():
     # signed zero, and adding a constant's 0.0 gradient or subtracting from
     # 0.0 turns -0.0 into 0.0; leaving either step out shows up here
     recipe = constrained(("u", "v"), {}, ["-u + 1", "u**-2 - 3", "u + v"], verify_index=2)
-    assert repr(recipe.newton_system[1]((2.0, 1.0), 0.5)) == "[[-1.0, 0.0], [-0.25, 0.0]]"
+    assert repr(recipe.compiled[1]((2.0, 1.0), 0.5)) == "[[-1.0, 0.0], [-0.25, 0.0]]"
     assert_matches_oracle(recipe, 100, seed=4)
 
 
@@ -236,8 +288,19 @@ def test_shadowing_names_match_duals():
     assert_matches_oracle(recipe, 1000, seed=3)
 
 
+def test_flow_r6_geometry_matches_eval():
+    recipe = builtin_recipes()["flow-r6-1"]
+    assert_geometry_matches_oracle(recipe, 300, seed=5)
+
+
+def test_every_operator_geometry_matches_eval():
+    assert_geometry_matches_oracle(every_operator_recipe(), 300, seed=6)
+
+
 def test_compiled_code_refuses_other_syntax():
     e = Expr("x1 + 1", ("x1",))
     e.source = "abs(x1)"            # past validation, as a corrupted object
     with pytest.raises(RecipeError):
-        compile_system(("x1",), (), [e])
+        compile_system(("x1",), (), [e], ())
+    with pytest.raises(RecipeError):
+        compile_system(("x1",), (), (), [e])

@@ -1,8 +1,13 @@
 """Flow recipes, closed form densities, interstitial refinement."""
 
 import bisect
+import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from bidisc import flows
 from bidisc.errors import (DomainError, InvalidPacking, NoConvergence,
                            NoSolution, RecipeError, SingularJacobian)
-from bidisc.expressions import Expr
 from bidisc.flows import (
     DensityCurve,
     builtin_recipes,
@@ -33,6 +37,13 @@ from bidisc.intervals import Interval
 from bidisc.ratios import ratio
 
 DELTA1 = 0.9068996821171089
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+# sha256 of the whole stdout of `PYTHONPATH=src python dev/refine_r6_seed.py`,
+# recorded while the held-out residual and the cell were evaluated with
+# ``eval`` on a name map
+REFINE_R6_SEED_SHA256 = "c6d3a329e8d760a2dac9749caf45d2d8da1988b3d19aeda812339386712c2b20"
 
 # Frozen against a 50 digit mpmath evaluation of the same formulas.
 CF841_REFERENCE = {
@@ -144,6 +155,26 @@ class TestConstrainedFlow:
         clear_continuation_cache("no-such-recipe")
         clear_continuation_cache()
 
+    def test_held_out_residual_refused(self):
+        # Newton forces x = 1; the held-out equation asks for x = 2
+        recipe = recipe_from_dict({
+            "name": "held-out-contradiction", "kind": "constrained",
+            "valid_range": [0.1, 1.0], "census": {"unit": 1, "ratio": 0},
+            "variables": ["x"], "defines": {}, "equations": ["x - 1", "x - 2"],
+            "verify_index": 1, "r0": 0.5, "guess": {"x": 0.5},
+            "lattice": {"u": ["2", "0"], "v": ["0", "2"]}, "cell": [["x", "0", "one"]]})
+        clear_continuation_cache(recipe.name)
+        message = r"held-out contact residual -1\.000e\+00 at r=0\.5"
+        with pytest.raises(InvalidPacking, match=message):
+            eval_flow(recipe, 0.5)
+        clear_continuation_cache(recipe.name)
+
+    def test_refine_r6_seed_output_pinned(self):
+        env = dict(os.environ, PYTHONPATH="src")
+        out = subprocess.run([sys.executable, "dev/refine_r6_seed.py"], cwd=REPO, env=env,
+                             capture_output=True, check=True).stdout
+        assert hashlib.sha256(out).hexdigest() == REFINE_R6_SEED_SHA256
+
     def test_newton_system_compiled_lazily_without_expr_calls(self, monkeypatch):
         compiled = []
         original = flows.compile_system
@@ -156,22 +187,19 @@ class TestConstrainedFlow:
         monkeypatch.setattr(flows, "_BUILTIN", None)
         recipe = builtin_recipes()["flow-r6-1"]
         assert compiled == []
-        residuals, jacobian = recipe.newton_system
-        assert recipe.newton_system == (residuals, jacobian)
+        residuals, jacobian, values = recipe.compiled
+        assert recipe.compiled == (residuals, jacobian, values)
         assert len(compiled) == 1
 
-        calls = []
-        expr_call = Expr.__call__
-
-        def counting(expr, env):
-            calls.append(expr)
-            return expr_call(expr, env)
-
-        monkeypatch.setattr(Expr, "__call__", counting)
         q = np.array(recipe.guess)
         assert len(residuals(q, 0.5)) == len(recipe.variables) == 6
         assert np.array(jacobian(q, 0.5)).shape == (6, 6)
-        assert calls == []
+        # the held-out equation, u, v and the seven cell centres
+        assert len(values(q, 0.5)) == 1 + 4 + 2 * 7
+        clear_continuation_cache(recipe.name)
+        eval_flow(recipe, 0.5)
+        recipe.build_from(q, 0.5)
+        assert len(compiled) == 1
 
     def test_seed_point_failure_is_no_solution(self):
         with open("src/bidisc/data/flow_r6_1.json") as fh:

@@ -14,7 +14,7 @@ def grad_of(src, x, i):
     """i-th partial of the expression src in q0, q1, ... at point x, from
     the compiled Jacobian."""
     unknowns = tuple(f"q{k}" for k in range(len(x)))
-    _, jacobian = compile_system(unknowns, (), [Expr(src, unknowns)])
+    jacobian = compile_system(unknowns, (), [Expr(src, unknowns)], ())[1]
     return jacobian(x, 0.0)[0][i]
 
 
