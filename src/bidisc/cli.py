@@ -157,7 +157,7 @@ def cmd_lower(args) -> int:
     crossings.sort(key=lambda iv: iv.lo)
 
     if args.format == "json":
-        payload = {"curve": [list(row) for row in curve.samples],
+        payload = {"curve": curve.to_json(),
                    "crossings": [[iv.lo, iv.hi] for iv in crossings]}
         _emit(_json_dumps(payload), args.out)
     else:
@@ -193,7 +193,7 @@ def cmd_upper(args) -> int:
         (r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))))
     if args.format == "json":
         payload = {"samples": [[s.r, s.value] for s in samples],
-                   "curve": [list(row) for row in curve.samples]}
+                   "curve": curve.to_json()}
         _emit(_json_dumps(payload), args.out)
     else:
         _emit(curve.to_csv(), args.out)

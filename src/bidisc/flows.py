@@ -36,6 +36,8 @@ from .intervals import Interval
 from .ratios import ratio
 from .solve import newton_solve
 
+_RANGE_SLACK = 1e-12    # allowance at the ends of every ratio range
+
 # ---------------------------------------------------------------------------
 # closed-form density curves
 
@@ -86,9 +88,9 @@ class FlowRecipe:
 
     kind = "abstract"
 
-    def contains(self, r: float, slack: float = 1e-12) -> bool:
+    def contains(self, r: float) -> bool:
         lo, hi = self.valid_range
-        return lo - slack <= r <= hi + slack
+        return lo - _RANGE_SLACK <= r <= hi + _RANGE_SLACK
 
     def build(self, r: float) -> FundamentalDomain:
         raise NotImplementedError
@@ -249,20 +251,20 @@ _MIN_STEP = 1e-9
 _VERIFY_TOL = 1e-8
 
 # Per-recipe solution paths: name -> sorted list of (r, values), with
-# _path_keys[name] holding the same r values as a plain list for bisect.
-# Correct for single-writer access; concurrent sweeps must partition their r
-# ranges.
+# _path_keys[name] the same r values as a plain list for bisect and
+# _path_owners[name] the recipe that walked them, the only one to read them.
+# Correct for single-writer access; concurrent sweeps must partition r ranges.
 _paths: dict[str, list[tuple[float, np.ndarray]]] = {}
 _path_keys: dict[str, list[float]] = {}
+_path_owners: dict[str, ConstrainedRecipe] = {}
 
 
 def clear_continuation_cache(name: str | None = None) -> None:
-    if name is None:
-        _paths.clear()
-        _path_keys.clear()
-    else:
-        _paths.pop(name, None)
-        _path_keys.pop(name, None)
+    for cache in (_paths, _path_keys, _path_owners):
+        if name is None:
+            cache.clear()
+        else:
+            cache.pop(name, None)
 
 
 def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
@@ -309,7 +311,7 @@ def _predict(path: list[tuple[float, np.ndarray]], rs: list[float],
 def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     """Unknown values at ratio r, walked from the recipe's seed point."""
     path = _paths.get(recipe.name)
-    if path is None:
+    if path is None or _path_owners[recipe.name] is not recipe:
         try:
             seed = _correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
         except (NoConvergence, SingularJacobian) as exc:
@@ -317,6 +319,7 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
         path = [(recipe.r0, seed)]
         _paths[recipe.name] = path
         _path_keys[recipe.name] = [recipe.r0]
+        _path_owners[recipe.name] = recipe
     rs = _path_keys[recipe.name]
     pos = bisect.bisect_left(rs, r)
     if pos < len(rs) and rs[pos] == r:
@@ -397,7 +400,7 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     scanned for overlaps before it is returned, as in ``eval_flow``.
     """
     r8 = ratio("r8")
-    if not 0.0 < r <= r8 + 1e-12:
+    if not 0.0 < r <= r8 + _RANGE_SLACK:
         raise DomainError(f"interstitial construction needs 0 < r <= {r8:.6f}, got {r}")
 
     hx, hy = 1.0, SQRT3 / 3.0
@@ -510,7 +513,7 @@ def lower_bound_curve(grid: Sequence[float],
     grid = [float(r) for r in grid]
     best, cells = [delta1() for _ in grid], []
     for k, r in enumerate(grid):
-        if 0.0 < r <= ratio("r8") + 1e-12:
+        if 0.0 < r <= ratio("r8") + _RANGE_SLACK:
             best[k] = max(best[k], interstitial(r)[1])
         for name, recipe in recipes.items():
             if recipe.contains(r):

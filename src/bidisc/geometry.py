@@ -2,10 +2,10 @@
 
 A packing candidate is described by a fundamental domain: two lattice
 vectors u, v and the discs whose translates by the lattice tile the plane.
-``validate`` checks every periodic pair for overlap (``validate_many`` does
-so for many domains in one scan), ``density`` measures
-covered area per cell, and ``stick`` is the basic constructor that rolls a
-new disc into tangency with two existing ones.
+``validate`` checks every periodic pair for overlap at every translate in
+reach (``validate_many`` does so for many domains in one scan), ``density``
+measures covered area per cell, and ``stick`` is the basic constructor that
+rolls a new disc into tangency with two existing ones.
 """
 
 from __future__ import annotations
@@ -123,28 +123,6 @@ def density_interval(domain: FundamentalDomain) -> Interval:
     return pi_interval() * total / area
 
 
-def _window_extents(domain: FundamentalDomain, tol: float) -> tuple[int, int]:
-    """Translate window half-widths that cannot miss a pair with gap < -tol.
-
-    This is the outer clip of the scan: ``batch_violations`` visits, for
-    each pair, only the translates within reach of contact, and never more
-    than mwin steps along u and nwin along v from the lattice point nearest
-    to c_i - c_j.  The per-pair reach lies inside this window: a translate
-    m can have gap < -tol only if |a - m| <= |v| / cell_area * (r_i + r_j
-    - tol) <= |v| / cell_area * (2 * rmax + max(0, -tol)) (a the pair's u
-    coordinate, and |v| / cell_area the norm of the inverse basis row), the
-    nearest lattice point is within 1/2 of a, and the 0.5 * (|u| + |v|)
-    term below adds at least 1/2 step because |u| * |v| >= cell_area.
-    Likewise for v.
-    """
-    nu = math.hypot(*domain.u)
-    nv = math.hypot(*domain.v)
-    rmax = max(d.radius for d in domain.discs)
-    reach = 2.0 * rmax + max(0.0, -tol) + 0.5 * (nu + nv)
-    area = domain.cell_area
-    return (math.ceil(reach * nv / area), math.ceil(reach * nu / area))
-
-
 def validate(domain: FundamentalDomain, tol: float = 1e-9) -> list[Violation]:
     """All overlapping periodic disc pairs, worst offenders included once.
 
@@ -158,12 +136,10 @@ def validate_many(domains: Sequence[FundamentalDomain],
                   tol: float = 1e-9) -> list[list[Violation]]:
     """``[validate(d, tol) for d in domains]``, from one scan of all their cells."""
     discs = [d for domain in domains for d in domain.discs]
-    windows = [_window_extents(domain, tol) for domain in domains]
     rows = batch_violations(
         [(d.x, d.y) for d in discs], [d.radius for d in discs],
         np.cumsum([0] + [len(domain.discs) for domain in domains]),
-        [((dm.u[0], dm.v[0]), (dm.u[1], dm.v[1])) for dm in domains],
-        [w[0] for w in windows], [w[1] for w in windows], tol)
+        [((dm.u[0], dm.v[0]), (dm.u[1], dm.v[1])) for dm in domains], tol)
     found = [Violation(int(i), int(j), int(m), int(n), float(g)) for _, i, j, m, n, g in rows]
     cuts = np.searchsorted(rows[:, 0], np.arange(len(domains) + 1))
     return [found[a:b] for a, b in zip(cuts[:-1], cuts[1:])]

@@ -7,8 +7,8 @@ For each pair i <= j the scan takes the lattice coordinates
 (a, b) = L^-1 (c_i - c_j), L the matrix with columns u and v, and lists only
 the translates (m, n) that can overlap.  When m*u + n*v lies at distance d
 from c_i - c_j, |a - m| <= |row 0 of L^-1| * d and |b - n| <= |row 1 of
-L^-1| * d, and an overlap needs d < r_i + r_j - tol.  Discs far outside the
-fundamental cell need no prior wrapping.
+L^-1| * d, and an overlap needs d < r_i + r_j - tol.  No window limits the
+translates further, so discs far outside the fundamental cell need no wrapping.
 """
 
 import math
@@ -18,22 +18,21 @@ import numpy as np
 # Relative widening of each pair's translate range.  It is millions of
 # times the rounding of the gap expressions, and covers the error of the
 # computed inverse for bases with condition number up to about 1e6, so a
-# translate that the window-wide scan would flag is never skipped.
+# translate that the all-translates scan would flag is never skipped.
 _PAD = 1e-9
 
 
-def batch_violations(xy, radii, start, lattices, mwin, nwin, tol: float) -> np.ndarray:
+def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
     """All periodic pair violations of many cells: rows (cell, i, j, m, n, gap).
 
-    Cell k owns the disc rows start[k]:start[k+1] (at least one), has the
-    lattice matrix lattices[k] with columns u and v, and is searched at most
-    mwin[k] steps along u and nwin[k] along v from the lattice point nearest
-    to c_i - c_j; i and j count from the cell's first row, and rows are
-    sorted (cell, i, j, m, n).  gap = distance - (r_i + r_j); a violation has
-    gap < -tol.  Pairs are reported once (i < j, any translate; i == j only
-    for nonzero translates with n > 0 or (n == 0, m > 0) to halve the
-    symmetric double count).  The result equals that of visiting every
-    translate of every cell's window, one cell at a time.
+    Cell k owns the disc rows start[k]:start[k+1] (at least one) and has the
+    lattice matrix lattices[k] with columns u and v; i and j count from the
+    cell's first row, and rows are sorted (cell, i, j, m, n).  gap = distance
+    - (r_i + r_j); a violation has gap < -tol.  Pairs are reported once
+    (i < j, any translate; i == j only for nonzero translates with n > 0 or
+    (n == 0, m > 0) to halve the symmetric double count).  Each pair visits
+    the m in ceil(a - reach_m) .. floor(a + reach_m) and likewise the n, so
+    the result equals that of visiting every translate of every pair.
 
     Pairs are pruned first, keeping a superset of the pairs with any
     translate within reach.  With A, B = L^-1 c per disc: the pair's u range
@@ -47,7 +46,7 @@ def batch_violations(xy, radii, start, lattices, mwin, nwin, tol: float) -> np.n
     the whole cell.
     """
     xy, radii = np.asarray(xy, dtype=float).reshape(-1, 2), np.asarray(radii, dtype=float)
-    start, mwin, nwin = np.asarray(start, dtype=np.int64), np.asarray(mwin), np.asarray(nwin)
+    start = np.asarray(start, dtype=np.int64)
     lat = np.asarray(lattices, dtype=float).reshape(-1, 2, 2)
     inv = np.linalg.inv(lat)
     size = len(radii)
@@ -55,14 +54,14 @@ def batch_violations(xy, radii, start, lattices, mwin, nwin, tol: float) -> np.n
 
     # Per-cell scalars, as the single-cell scan computed them.  The pad is
     # _PAD times a bound on every magnitude the gap expressions below round
-    # at: |c_i - c_j| <= ext, so |a| <= inv_m * ext and |m| <= inv_m * ext
-    # + mwin + 1.
+    # at: |c_i - c_j| <= ext, |a| <= inv_m * ext, and a visited m has |m| <=
+    # inv_m * ext + reach_m + 1 <= inv_m * (ext + 2 * rmax + |tol|) + 2 (pad < 1).
     inv_m, inv_n, norm_u, norm_v = np.array(
         [[math.hypot(*row) for row in (*rows, *uv)]       # L^-1 rows, u, v
          for rows, uv in zip(inv.tolist(), lat.transpose(0, 2, 1).tolist())]).reshape(-1, 4).T
     ext = 2.0 * math.sqrt(2.0) * np.maximum.reduceat(np.abs(xy).max(axis=1), start[:-1])
-    scale = ((inv_m * ext + mwin + 1) * norm_u + (inv_n * ext + nwin + 1) * norm_v
-             + ext + 2.0 * np.maximum.reduceat(radii, start[:-1]) + abs(tol))
+    far = ext + 2.0 * np.maximum.reduceat(radii, start[:-1]) + abs(tol)
+    scale = (inv_m * far + 2.0) * norm_u + (inv_n * far + 2.0) * norm_v + far
     pad = _PAD * (inv_m + inv_n) * scale
 
     # prune: each disc searches its window in frac(A) order, wrapping
@@ -91,21 +90,18 @@ def batch_violations(xy, radii, start, lattices, mwin, nwin, tol: float) -> np.n
 
     # scan the kept pairs (i <= j, rows of one cell)
     c = cell[iu]
-    ip, pad_c, wm, wn = inv[c], pad[c], mwin[c], nwin[c]
+    ip, pad_c = inv[c], pad[c]
     dx = xy[iu, 0] - xy[ju, 0]                        # c_i - c_j
     dy = xy[iu, 1] - xy[ju, 1]
     # explicit two-term dots, not a matmul: the loop oracle in the tests
     # evaluates the same expressions and must agree bit for bit
     a = ip[:, 0, 0] * dx + ip[:, 0, 1] * dy
     b = ip[:, 1, 0] * dx + ip[:, 1, 1] * dy
-    base_m, base_n = np.rint(a), np.rint(b)
     rsum = radii[iu] + radii[ju]
     reach_m = inv_m[c] * (rsum - tol) + pad_c
     reach_n = inv_n[c] * (rsum - tol) + pad_c
-    lo_m = np.maximum(np.ceil(a - reach_m) - base_m, -wm)
-    hi_m = np.minimum(np.floor(a + reach_m) - base_m, wm)
-    lo_n = np.maximum(np.ceil(b - reach_n) - base_n, -wn)
-    hi_n = np.minimum(np.floor(b + reach_n) - base_n, wn)
+    lo_m, hi_m = np.ceil(a - reach_m), np.floor(a + reach_m)
+    lo_n, hi_n = np.ceil(b - reach_n), np.floor(b + reach_n)
     span_n = np.maximum(hi_n - lo_n + 1, 0).astype(np.int64)
     count = np.maximum(hi_m - lo_m + 1, 0).astype(np.int64) * span_n
 
@@ -113,8 +109,8 @@ def batch_violations(xy, radii, start, lattices, mwin, nwin, tol: float) -> np.n
     # each pair's translates in (m, n) order, so the rows come out sorted
     pair = np.repeat(np.arange(count.size), count)
     k = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
-    mm = base_m[pair] + (lo_m[pair] + k // span_n[pair])
-    nn = base_n[pair] + (lo_n[pair] + k % span_n[pair])
+    mm = lo_m[pair] + k // span_n[pair]
+    nn = lo_n[pair] + k % span_n[pair]
     lp = lat[c[pair]]
     ox = dx[pair] - (mm * lp[:, 0, 0] + nn * lp[:, 0, 1])
     oy = dy[pair] - (mm * lp[:, 1, 0] + nn * lp[:, 1, 1])

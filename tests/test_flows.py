@@ -214,6 +214,27 @@ class TestConstrainedFlow:
             eval_flow(recipe, 0.5)
         assert "zero-guess" not in flows._paths
 
+    def test_same_named_recipes_keep_their_own_paths(self):
+        # B is flow-r6-1 with its unknowns in reverse order: same name, and
+        # a solution vector that the builtin's path would fill wrongly
+        builtin = builtin_recipes()["flow-r6-1"]
+        with open("src/bidisc/data/flow_r6_1.json") as fh:
+            obj = json.load(fh)
+        obj["variables"] = obj["variables"][::-1]
+        other = recipe_from_dict(obj)
+        assert other.name == builtin.name
+        clear_continuation_cache()
+        cold = eval_flow(other, 0.5)[1]
+        assert cold == 0.8106777628254536
+        clear_continuation_cache()
+        own = eval_flow(builtin, 0.5)[1]
+        assert eval_flow(other, 0.5)[1] == cold
+        eval_flow(other, 0.5005)
+        assert eval_flow(builtin, 0.5)[1] == own
+        clear_continuation_cache(builtin.name)
+        assert builtin.name not in flows._paths
+        clear_continuation_cache()
+
 
 # Order-of-visit oracle: the path lookup as it was before the key list, one
 # linear scan of the whole path per query.
