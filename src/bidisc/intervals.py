@@ -7,9 +7,9 @@ hardware rounds to nearest, so the rounded endpoint is within one ulp of the
 exact one and the nudge restores containment.  This costs up to two ulps of
 width per operation and needs no fesetround or platform-specific state.
 
-Transcendental enclosures (atan, acos) are built from the arctangent series
-evaluated in interval arithmetic with an explicit remainder term, never from
-the libm point routines.
+Transcendental enclosures (atan, acos) use the arctangent series with an
+explicit remainder term, never libm.  Its kernel does Interval's operations,
+outward rounding included, on float endpoint pairs: results are bit-identical.
 """
 
 import math
@@ -32,6 +32,16 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF)
+
+
+def _square(lo: float, hi: float) -> tuple[float, float]:
+    """Endpoints of ``Interval.square`` for the interval [lo, hi]."""
+    if lo >= 0.0:
+        return _down(lo * lo), _up(hi * hi)
+    if hi <= 0.0:
+        return _down(hi * hi), _up(lo * lo)
+    m = max(-lo, hi)
+    return 0.0, _up(m * m)
 
 
 class Interval:
@@ -177,12 +187,7 @@ class Interval:
 
     def square(self) -> "Interval":
         """Tight enclosure of x**2; never dips below 0 for sign-mixed input."""
-        if self.lo >= 0.0:
-            return Interval(_down(self.lo * self.lo), _up(self.hi * self.hi))
-        if self.hi <= 0.0:
-            return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
-        m = max(-self.lo, self.hi)
-        return Interval(0.0, _up(m * m))
+        return Interval(*_square(self.lo, self.hi))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -254,26 +259,46 @@ def ipow(a: Interval, b: int) -> Interval:
 _ATAN_TERMS = 14
 _ATAN_COEFFS = [Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
                 for i in range(_ATAN_TERMS)]
-
-
-def _atan_series(t: Interval) -> Interval:
-    """Arctangent series on |t| <= 0.2, with alternating tail bound."""
-    z = t.square()
-    acc = _ATAN_COEFFS[-1]
-    for c in reversed(_ATAN_COEFFS[:-1]):
-        acc = acc * z + c
-    tmax = max(-t.lo, t.hi)
-    rem = _up(tmax ** (2 * _ATAN_TERMS + 1) / (2 * _ATAN_TERMS + 1))
-    return t * acc + Interval(-rem, rem)
+# float endpoints in Horner order: the last coefficient starts the sum
+_ATAN_LAST, *_ATAN_HORNER = [(c.lo, c.hi) for c in reversed(_ATAN_COEFFS)]
 
 
 def _atan_point(x: float) -> Interval:
-    t = Interval(x)
-    # Three halvings: atan(t) = 2*atan(t / (1 + sqrt(1 + t^2))) brings any
-    # argument into |t| < tan(pi/16) < 0.2 where the series converges fast.
+    """Enclosure of atan(x): three half-angle steps, then the series.
+
+    atan(t) = 2*atan(t / (1 + sqrt(1 + t^2))) three times brings x into
+    |t| < tan(pi/16) < 0.2, where 14 series terms leave a tail below
+    |t|^29/29.  Each ``Interval`` operation of that formula runs here on
+    float endpoint pairs, with the same products, min/max and ``nextafter``
+    nudges in the same order: the enclosure is bit-identical, and only the
+    result is an object.  Non-finite endpoints raise ``DomainError``; a
+    step's upper end rises through all its operations (whose divisors and
+    radicands are >= 1), so testing it once per step covers them.
+    """
+    nxt, inf = math.nextafter, _INF
+    lo = hi = x
     for _ in range(3):
-        t = t / (1.0 + (t.square() + 1.0).sqrt())
-    return _atan_series(t) * 8
+        zlo, zhi = _square(lo, hi)
+        slo, shi = nxt(zlo + 1.0, -inf), nxt(zhi + 1.0, inf)
+        rlo, rhi = max(nxt(math.sqrt(slo), -inf), 0.0), nxt(math.sqrt(shi), inf)
+        dlo, dhi = nxt(rlo + 1.0, -inf), nxt(rhi + 1.0, inf)
+        if not dhi < inf:
+            raise DomainError("interval endpoints must be finite")
+        q1, q2, q3, q4 = lo / dlo, lo / dhi, hi / dlo, hi / dhi
+        lo, hi = nxt(min(q1, q2, q3, q4), -inf), nxt(max(q1, q2, q3, q4), inf)
+    zlo, zhi = _square(lo, hi)
+    alo, ahi = _ATAN_LAST
+    for clo, chi in _ATAN_HORNER:
+        p1, p2, p3, p4 = alo * zlo, alo * zhi, ahi * zlo, ahi * zhi
+        alo = nxt(nxt(min(p1, p2, p3, p4), -inf) + clo, -inf)
+        ahi = nxt(nxt(max(p1, p2, p3, p4), inf) + chi, inf)
+    tmax = max(-lo, hi)
+    rem = nxt(tmax ** (2 * _ATAN_TERMS + 1) / (2 * _ATAN_TERMS + 1), inf)
+    p1, p2, p3, p4 = lo * alo, lo * ahi, hi * alo, hi * ahi
+    lo = nxt(nxt(min(p1, p2, p3, p4), -inf) - rem, -inf)
+    hi = nxt(nxt(max(p1, p2, p3, p4), inf) + rem, inf)
+    lo, hi = lo * 8.0, hi * 8.0  # the four products of "* 8", each twice
+    return Interval(nxt(min(lo, hi), -inf), nxt(max(lo, hi), inf))
 
 
 def iatan(x: Interval) -> Interval:

@@ -6,6 +6,7 @@ exact rational, so "the true value lies inside the interval" is decidable.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -235,6 +236,11 @@ def _ref_atan_point(x: float) -> Interval:
     return (t * acc + Interval(-rem, rem)) * 8
 
 
+# signed zeros, the smallest subnormal, a tiny normal, the points where the
+# halvings start from atan = +-pi/4, and arguments whose squares are huge
+ATAN_EDGE_POINTS = (0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e16, 1e150, -1e150)
+
+
 @pytest.mark.parametrize("fn, ref_point, domain", [
     (iatan, _ref_atan_point, (-50.0, 50.0)),
     (iatan, _ref_atan_point, (-1.0, 1.0)),
@@ -246,3 +252,44 @@ def test_series_match_per_call_coefficients(fn, ref_point, domain):
         for iv in (Interval(min(a, b), max(a, b)), Interval(a)):
             ref = Interval(ref_point(iv.lo).lo, ref_point(iv.hi).hi)
             assert repr(fn(iv)) == repr(ref), iv
+    for x in ATAN_EDGE_POINTS:
+        ref = ref_point(x)
+        assert repr(fn(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+                 allow_infinity=False))
+def test_hypothesis_atan_matches_reference(x):
+    ref = _ref_atan_point(x)
+    assert repr(iatan(Interval(x))) == repr(Interval(ref.lo, ref.hi))
+
+
+@pytest.mark.parametrize("iv", [
+    Interval(1e155), Interval(-1e200, 0.0), Interval(0.0, 1.7e308),
+], ids=["1e155", "-1e200..0", "0..1.7e308"])
+def test_atan_rejects_overflowing_squares(iv):
+    # the first half-angle step squares each endpoint; an infinite square
+    # must raise rather than let x/inf quietly give 0
+    with pytest.raises(DomainError):
+        iatan(iv)
+
+
+def test_atan_raises_where_reference_raises():
+    # at sqrt(DBL_MAX) the square is finite and rounds up to DBL_MAX, so the
+    # overflow comes in the following "+ 1"; walk ulps across that boundary
+    x = math.sqrt(sys.float_info.max)
+    for _ in range(8):
+        x = math.nextafter(x, 0.0)
+    raised = []
+    for _ in range(16):
+        try:
+            ref = _ref_atan_point(x)
+        except DomainError:
+            with pytest.raises(DomainError):
+                iatan(Interval(x))
+            raised.append(x)
+        else:
+            assert repr(iatan(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
+        x = math.nextafter(x, math.inf)
+    assert raised[0] == math.sqrt(sys.float_info.max) and len(raised) == 8
