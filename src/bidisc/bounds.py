@@ -18,7 +18,7 @@ from functools import cache
 from typing import Sequence
 
 from .errors import DomainError
-from .intervals import Interval, iacos, pi_interval
+from .intervals import Interval, pi_interval
 from .polynomials import Polynomial, checked_root
 
 SQRT3 = math.sqrt(3.0)
@@ -66,17 +66,61 @@ def florian_bound(r: float) -> float:
     return (alpha / 2.0 + beta * r * r) / area
 
 
+def florian_enclosures(rs: Sequence[Interval]) -> list[Interval | DomainError]:
+    """Enclosures of the triangle bound over each ratio interval of rs.
+
+    The bound's interval formula runs once, on endpoint arrays, with both
+    acos arguments in one call.  Each element is bit-identical to the same
+    formula on Interval objects.  Where that formula raises DomainError, the
+    element is that error, with its message, and the element's later steps
+    run on stand-in values.  The checks are the ratio range and the two acos
+    arguments: the first acos argument rounds past 1 unless r.lo > 5e-9, so
+    past them the area divisor is positive and every value is finite.
+    """
+    import numpy as np  # on first use, see endpoints
+
+    from .endpoints import (ONE, TWO, acos_pairs, add_pairs, div_pairs, mul_pairs,
+                            sqrt_pairs, square_pairs, sub_pairs)
+
+    lo = np.array([r.lo for r in rs], dtype=float)
+    hi = np.array([r.hi for r in rs], dtype=float)
+    errors: list[DomainError | None] = [None] * len(rs)
+
+    def screen(bad, message):
+        # record the error of each element that fails first here; the mask
+        # of every element failed so far
+        for i in np.flatnonzero(bad):
+            errors[i] = errors[i] or DomainError(message(i))
+        return np.array([e is not None for e in errors], dtype=bool)
+
+    def stand_in(pair, failed, value):
+        return tuple(np.where(failed, value, end) for end in pair)
+
+    failed = screen(~((0.0 < lo) & (hi <= 1.0)),
+                    lambda i: f"ratio interval must lie in (0, 1], got {rs[i]}")
+    r = stand_in((lo, hi), failed, 0.5)
+    b = add_pairs(ONE, r)
+    rsq = square_pairs(r)
+    args = (sub_pairs(ONE, div_pairs(mul_pairs(TWO, rsq), square_pairs(b))), div_pairs(r, b))
+    for xlo, xhi in args:
+        failed = screen((xlo <= -1.0) | (xhi > 1.0), lambda i: (
+            f"acos argument out of (-1, 1]: {Interval(xlo[i], xhi[i])!r}"))
+    alo, ahi = acos_pairs(stand_in(tuple(map(np.concatenate, zip(*args))),
+                                   np.concatenate([failed, failed]), 0.5))
+    n = len(rs)
+    alpha, beta = (alo[:n], ahi[:n]), (alo[n:], ahi[n:])
+    r = stand_in(r, failed, 0.5)
+    area = mul_pairs(r, sqrt_pairs(add_pairs(mul_pairs(TWO, r), ONE)))
+    flo, fhi = div_pairs(add_pairs(div_pairs(alpha, TWO), mul_pairs(beta, rsq)), area)
+    return [e or Interval(a, z) for e, a, z in zip(errors, flo.tolist(), fhi.tolist())]
+
+
 def florian_interval(r: Interval) -> Interval:
     """Enclosure of the triangle bound over a whole ratio interval."""
-    if not (0.0 < r.lo and r.hi <= 1.0):
-        raise DomainError(f"ratio interval must lie in (0, 1], got {r}")
-    one = Interval(1.0, 1.0)
-    b = one + r
-    rsq = r.square()
-    alpha = iacos(one - Interval(2.0, 2.0) * rsq / b.square())
-    beta = iacos(r / b)
-    area = r * (Interval(2.0, 2.0) * r + one).sqrt()
-    return (alpha / Interval(2.0, 2.0) + beta * rsq) / area
+    (out,) = florian_enclosures([r])
+    if isinstance(out, DomainError):
+        raise out
+    return out
 
 
 BLIND_MIN_RATIO = 0.6735
@@ -191,6 +235,14 @@ def lipschitz_slope(hi: float) -> float:
     return math.pi / (hi * hi * SQRT3)
 
 
+# fine points per block of lipschitz_envelope: its caps are block x samples
+# arrays, so memory stays flat however many points are asked for.  With the
+# 346 samples of a 0.002 sweep, 32 rows keep each array near 90 kB; at 64
+# rows (177 kB) each array was mapped and unmapped afresh, and the envelope
+# took twice as long.
+ENVELOPE_BLOCK = 32
+
+
 def lipschitz_envelope(samples: Sequence[BoundSample],
                        r: float | Sequence[float]) -> float | list[float]:
     """Upper bound at r propagated from certified samples.
@@ -201,24 +253,21 @@ def lipschitz_envelope(samples: Sequence[BoundSample],
     the list of envelope values at them.
 
     Each cap is s.value + lipschitz_slope(max(r, s.r)) * abs(r - s.r) in
-    double arithmetic, evaluated with numpy over all samples at once.  A nan
-    cap is passed over, so only nan caps give inf.
+    double arithmetic, element by element.  The caps are evaluated with
+    numpy for ENVELOPE_BLOCK ratios against all samples at a time, and each
+    ratio takes the least cap of its row.  A nan cap is passed over, so
+    only nan caps give inf.
     """
-    # imported on use: a module-level import loads numpy ahead of the rest
-    # of the package, which raised the peak memory of whole runs by 0.1-0.4 MB
-    import numpy as np
+    import numpy as np  # on first use, see endpoints
 
     if not samples:
         raise DomainError("envelope needs at least one sample")
     rs = np.array([s.r for s in samples], dtype=float)
     values = np.array([s.value for s in samples], dtype=float)
-
-    def at(x: float) -> float:
-        hi = np.maximum(x, rs)
-        caps = values + lipschitz_slope(hi) * np.abs(x - rs)
-        return float(np.fmin.reduce(caps, initial=math.inf))
-
-    if np.ndim(r):
-        return [at(x) for x in r]
-    return at(r)
-
+    xs = np.array(r, dtype=float).reshape(-1, 1)
+    out = []
+    for start in range(0, len(xs), ENVELOPE_BLOCK):
+        x = xs[start:start + ENVELOPE_BLOCK]
+        caps = values + lipschitz_slope(np.maximum(x, rs)) * np.abs(x - rs)
+        out += np.fmin.reduce(caps, axis=1, initial=math.inf).tolist()
+    return out if np.ndim(r) else out[0]

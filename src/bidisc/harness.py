@@ -2,14 +2,20 @@
 
 A certifier is its bound: ``bound(r)`` returns an Interval whose ``hi`` is
 a proven upper bound on the density of every packing with ratio in the
-interval r, and raises DomainError where the certifier cannot bound r.  Two
-drivers run on top, both reading one enclosure per interval:
+interval r, and raises DomainError where the certifier cannot bound r.
+``bound_many(rs)`` is the same bound on a batch of intervals: for each it
+gives the enclosure, or the DomainError that ``bound`` raises there.  The
+base class loops over ``bound``; the florian certifier evaluates the whole
+batch at once on endpoint arrays.  Two drivers run on top, both reading one
+enclosure per interval:
 
 * ``find_delta`` narrows the least provable delta by dichotomy against the
-  ``hi`` of one enclosure;
+  ``hi`` of one enclosure, and ``sweep`` runs that dichotomy at each point
+  of a grid after one batch call;
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
   recording the whole bisection tree, and stops early on nodes that no
-  bisection can prove.
+  bisection can prove.  It builds the tree in level order, with one batch
+  call for the nodes of each depth and one for their point probes.
 
 Shipped certifiers wrap the interval forms of the analytic bounds, plus a
 synthetic threshold certifier for driver tests.  The real strength of a
@@ -23,10 +29,10 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
-                     florian_interval)
+                     florian_enclosures, florian_interval)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from .intervals import Interval
 
@@ -38,7 +44,7 @@ _DELTA_LO_OFFSET = 1e-6
 _DELTA_HI_HEADROOM = 1e-9
 
 
-class Certifier(Protocol):
+class Certifier:
     """``bound(r)`` encloses, over the ratio interval r, a function g whose
     value at each ratio is a proven upper bound on the density there.
 
@@ -52,10 +58,21 @@ class Certifier(Protocol):
 
     name: str
 
-    def bound(self, r: Interval) -> Interval: ...
+    def bound(self, r: Interval) -> Interval:
+        raise NotImplementedError
+
+    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
+        """``bound`` on each of rs: its enclosure, or the DomainError it raises."""
+        out: list[Interval | DomainError] = []
+        for r in rs:
+            try:
+                out.append(self.bound(r))
+            except DomainError as exc:
+                out.append(exc)
+        return out
 
 
-class BlindCertifier:
+class BlindCertifier(Certifier):
     """Bounds density by the polygonal bound where it is valid."""
 
     name = "blind"
@@ -64,7 +81,7 @@ class BlindCertifier:
         return blind_interval(r)
 
 
-class FlorianCertifier:
+class FlorianCertifier(Certifier):
     """Bounds density by the tangent-triangle bound."""
 
     name = "florian"
@@ -72,8 +89,11 @@ class FlorianCertifier:
     def bound(self, r: Interval) -> Interval:
         return florian_interval(r)
 
+    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
+        return florian_enclosures(rs)
 
-class ThresholdCertifier:
+
+class ThresholdCertifier(Certifier):
     """Synthetic driver-test certifier: the bound is t at every ratio."""
 
     def __init__(self, t: float):
@@ -100,12 +120,11 @@ def make_certifier(spec: str) -> Certifier:
     raise DomainError(f"unknown certifier {spec!r}")
 
 
-def _enclosure(c: Certifier, r: Interval) -> Interval | None:
-    """``c.bound(r)``, or None where c cannot bound r."""
-    try:
-        return c.bound(r)
-    except DomainError:
-        return None
+def _check_precision(precision: float) -> None:
+    # isfinite also turns away nan, which passes "precision <= 0" and would
+    # skip the dichotomy
+    if not (math.isfinite(precision) and precision > 0.0):
+        raise DomainError(f"precision must be positive and finite, got {precision}")
 
 
 def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
@@ -126,9 +145,13 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     midpoint lies below the bound on the whole interval, moves up to that
     ``hi``.
     """
-    if precision <= 0.0:
-        raise DomainError("precision must be positive")
-    top = c.bound(r).hi
+    _check_precision(precision)
+    return _dichotomy(c, r, c.bound(r).hi, precision, delta_lo, delta_hi)
+
+
+def _dichotomy(c: Certifier, r: Interval, top: float, precision: float,
+               delta_lo: float | None = None, delta_hi: float | None = None) -> float:
+    """find_delta's search on r, given the ``hi`` of c's enclosure over r."""
 
     def proven(delta: float) -> bool:
         return top <= delta
@@ -236,44 +259,80 @@ class ProofTrace:
 
 def certify_interval(c: Certifier, r: Interval, delta: float,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> ProofTrace:
-    """Prove delta on all of r by depth-first bisection, left child first.
+    """Prove delta on all of r by bisection, one depth at a time.
 
     A node is proven when its enclosure's ``hi`` is at most delta.  An
     unproven node becomes a failing leaf, without descending, once no
     bisection of it can succeed: when its enclosure has ``lo > delta``, or
     when ``bound`` raises DomainError on it and on each of its ends and its
     float midpoint the point bound raises DomainError or has ``lo > delta``
-    (see the inclusion property on Certifier).
+    (see the inclusion property on Certifier).  Each node's verdict depends
+    on that node alone, so the nodes of one depth take one ``bound_many``
+    call, and their point probes one more; the tree is the one a
+    depth-first bisection builds, children left first.
 
     Returns the trace on success; raises DepthExceeded carrying the trace
     (failing leaves marked) when the depth cap or a refutation stops the
-    recursion on any subinterval.  Children share their parent's float
+    bisection on any subinterval.  Children share their parent's float
     midpoint, so the leaves of any trace tile the root interval exactly.
+    A non-finite delta raises DomainError: nan is never proven nor refuted.
     """
     if max_depth < 1:
         raise DomainError("max_depth must be at least 1")
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     start = time.perf_counter()
 
-    def hopeless(iv: Interval, mid: float, enclosure: Interval | None) -> bool:
-        if enclosure is None:
-            points = (_enclosure(c, Interval(x)) for x in (iv.lo, mid, iv.hi))
-            return all(p is None or p.lo > delta for p in points)
-        return enclosure.lo > delta
+    def refuted(p: Interval | DomainError) -> bool:
+        return isinstance(p, DomainError) or p.lo > delta
 
-    def descend(iv: Interval, depth: int) -> TraceNode:
-        enclosure = _enclosure(c, iv)
-        if enclosure is not None and enclosure.hi <= delta:
-            return TraceNode(iv, delta, True)
-        mid = 0.5 * (iv.lo + iv.hi)
-        if (depth >= max_depth or not iv.lo < mid < iv.hi
-                or hopeless(iv, mid, enclosure)):
-            return TraceNode(iv, delta, False)
-        left = descend(Interval(iv.lo, mid), depth + 1)
-        right = descend(Interval(mid, iv.hi), depth + 1)
-        return TraceNode(iv, delta, left.verdict and right.verdict, (left, right))
+    # per depth, each node's interval and verdict, None where it splits
+    levels: list[list[tuple[Interval, bool | None]]] = []
+    frontier = [r]
+    for depth in range(1, max_depth + 1):
+        level: list[tuple[Interval, bool | None]] = []
+        probed = []  # (position in level, interval, float midpoint)
+        for iv, enc in zip(frontier, c.bound_many(frontier)):
+            mid = 0.5 * (iv.lo + iv.hi)
+            verdict = None
+            if not isinstance(enc, DomainError) and enc.hi <= delta:
+                verdict = True
+            elif depth >= max_depth or not iv.lo < mid < iv.hi:
+                verdict = False
+            elif isinstance(enc, DomainError):
+                probed.append((len(level), iv, mid))
+            elif enc.lo > delta:
+                verdict = False
+            level.append((iv, verdict))
+        if probed:
+            points = [Interval(x) for _, iv, mid in probed for x in (iv.lo, mid, iv.hi)]
+            enclosures = c.bound_many(points)
+            for k, (i, iv, _) in enumerate(probed):
+                if all(refuted(p) for p in enclosures[3 * k:3 * k + 3]):
+                    level[i] = (iv, False)
+        levels.append(level)
+        frontier = []
+        for iv, verdict in level:
+            if verdict is None:
+                mid = 0.5 * (iv.lo + iv.hi)
+                frontier += [Interval(iv.lo, mid), Interval(mid, iv.hi)]
+        if not frontier:
+            break
 
-    root = descend(r, 1)
-    trace = ProofTrace(root, wall_time=time.perf_counter() - start)
+    # build the nodes from the deepest level up; each split node takes the
+    # next two nodes of the level below
+    nodes: list[TraceNode] = []
+    for level in reversed(levels):
+        below = iter(nodes)
+        nodes = []
+        for iv, verdict in level:
+            if verdict is None:
+                children = (next(below), next(below))
+                verdict = children[0].verdict and children[1].verdict
+                nodes.append(TraceNode(iv, delta, verdict, children))
+            else:
+                nodes.append(TraceNode(iv, delta, verdict))
+    trace = ProofTrace(nodes[0], wall_time=time.perf_counter() - start)
     if not trace.success:
         raise DepthExceeded(
             f"{len(trace.failing_leaves())} leaf interval(s) unproven at depth {max_depth}",
@@ -283,12 +342,16 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
 
 def sweep(c: Certifier, grid: Sequence[float],
           precision: float = DEFAULT_PRECISION) -> list[BoundSample]:
-    """find_delta at each grid ratio; failed points are logged and skipped."""
+    """find_delta at each grid ratio, after one ``bound_many`` call for all
+    of them; failed points are logged and skipped."""
+    _check_precision(precision)
+    points = [Interval(float(r)) for r in grid]
     samples = []
-    for r in grid:
-        point = Interval(float(r), float(r))
+    for r, point, enclosure in zip(grid, points, c.bound_many(points)):
         try:
-            samples.append(BoundSample(float(r), find_delta(c, point, precision)))
+            if isinstance(enclosure, DomainError):
+                raise enclosure
+            samples.append(BoundSample(float(r), _dichotomy(c, point, enclosure.hi, precision)))
         except (InitialBoundsInvalid, DomainError) as exc:
             log.warning("sweep: no bound at r=%s via %s: %s", r, c.name, exc)
     return samples

@@ -8,8 +8,9 @@ exact one and the nudge restores containment.  This costs up to two ulps of
 width per operation and needs no fesetround or platform-specific state.
 
 Transcendental enclosures (atan, acos) use the arctangent series with an
-explicit remainder term, never libm.  Its kernel does Interval's operations,
-outward rounding included, on float endpoint pairs: results are bit-identical.
+explicit remainder term, never libm.  Their kernels do Interval's operations,
+outward rounding included, on numpy arrays of endpoints, one interval per
+element: results are bit-identical, and a batch of intervals costs one pass.
 """
 
 import math
@@ -32,16 +33,6 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF)
-
-
-def _square(lo: float, hi: float) -> tuple[float, float]:
-    """Endpoints of ``Interval.square`` for the interval [lo, hi]."""
-    if lo >= 0.0:
-        return _down(lo * lo), _up(hi * hi)
-    if hi <= 0.0:
-        return _down(hi * hi), _up(lo * lo)
-    m = max(-lo, hi)
-    return 0.0, _up(m * m)
 
 
 class Interval:
@@ -187,7 +178,12 @@ class Interval:
 
     def square(self) -> "Interval":
         """Tight enclosure of x**2; never dips below 0 for sign-mixed input."""
-        return Interval(*_square(self.lo, self.hi))
+        if self.lo >= 0.0:
+            return Interval(_down(self.lo * self.lo), _up(self.hi * self.hi))
+        if self.hi <= 0.0:
+            return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
+        m = max(-self.lo, self.hi)
+        return Interval(0.0, _up(m * m))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -254,66 +250,22 @@ def ipow(a: Interval, b: int) -> Interval:
     return out
 
 
-# -- atan/acos -------------------------------------------------------------
-
-_ATAN_TERMS = 14
-_ATAN_COEFFS = [Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
-                for i in range(_ATAN_TERMS)]
-# float endpoints in Horner order: the last coefficient starts the sum
-_ATAN_LAST, *_ATAN_HORNER = [(c.lo, c.hi) for c in reversed(_ATAN_COEFFS)]
-
-
-def _atan_point(x: float) -> Interval:
-    """Enclosure of atan(x): three half-angle steps, then the series.
-
-    atan(t) = 2*atan(t / (1 + sqrt(1 + t^2))) three times brings x into
-    |t| < tan(pi/16) < 0.2, where 14 series terms leave a tail below
-    |t|^29/29.  Each ``Interval`` operation of that formula runs here on
-    float endpoint pairs, with the same products, min/max and ``nextafter``
-    nudges in the same order: the enclosure is bit-identical, and only the
-    result is an object.  Non-finite endpoints raise ``DomainError``; a
-    step's upper end rises through all its operations (whose divisors and
-    radicands are >= 1), so testing it once per step covers them.
-    """
-    nxt, inf = math.nextafter, _INF
-    lo = hi = x
-    for _ in range(3):
-        zlo, zhi = _square(lo, hi)
-        slo, shi = nxt(zlo + 1.0, -inf), nxt(zhi + 1.0, inf)
-        rlo, rhi = max(nxt(math.sqrt(slo), -inf), 0.0), nxt(math.sqrt(shi), inf)
-        dlo, dhi = nxt(rlo + 1.0, -inf), nxt(rhi + 1.0, inf)
-        if not dhi < inf:
-            raise DomainError("interval endpoints must be finite")
-        q1, q2, q3, q4 = lo / dlo, lo / dhi, hi / dlo, hi / dhi
-        lo, hi = nxt(min(q1, q2, q3, q4), -inf), nxt(max(q1, q2, q3, q4), inf)
-    zlo, zhi = _square(lo, hi)
-    alo, ahi = _ATAN_LAST
-    for clo, chi in _ATAN_HORNER:
-        p1, p2, p3, p4 = alo * zlo, alo * zhi, ahi * zlo, ahi * zhi
-        alo = nxt(nxt(min(p1, p2, p3, p4), -inf) + clo, -inf)
-        ahi = nxt(nxt(max(p1, p2, p3, p4), inf) + chi, inf)
-    tmax = max(-lo, hi)
-    rem = nxt(tmax ** (2 * _ATAN_TERMS + 1) / (2 * _ATAN_TERMS + 1), inf)
-    p1, p2, p3, p4 = lo * alo, lo * ahi, hi * alo, hi * ahi
-    lo = nxt(nxt(min(p1, p2, p3, p4), -inf) - rem, -inf)
-    hi = nxt(nxt(max(p1, p2, p3, p4), inf) + rem, inf)
-    lo, hi = lo * 8.0, hi * 8.0  # the four products of "* 8", each twice
-    return Interval(nxt(min(lo, hi), -inf), nxt(max(lo, hi), inf))
+# -- atan/acos, on the endpoint-array kernels --------------------------------
 
 
 def iatan(x: Interval) -> Interval:
     """Certified arctangent; monotone, so endpoint enclosures suffice."""
-    return Interval(_atan_point(x.lo).lo, _atan_point(x.hi).hi)
+    from .endpoints import atan_points
+
+    lo, hi = atan_points([x.lo, x.hi])
+    return Interval(lo[0], hi[1])
 
 
 def iacos(x: Interval) -> Interval:
     """Certified arccosine on (-1, 1] via the half-angle arctangent form."""
     if x.lo <= -1.0 or x.hi > 1.0:
         raise DomainError(f"acos argument out of (-1, 1]: {x!r}")
-    num = Interval(1.0) - x
-    den = Interval(1.0) + x
-    if num.lo < 0.0:
-        num = Interval(0.0, max(num.hi, 0.0))
-    # num >= 0 and den > 0, so the quotient is >= 0; only the outward nudge
-    # of an exact zero (at x = 1) can take its lower end below 0
-    return iatan((num / den).sqrt(clamp_tol=math.ulp(0.0))) * 2
+    from .endpoints import acos_pairs
+
+    lo, hi = acos_pairs(([x.lo], [x.hi]))
+    return Interval(lo[0], hi[0])

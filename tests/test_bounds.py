@@ -8,6 +8,7 @@ import pytest
 
 from bidisc.bounds import (
     BLIND_MIN_RATIO,
+    ENVELOPE_BLOCK,
     TANGENT_TABLE,
     BoundSample,
     blind_bound,
@@ -272,6 +273,35 @@ class TestEnvelope:
             assert [repr(x) for x in got] == [repr(loop(samples, r)) for r in grid]
             assert all(type(x) is float and "np." not in repr(x) for x in got)
             assert repr(lipschitz_envelope(samples, grid[0])) == repr(got[0])
+
+
+    @pytest.mark.parametrize("count", [1, ENVELOPE_BLOCK - 1, ENVELOPE_BLOCK,
+                                       ENVELOPE_BLOCK + 1, 2 * ENVELOPE_BLOCK + 1])
+    def test_blocks_match_scalar_loop_bitwise(self, count):
+        # block edges: one point, a block less or more one, several blocks;
+        # a nan sample is passed over in every block
+        def loop(samples, r):
+            best = math.inf
+            for s in samples:
+                if not math.isnan(s.value):
+                    best = min(best, s.value + lipschitz_slope(max(r, s.r)) * abs(r - s.r))
+            return best
+
+        rng = np.random.default_rng(count)
+        samples = [BoundSample(float(r), float(v)) for r, v in
+                   zip(rng.uniform(0.3, 0.99, size=40), rng.uniform(0.9, 0.96, size=40))]
+        samples.insert(3, BoundSample(0.6, math.nan))
+        grid = [float(r) for r in rng.uniform(0.29, 1.0, size=count)]
+        got = lipschitz_envelope(samples, grid)
+        assert [repr(x) for x in got] == [repr(loop(samples, r)) for r in grid]
+        assert all(type(x) is float for x in got)
+        # a scalar r gives a float, equal to its element of the list form
+        assert repr(lipschitz_envelope(samples, grid[-1])) == repr(got[-1])
+        assert type(lipschitz_envelope(samples, grid[-1])) is float
+
+    def test_only_nan_samples_give_inf(self):
+        samples = [BoundSample(0.5, math.nan), BoundSample(0.6, math.nan)]
+        assert lipschitz_envelope(samples, [0.4, 0.55]) == [math.inf, math.inf]
 
 
 class TestSamples:

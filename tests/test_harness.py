@@ -13,6 +13,7 @@ from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PRECISION,
     BlindCertifier,
+    Certifier,
     FlorianCertifier,
     ProofTrace,
     ThresholdCertifier,
@@ -63,6 +64,14 @@ class TestFindDelta:
     def test_rejects_bad_precision(self):
         with pytest.raises(DomainError):
             find_delta(ThresholdCertifier(0.92), Interval(0.5), precision=0.0)
+
+    @pytest.mark.parametrize("precision", [math.nan, math.inf])
+    def test_rejects_non_finite_precision(self, precision):
+        # nan passes a "<= 0" test and would skip the dichotomy
+        with pytest.raises(DomainError, match="precision must be positive and finite"):
+            find_delta(ThresholdCertifier(0.92), Interval(0.5), precision=precision)
+        with pytest.raises(DomainError, match="precision must be positive and finite"):
+            sweep(ThresholdCertifier(0.92), [0.5], precision=precision)
 
     @pytest.mark.parametrize("certifier", [FlorianCertifier(), BlindCertifier()],
                              ids=lambda c: c.name)
@@ -143,6 +152,13 @@ class TestCertifyInterval:
         with pytest.raises(DomainError):
             certify_interval(BlindCertifier(), Interval(0.8, 0.9), delta1(), max_depth=0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        # a nan delta is never proven nor refuted: the tree would grow to
+        # 2**max_depth - 1 nodes
+        with pytest.raises(DomainError, match="delta must be finite"):
+            certify_interval(ThresholdCertifier(0.9), Interval(0.5, 0.6), delta, max_depth=10)
+
     def test_degenerate_interval(self):
         trace = certify_interval(FlorianCertifier(), Interval(0.5), 0.92)
         assert trace.success
@@ -155,6 +171,19 @@ class TestCertifyInterval:
         assert trace.node_count >= 2 * trace.leaf_count - 1
 
 
+def scalar_and_batch(c, iv):
+    """c.bound(iv), or None where it raises DomainError; the certifier's
+    batch form must give the same enclosure or the same error."""
+    (batched,) = c.bound_many([iv])
+    try:
+        enc = c.bound(iv)
+    except DomainError as exc:
+        assert isinstance(batched, DomainError) and str(batched) == str(exc)
+        return None
+    assert repr(batched) == repr(enc)
+    return enc
+
+
 def full_bisection(c, r, delta, max_depth):
     """certify_interval's tree when every unproven node is split down to
     max_depth: the bisection before refuted nodes became leaves."""
@@ -162,10 +191,8 @@ def full_bisection(c, r, delta, max_depth):
     def check(iv):
         if isinstance(c, ThresholdCertifier):
             return delta >= c.t
-        try:
-            return c.bound(iv).hi <= delta
-        except DomainError:
-            return False
+        enc = scalar_and_batch(c, iv)
+        return enc is not None and enc.hi <= delta
 
     def descend(iv, depth):
         if check(iv):
@@ -180,10 +207,49 @@ def full_bisection(c, r, delta, max_depth):
     return ProofTrace(descend(r, 1))
 
 
-class VeeCertifier:
+def depth_first(c, r, delta, max_depth):
+    """certify_interval as a recursive bisection, left child first, with one
+    scalar bound call per node and per point probe."""
+
+    def enclosure(x):
+        try:
+            return c.bound(x)
+        except DomainError:
+            return None
+
+    def hopeless(iv, mid, enc):
+        if enc is None:
+            points = (enclosure(Interval(x)) for x in (iv.lo, mid, iv.hi))
+            return all(p is None or p.lo > delta for p in points)
+        return enc.lo > delta
+
+    def descend(iv, depth):
+        enc = enclosure(iv)
+        if enc is not None and enc.hi <= delta:
+            return TraceNode(iv, delta, True)
+        mid = 0.5 * (iv.lo + iv.hi)
+        if depth >= max_depth or not iv.lo < mid < iv.hi or hopeless(iv, mid, enc):
+            return TraceNode(iv, delta, False)
+        left = descend(Interval(iv.lo, mid), depth + 1)
+        right = descend(Interval(mid, iv.hi), depth + 1)
+        return TraceNode(iv, delta, left.verdict and right.verdict, (left, right))
+
+    return ProofTrace(descend(r, 1))
+
+
+def certified(c, r, delta, max_depth=DEFAULT_MAX_DEPTH):
+    """certify_interval's trace, whether or not it succeeds."""
+    try:
+        return certify_interval(c, r, delta, max_depth)
+    except DepthExceeded as exc:
+        return exc.trace
+
+
+class VeeCertifier(Certifier):
     """Test certifier with a domain edge and a minimum inside its domain:
     bound 0.85 + |x - 0.5| for x >= 0.2.  Rounding to nearest is monotone,
-    so the float enclosures keep the inclusion property exactly."""
+    so the float enclosures keep the inclusion property exactly.  Its
+    bound_many is the base class's loop over bound."""
 
     name = "vee"
 
@@ -199,16 +265,14 @@ def refuted(c, iv, delta):
     """The rule under which certify_interval stops splitting a node."""
 
     def above(x):
-        try:
-            return c.bound(x).lo > delta
-        except DomainError:
-            return True
+        enc = scalar_and_batch(c, x)
+        return enc is None or enc.lo > delta
 
-    try:
-        return c.bound(iv).lo > delta
-    except DomainError:
+    enc = scalar_and_batch(c, iv)
+    if enc is None:
         mid = 0.5 * (iv.lo + iv.hi)
         return all(above(Interval(x)) for x in (iv.lo, mid, iv.hi))
+    return enc.lo > delta
 
 
 class TestRefutation:
@@ -258,6 +322,67 @@ class TestRefutation:
                 failures += 1
                 compare(new.root, old.root, 1, max_depth)
         assert 0 < failures < 12
+
+
+class TestLevelOrder:
+    # (certifier, lo, hi, delta, max_depth, success, failing leaves refuted
+    # through DomainError on the node)
+    CASES = [
+        (FlorianCertifier(), 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, True, 0),
+        (FlorianCertifier(), 0.9, 0.99, 0.9075, DEFAULT_MAX_DEPTH, True, 0),
+        (FlorianCertifier(), 0.3, 0.99, 0.915, 9, False, 0),
+        (FlorianCertifier(), 1e-12, 0.5, 0.95, 12, False, 1),
+        (BlindCertifier(), 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, False, 22),
+        (BlindCertifier(), 0.5, 0.8, delta1(), 20, False, 2),
+        (BlindCertifier(), 0.70, 0.99, delta1(), 12, False, 0),
+        (ThresholdCertifier(0.92), 0.3, 0.99, 0.93, DEFAULT_MAX_DEPTH, True, 0),
+        (ThresholdCertifier(0.94), 0.3, 0.99, 0.93, 8, False, 0),
+        (VeeCertifier(), 0.05, 0.9, 0.99, 12, False, 1),
+        (VeeCertifier(), 0.1, 0.95, 0.9, 10, False, 1),
+    ]
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=lambda case: f"{case[0].name}-{case[1]}:{case[2]}@{case[3]}")
+    def test_matches_depth_first(self, case):
+        # byte-identical trace, leaf order included, to the recursive
+        # bisection with scalar bound calls
+        c, lo, hi, delta, max_depth, success, domain_leaves = case
+        old = depth_first(c, Interval(lo, hi), delta, max_depth)
+        new = certified(c, Interval(lo, hi), delta, max_depth)
+        assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+        assert new.success == success
+        assert sum(1 for leaf in new.failing_leaves()
+                   if scalar_and_batch(c, leaf.interval) is None) == domain_leaves
+
+    def test_913_nodes_at_931(self):
+        trace = certify_interval(FlorianCertifier(), Interval(0.3, 0.99), 0.931)
+        assert (trace.node_count, trace.leaf_count) == (913, 457)
+
+    @pytest.mark.parametrize("certifier, lo, delta, probes",
+                             [(FlorianCertifier(), 0.3, 0.931, 0),
+                              (VeeCertifier(), 0.05, 0.99, 3)],
+                             ids=["florian", "vee"])
+    def test_one_batch_per_depth(self, certifier, lo, delta, probes):
+        # one bound_many call for each depth's nodes, one more for the
+        # point probes of a depth that has any, and no scalar bound call
+        calls = []
+
+        class Counting(type(certifier)):
+            def bound(self, r):
+                raise AssertionError("scalar bound called")
+
+            def bound_many(self, rs):
+                calls.append(len(rs))
+                return certifier.bound_many(rs)
+
+        trace = certified(Counting(), Interval(lo, 0.99), delta, 12)
+        depth = 0
+        level = [trace.root]
+        while level:
+            depth += 1
+            level = [child for node in level for child in node.children]
+        assert depth <= len(calls) <= 2 * depth
+        assert sum(calls) == trace.node_count + 3 * probes
 
 
 class TestSerialization:
@@ -315,4 +440,52 @@ class TestSweep:
 
     def test_empty_grid(self):
         assert sweep(FlorianCertifier(), [], precision=1e-3) == []
+
+    # samples and warnings as the per-point sweep gave them, before the
+    # batch call: each skipped point keeps its own reason, in grid order
+    PINNED = [
+        (BlindCertifier(), [0.5, 0.75, 0.6, 0.76],
+         [(0.75, 0.9066986821171089), (0.76, 0.906198682117109)],
+         ["sweep: no bound at r=0.5 via blind: polygonal bound needs ratio within "
+          "[0.6735, 1], got Interval(0.5, 0.5)",
+          "sweep: no bound at r=0.6 via blind: polygonal bound needs ratio within "
+          "[0.6735, 1], got Interval(0.6, 0.6)"]),
+        (FlorianCertifier(), [1e-10, 0.0, 0.5, 1.0, 1.5, -0.1, 5e-324],
+         [(0.5, 0.9158118430285282), (1.0, 0.906899683117109)],
+         ["sweep: no bound at r=1e-10 via florian: acos argument out of (-1, 1]: "
+          "Interval(0.9999999999999999, 1.0000000000000002)",
+          "sweep: no bound at r=0.0 via florian: ratio interval must lie in (0, 1], "
+          "got Interval(0.0, 0.0)",
+          "sweep: no bound at r=1.5 via florian: ratio interval must lie in (0, 1], "
+          "got Interval(1.5, 1.5)",
+          "sweep: no bound at r=-0.1 via florian: ratio interval must lie in (0, 1], "
+          "got Interval(-0.1, -0.1)",
+          "sweep: no bound at r=5e-324 via florian: acos argument out of (-1, 1]: "
+          "Interval(0.9999999999999999, 1.0000000000000002)"]),
+        (ThresholdCertifier(0.93), [0.5, 1.5], [(0.5, 0.93)],
+         ["sweep: no bound at r=1.5 via threshold:0.93: ratio must lie in (0, 1], got 1.5"]),
+    ]
+
+    @pytest.mark.parametrize("certifier, grid, values, warnings", PINNED,
+                             ids=[case[0].name for case in PINNED])
+    def test_warnings_pinned(self, caplog, certifier, grid, values, warnings):
+        with caplog.at_level(logging.WARNING, logger="bidisc.harness"):
+            samples = sweep(certifier, grid)
+        assert [(s.r, s.value) for s in samples] == values
+        assert [rec.getMessage() for rec in caplog.records] == warnings
+
+    def test_one_batch_call(self):
+        calls = []
+
+        class Counting(FlorianCertifier):
+            def bound(self, r):
+                raise AssertionError("scalar bound called")
+
+            def bound_many(self, rs):
+                calls.append(list(rs))
+                return super().bound_many(rs)
+
+        grid = [0.3, 0.5, 0.7, 1.5]
+        assert len(sweep(Counting(), grid)) == 3
+        assert calls == [[Interval(r) for r in grid]]
 

@@ -7,6 +7,7 @@ exact rational, so "the true value lies inside the interval" is decidable.
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidisc.bounds import florian_enclosures, florian_interval
+from bidisc.endpoints import (add_pairs, atan_points, div_pairs, mul_pairs, sqrt_pairs,
+                              square_pairs, sub_pairs)
 from bidisc.errors import DomainError
 from bidisc.intervals import Interval, iacos, iatan, ipow, pi_interval
 
@@ -293,3 +297,127 @@ def test_atan_raises_where_reference_raises():
             assert repr(iatan(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
         x = math.nextafter(x, math.inf)
     assert raised[0] == math.sqrt(sys.float_info.max) and len(raised) == 8
+
+
+# The acos and florian formulas on Interval objects, one operation at a
+# time: the oracles of the endpoint-array kernels, which must reproduce
+# every enclosure bit for bit and every DomainError with its message.
+
+def _ref_acos(x: Interval) -> Interval:
+    if x.lo <= -1.0 or x.hi > 1.0:
+        raise DomainError(f"acos argument out of (-1, 1]: {x!r}")
+    num = Interval(1.0) - x
+    den = Interval(1.0) + x
+    if num.lo < 0.0:
+        num = Interval(0.0, max(num.hi, 0.0))
+    t = (num / den).sqrt(clamp_tol=math.ulp(0.0))
+    return Interval(_ref_atan_point(t.lo).lo, _ref_atan_point(t.hi).hi) * 2
+
+
+def _ref_florian(r: Interval) -> Interval:
+    if not (0.0 < r.lo and r.hi <= 1.0):
+        raise DomainError(f"ratio interval must lie in (0, 1], got {r}")
+    one = Interval(1.0, 1.0)
+    b = one + r
+    rsq = r.square()
+    alpha = _ref_acos(one - Interval(2.0, 2.0) * rsq / b.square())
+    beta = _ref_acos(r / b)
+    area = r * (Interval(2.0, 2.0) * r + one).sqrt()
+    return (alpha / Interval(2.0, 2.0) + beta * rsq) / area
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_atan_kernel_batch_matches_reference():
+    # one batch holding the edge points and random magnitudes gives each
+    # point the enclosure of the per-point oracle
+    rng = np.random.default_rng(20261019)
+    xs = [*ATAN_EDGE_POINTS, *rng.uniform(-50.0, 50.0, 200),
+          *(10.0 ** rng.uniform(-300, 150, 200))]
+    lo, hi = atan_points(xs)
+    for x, a, b in zip(xs, lo.tolist(), hi.tolist()):
+        ref = _ref_atan_point(x)
+        assert (repr(a), repr(b)) == (repr(ref.lo), repr(ref.hi)), x
+
+
+unit_end = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_end, unit_end)
+def test_hypothesis_acos_matches_reference(a, b):
+    x = Interval(min(a, b), max(a, b))
+    assert _outcome(iacos, x) == _outcome(_ref_acos, x)
+
+
+# ends of the florian domain: r = 1, points and intervals touching it,
+# tiny ratios whose acos argument rounds past 1, and ratios outside (0, 1]
+FLORIAN_EDGES = (
+    Interval(1.0), Interval(0.999, 1.0), Interval(math.nextafter(1.0, 0.0), 1.0),
+    Interval(0.01, 1.0), Interval(1e-8, 1.0), Interval(3e-16, 1.0), Interval(5e-324),
+    Interval(1e-300), Interval(1e-9), Interval(1.05e-8), Interval(1.1e-8),
+    Interval(0.0), Interval(-0.1, 0.5), Interval(0.5, 1.5), Interval(1e300),
+    Interval(0.5), Interval(0.3, 0.3000000000000001),
+)
+
+
+def test_florian_edges_match_reference():
+    outcomes = [_outcome(_ref_florian, r) for r in FLORIAN_EDGES]
+    assert [_outcome(florian_interval, r) for r in FLORIAN_EDGES] == outcomes
+    # in one batch, each element is what it is alone, errors included, and
+    # the stand-in values of failed elements raise no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = florian_enclosures(FLORIAN_EDGES)
+    assert [repr(e) if isinstance(e, Interval) else f"DomainError: {e}"
+            for e in batch] == outcomes
+    assert all(isinstance(e, (Interval, DomainError)) for e in batch)
+    assert sum(isinstance(e, DomainError) for e in batch) == 9
+    assert florian_enclosures([]) == []
+
+
+unit_ratio = st.floats(min_value=5e-324, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(unit_ratio, st.floats(min_value=0.0, max_value=0.1)),
+                min_size=1, max_size=20))
+def test_hypothesis_florian_batch_matches_reference(ends):
+    # points (zero width) and intervals in (0, 1]
+    rs = [Interval(lo, min(1.0, lo + w)) for lo, w in ends]
+    rs += [Interval(lo) for lo, _ in ends]
+    got = [repr(e) if isinstance(e, Interval) else f"DomainError: {e}"
+           for e in florian_enclosures(rs)]
+    assert got == [_outcome(_ref_florian, r) for r in rs]
+
+
+def test_pair_operations_match_interval_operations():
+    # each endpoint-array operation against its Interval method, element
+    # by element, on intervals of either sign and straddling 0
+    rng = np.random.default_rng(20261020)
+    ends = np.sort(rng.uniform(-5.0, 5.0, size=(2, 400, 2)), axis=2)
+    ends[:, :40, 0] = ends[:, :40, 1]  # points
+    ends[:, 40:80, 0] = 0.0  # intervals starting at 0
+    ends[:, 40:80, 1] = np.abs(ends[:, 40:80, 1])
+    a = (ends[0, :, 0], ends[0, :, 1])
+    b = (ends[1, :, 0], ends[1, :, 1])
+    pos = (np.abs(b[0]) + 0.5, np.abs(b[0]) + np.abs(b[1]) + 0.5)
+    cases = [
+        (add_pairs(a, b), lambda x, y, _: x + y),
+        (sub_pairs(a, b), lambda x, y, _: x - y),
+        (mul_pairs(a, b), lambda x, y, _: x * y),
+        (div_pairs(a, pos), lambda x, _, z: x / z),
+        (square_pairs(a), lambda x, y, _: x.square()),
+        (sqrt_pairs(pos), lambda x, _, z: z.sqrt()),
+    ]
+    for (lo, hi), op in cases:
+        for i in range(400):
+            x = Interval(a[0][i], a[1][i])
+            y = Interval(b[0][i], b[1][i])
+            z = Interval(pos[0][i], pos[1][i])
+            assert repr(Interval(lo[i], hi[i])) == repr(op(x, y, z)), i
