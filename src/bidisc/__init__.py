@@ -5,25 +5,24 @@ periodic packings built by explicit recipes, and rigorous upper bounds from
 interval-arithmetic certifiers driven by a branch and bound harness.
 """
 
-from .bounds import (BLIND_MIN_RATIO, BoundSample, blind_bound, blind_interval,
-                     delta1, delta1_interval, florian_angles, florian_bound,
-                     florian_interval, lipschitz_envelope, lipschitz_slope,
-                     r_blind, samples_from_csv, samples_to_csv,
-                     suspicious_samples)
+from .bounds import (BLIND_MIN_RATIO, BoundSample, blind_interval, delta1,
+                     delta1_interval, florian_angles, florian_bound,
+                     lipschitz_envelope, lipschitz_slope, r_blind_interval,
+                     samples_from_csv, samples_to_csv, suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError,
                      InitialBoundsInvalid, InvalidPacking, NoConvergence,
                      NoSolution, RecipeError, SingularJacobian)
 from .flows import (ConstrainedRecipe, DensityCurve, FlowRecipe,
                     SequentialRecipe, builtin_recipes, closed_form_841,
                     closed_form_r6, eval_flow, find_crossings,
-                    interstitial, interstitial_count, load_recipe,
-                    lower_bound_at, lower_bound_curve, recipe_from_dict)
+                    interstitial, load_recipe, lower_bound_curve,
+                    recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density,
                        density_interval, stick, validate, validate_many)
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
-from .intervals import Interval, iacos, iatan, ipow, pi_interval
+from .intervals import Interval, pi_interval
 from .polynomials import Polynomial, refine_root
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
 from .solve import newton_solve
@@ -38,15 +37,14 @@ __all__ = [
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
     "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
-    "blind_bound", "blind_interval", "builtin_recipes",
+    "blind_interval", "builtin_recipes",
     "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
     "delta1_interval", "density", "density_interval",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
-    "florian_bound", "florian_interval", "iacos", "iatan", "interstitial",
-    "interstitial_count", "ipow", "lipschitz_envelope",
-    "lipschitz_slope", "load_recipe", "lower_bound_at", "lower_bound_curve",
-    "make_certifier", "newton_solve", "pi_interval", "r_blind", "ratio",
-    "ratio_interval", "ratio_polynomial", "recipe_from_dict", "refine_root",
-    "samples_from_csv", "samples_to_csv", "stick", "suspicious_samples",
-    "sweep", "validate", "validate_many",
+    "florian_bound", "interstitial",
+    "lipschitz_envelope", "lipschitz_slope", "load_recipe",
+    "lower_bound_curve", "make_certifier", "newton_solve", "pi_interval",
+    "r_blind_interval", "ratio", "ratio_interval", "ratio_polynomial",
+    "recipe_from_dict", "refine_root", "samples_from_csv", "samples_to_csv",
+    "stick", "suspicious_samples", "sweep", "validate", "validate_many",
 ]

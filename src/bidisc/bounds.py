@@ -5,8 +5,8 @@ bound (one unit disc against two ratio discs, all mutually tangent), the
 polygonal bound built from a circumscribed regular heptagon and pentagon,
 the ratio where the polygonal bound meets delta1, and the Lipschitz
 envelope that extends discrete certified samples to a continuous bound.
-Every bound has a plain float form for sweeps and an interval form for
-certification.
+The bounds are certified in interval form; the tangent-triangle bound also
+has a float form, which gives the dichotomy its default upper start.
 """
 
 from __future__ import annotations
@@ -115,28 +115,7 @@ def florian_enclosures(rs: Sequence[Interval]) -> list[Interval | DomainError]:
     return [e or Interval(a, z) for e, a, z in zip(errors, flo.tolist(), fhi.tolist())]
 
 
-def florian_interval(r: Interval) -> Interval:
-    """Enclosure of the triangle bound over a whole ratio interval."""
-    (out,) = florian_enclosures([r])
-    if isinstance(out, DomainError):
-        raise out
-    return out
-
-
 BLIND_MIN_RATIO = 0.6735
-
-
-def _blind_tangents() -> tuple[float, float]:
-    return 7.0 * math.tan(math.pi / 7.0), 5.0 * math.tan(math.pi / 5.0)
-
-
-def blind_bound(r: float) -> float:
-    """Polygonal bound: unit disc in a regular heptagon, ratio disc in a
-    regular pentagon, each circumscribed; valid from 0.6735 up to 1."""
-    if not BLIND_MIN_RATIO <= r <= 1.0:
-        raise DomainError(f"polygonal bound needs {BLIND_MIN_RATIO} <= r <= 1, got {r}")
-    t7, t5 = _blind_tangents()
-    return math.pi * (1.0 + r * r) / (t7 + t5 * r * r)
 
 
 # n -> (ascending integer coefficients of the minimal polynomial of
@@ -162,7 +141,9 @@ def _tangent_intervals() -> tuple[Interval, Interval]:
 
 
 def blind_interval(r: Interval) -> Interval:
-    """Enclosure of the polygonal bound over a ratio interval.
+    """Enclosure of the polygonal bound over a ratio interval: unit disc in
+    a regular heptagon, ratio disc in a regular pentagon, each
+    circumscribed; valid from 0.6735 up to 1.
 
     With s = r**2 the bound is pi*(1+s)/(t7+t5*s), which is strictly
     decreasing in s because t5 > t7 (derivative sign pi*(t7-t5)/den**2),
@@ -182,11 +163,16 @@ def blind_interval(r: Interval) -> Interval:
     return at(r.lo).hull(at(r.hi))
 
 
-def r_blind() -> float:
-    """Ratio where the polygonal bound equals delta1, in closed form."""
-    t7, t5 = _blind_tangents()
-    t6 = 6.0 * math.tan(math.pi / 6.0)
-    return math.sqrt((t7 - t6) / (t6 - t5))
+def r_blind_interval() -> Interval:
+    """Enclosure of the ratio where the polygonal bound equals delta1.
+
+    pi cancels from blind(r) <= delta1 = pi/t6, with t6 = 6*tan(pi/6) =
+    2*sqrt(3): it holds exactly when t6*(1 + r**2) <= t7 + t5*r**2, so the
+    crossing is sqrt((t7 - t6)/(t6 - t5)).
+    """
+    t7, t5 = _tangent_intervals()
+    t6 = Interval(12).sqrt()
+    return ((t7 - t6) / (t6 - t5)).sqrt()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ point interval.  Each operation runs the products, min/max and nextafter
 nudges of the ``Interval`` operation it is named after, in the same order,
 so every element is bit-identical to that operation's result, and a batch of
 intervals costs one pass of numpy calls.  Domain checks are left to the
-callers: ``intervals.iacos`` and ``bounds.florian_enclosures`` make them.
+caller: ``bounds.florian_enclosures`` makes them.
 
 The package loads this module, and with it numpy, on first use: importing
 numpy ahead of the rest of the package raised the peak memory of whole runs
@@ -110,7 +110,7 @@ def acos_pairs(x):
     x = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
     num = sub_pairs(ONE, x)
     den = add_pairs(ONE, x)
-    # where num.lo < 0, iacos raises it to 0 (num.hi > 0, as x.lo <= 1);
+    # where num.lo < 0, it is raised to 0 (num.hi > 0, as x.lo <= 1);
     # num >= 0 and den > 0, so the quotient is >= 0, and only the outward
     # nudge of an exact zero (at x = 1) takes its lower end below 0, which
     # the sqrt clamp raises to 0 again

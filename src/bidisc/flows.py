@@ -447,12 +447,6 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     return domain, density(domain)
 
 
-def interstitial_count(r: float) -> int:
-    """Number of small discs per hole."""
-    domain, _ = interstitial(r)
-    return (len(domain.discs) - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # curves and crossings
 
@@ -473,35 +467,19 @@ class DensityCurve:
         lines += [f"{r!r},{value!r},{tag}" for r, value, tag in self.samples]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "DensityCurve":
-        rows = []
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        for line in lines[1:]:
-            r, value, tag = line.split(",")
-            rows.append((float(r), float(value), tag))
-        return cls(tuple(rows))
-
     def to_json(self) -> list:
         return [[r, value, tag] for r, value, tag in self.samples]
-
-
-def lower_bound_at(r: float, recipes: dict[str, FlowRecipe] | None = None) -> float:
-    """Best known packing density at one ratio.
-
-    Maximum of the hexagonal baseline, the interstitial construction where
-    it applies, and every registered recipe whose range covers the ratio;
-    recipe evaluations that fail are skipped.
-    """
-    curve, _ = lower_bound_curve([r], recipes)
-    return curve.samples[0][1]
 
 
 def lower_bound_curve(grid: Sequence[float],
                       recipes: dict[str, FlowRecipe] | None = None
                       ) -> tuple[DensityCurve, dict[str, list[tuple[float, float | None]]]]:
-    """lower_bound_at sampled over a sorted grid, with the samples behind it.
+    """Best known packing density at each ratio of a sorted grid, with the
+    samples behind it.
 
+    At each ratio this is the maximum of the hexagonal baseline, the
+    interstitial construction where it applies, and every registered recipe
+    whose range covers the ratio; recipe evaluations that fail are skipped.
     Returns the curve and, for each recipe name, the ``(r, density)`` pairs
     at the grid ratios its range covers, in grid order; density is None
     where the evaluation failed.  Each recipe is evaluated once per ratio.

@@ -1,12 +1,10 @@
 """Proof drivers over pluggable certifiers, with full traces.
 
-A certifier is its bound: ``bound(r)`` returns an Interval whose ``hi`` is
-a proven upper bound on the density of every packing with ratio in the
-interval r, and raises DomainError where the certifier cannot bound r.
-``bound_many(rs)`` is the same bound on a batch of intervals: for each it
-gives the enclosure, or the DomainError that ``bound`` raises there.  The
-base class loops over ``bound``; the florian certifier evaluates the whole
-batch at once on endpoint arrays.  Two drivers run on top, both reading one
+A certifier is its bound: ``bound_many(rs)`` gives, for each ratio interval
+r of rs, an Interval whose ``hi`` is a proven upper bound on the density of
+every packing with ratio in r, or the DomainError raised where the
+certifier cannot bound r.  The florian certifier evaluates the whole batch
+at once on endpoint arrays.  Two drivers run on top, both reading one
 enclosure per interval:
 
 * ``find_delta`` narrows the least provable delta by dichotomy against the
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
-                     florian_enclosures, florian_interval)
+                     florian_enclosures)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from .intervals import Interval
 
@@ -45,31 +43,33 @@ _DELTA_HI_HEADROOM = 1e-9
 
 
 class Certifier:
-    """``bound(r)`` encloses, over the ratio interval r, a function g whose
-    value at each ratio is a proven upper bound on the density there.
+    """``bound_many(rs)`` encloses, over each ratio interval r of rs, a
+    function g whose value at each ratio is a proven upper bound on the
+    density there; where it cannot, the element is a DomainError.
 
     Inclusion: the enclosure over r contains g(x) for every x in r, so for
-    any interval s containing a point x, ``bound(s).hi >= bound(x).lo``.  A
-    point with ``bound(x).lo > delta`` therefore refutes delta on every
-    interval that contains it.  DomainError is inherited the same way:
-    where ``bound(x)`` raises it, ``bound(s)`` raises it for every interval
-    s that contains x.
+    any interval s containing a point x, the enclosure over s has ``hi`` at
+    least the ``lo`` of the enclosure over x.  A point whose enclosure has
+    ``lo > delta`` therefore refutes delta on every interval that contains
+    it.  DomainError is inherited the same way: where the element for x is
+    a DomainError, so is the element for every interval s that contains x.
     """
 
     name: str
 
-    def bound(self, r: Interval) -> Interval:
+    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
         raise NotImplementedError
 
-    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        """``bound`` on each of rs: its enclosure, or the DomainError it raises."""
-        out: list[Interval | DomainError] = []
-        for r in rs:
-            try:
-                out.append(self.bound(r))
-            except DomainError as exc:
-                out.append(exc)
-        return out
+
+def _each(bound, items: Sequence) -> list[Interval | DomainError]:
+    """bound on each of items: its Interval, or the DomainError it raises."""
+    out: list[Interval | DomainError] = []
+    for item in items:
+        try:
+            out.append(bound(item))
+        except DomainError as exc:
+            out.append(exc)
+    return out
 
 
 class BlindCertifier(Certifier):
@@ -77,17 +77,14 @@ class BlindCertifier(Certifier):
 
     name = "blind"
 
-    def bound(self, r: Interval) -> Interval:
-        return blind_interval(r)
+    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
+        return _each(blind_interval, rs)
 
 
 class FlorianCertifier(Certifier):
     """Bounds density by the tangent-triangle bound."""
 
     name = "florian"
-
-    def bound(self, r: Interval) -> Interval:
-        return florian_interval(r)
 
     def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
         return florian_enclosures(rs)
@@ -102,8 +99,8 @@ class ThresholdCertifier(Certifier):
             raise DomainError(f"threshold must be finite, got {t!r}")
         self.name = f"threshold:{self.t!r}"
 
-    def bound(self, r: Interval) -> Interval:
-        return Interval(self.t)
+    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
+        return _each(lambda r: Interval(self.t), rs)
 
 
 def make_certifier(spec: str) -> Certifier:
@@ -138,15 +135,18 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
     downward (the default is a heuristic, not a claim); explicit bounds
     that fail their role raise InitialBoundsInvalid.
 
-    The certifier's bound is read once, and a candidate delta is proven
-    when that enclosure's ``hi`` is at most delta.  Where the certifier
-    cannot bound r, its DomainError propagates.  A defaulted upper start
-    that is not provable, as on wide intervals where the bound at the
+    The certifier is asked once, for a batch of one, and a candidate delta
+    is proven when that enclosure's ``hi`` is at most delta.  Where the
+    certifier cannot bound r, its DomainError is raised.  A defaulted upper
+    start that is not provable, as on wide intervals where the bound at the
     midpoint lies below the bound on the whole interval, moves up to that
     ``hi``.
     """
     _check_precision(precision)
-    return _dichotomy(c, r, c.bound(r).hi, precision, delta_lo, delta_hi)
+    (enclosure,) = c.bound_many([r])
+    if isinstance(enclosure, DomainError):
+        raise enclosure
+    return _dichotomy(c, r, enclosure.hi, precision, delta_lo, delta_hi)
 
 
 def _dichotomy(c: Certifier, r: Interval, top: float, precision: float,
@@ -264,8 +264,8 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
     A node is proven when its enclosure's ``hi`` is at most delta.  An
     unproven node becomes a failing leaf, without descending, once no
     bisection of it can succeed: when its enclosure has ``lo > delta``, or
-    when ``bound`` raises DomainError on it and on each of its ends and its
-    float midpoint the point bound raises DomainError or has ``lo > delta``
+    when the certifier gives DomainError for it and, at each of its ends and
+    its float midpoint, DomainError or a point enclosure with ``lo > delta``
     (see the inclusion property on Certifier).  Each node's verdict depends
     on that node alone, so the nodes of one depth take one ``bound_many``
     call, and their point probes one more; the tree is the one a
@@ -343,11 +343,14 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
 def sweep(c: Certifier, grid: Sequence[float],
           precision: float = DEFAULT_PRECISION) -> list[BoundSample]:
     """find_delta at each grid ratio, after one ``bound_many`` call for all
-    of them; failed points are logged and skipped."""
+    of them; failed points, non-finite ones included, are logged and
+    skipped."""
     _check_precision(precision)
-    points = [Interval(float(r)) for r in grid]
+    points = _each(lambda r: Interval(float(r)), grid)
+    enclosures = iter(c.bound_many([p for p in points if isinstance(p, Interval)]))
     samples = []
-    for r, point, enclosure in zip(grid, points, c.bound_many(points)):
+    for r, point in zip(grid, points):
+        enclosure = next(enclosures) if isinstance(point, Interval) else point
         try:
             if isinstance(enclosure, DomainError):
                 raise enclosure

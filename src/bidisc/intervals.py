@@ -7,10 +7,11 @@ hardware rounds to nearest, so the rounded endpoint is within one ulp of the
 exact one and the nudge restores containment.  This costs up to two ulps of
 width per operation and needs no fesetround or platform-specific state.
 
-Transcendental enclosures (atan, acos) use the arctangent series with an
-explicit remainder term, never libm.  Their kernels do Interval's operations,
-outward rounding included, on numpy arrays of endpoints, one interval per
-element: results are bit-identical, and a batch of intervals costs one pass.
+The transcendental enclosures (atan, acos) are in ``bidisc.endpoints``: the
+arctangent series with an explicit remainder term, never libm, run with
+Interval's operations, outward rounding included, on numpy arrays of
+endpoints, one interval per element.  Results are bit-identical to the same
+formula on Interval objects, and a batch of intervals costs one pass.
 """
 
 import math
@@ -66,10 +67,6 @@ class Interval:
             return cls(x, _up(x))
         return cls(_down(x), x)
 
-    @classmethod
-    def from_strings(cls, lo: str, hi: str) -> "Interval":
-        return cls(float(lo), float(hi))
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -84,9 +81,6 @@ class Interval:
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
         return self.lo <= x <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -108,11 +102,6 @@ class Interval:
         """Two decimal strings; repr round-trips doubles exactly."""
         return [repr(self.lo), repr(self.hi)]
 
-    @classmethod
-    def from_json(cls, data) -> "Interval":
-        lo, hi = data
-        return cls(float(lo), float(hi))
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -130,9 +119,6 @@ class Interval:
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -170,12 +156,6 @@ class Interval:
         q4 = self.hi / o.hi
         return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
-
     def square(self) -> "Interval":
         """Tight enclosure of x**2; never dips below 0 for sign-mixed input."""
         if self.lo >= 0.0:
@@ -184,11 +164,6 @@ class Interval:
             return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
         m = max(-self.lo, self.hi)
         return Interval(0.0, _up(m * m))
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return ipow(self, n)
 
     def sqrt(self, clamp_tol: float | None = None) -> "Interval":
         """Certified square root.
@@ -227,45 +202,3 @@ def _fraction_interval(lo: Fraction, hi: Fraction) -> Interval:
 
 
 _PI_IV = _fraction_interval(PI_RAT_LO, PI_RAT_HI)
-
-
-def ipow(a: Interval, b: int) -> Interval:
-    """a raised to the integer power b.
-
-    Powers go through repeated interval squaring, which stays correct when a
-    straddles 0.
-    """
-    if not isinstance(b, int):
-        raise TypeError("exponent must be an int")
-    if b < 0:
-        return Interval(1.0) / ipow(a, -b)
-    if b == 0:
-        return Interval(1.0)
-    if b == 1:
-        return a
-    half = ipow(a, b // 2)
-    out = half.square()
-    if b % 2:
-        out = out * a
-    return out
-
-
-# -- atan/acos, on the endpoint-array kernels --------------------------------
-
-
-def iatan(x: Interval) -> Interval:
-    """Certified arctangent; monotone, so endpoint enclosures suffice."""
-    from .endpoints import atan_points
-
-    lo, hi = atan_points([x.lo, x.hi])
-    return Interval(lo[0], hi[1])
-
-
-def iacos(x: Interval) -> Interval:
-    """Certified arccosine on (-1, 1] via the half-angle arctangent form."""
-    if x.lo <= -1.0 or x.hi > 1.0:
-        raise DomainError(f"acos argument out of (-1, 1]: {x!r}")
-    from .endpoints import acos_pairs
-
-    lo, hi = acos_pairs(([x.lo], [x.hi]))
-    return Interval(lo[0], hi[0])

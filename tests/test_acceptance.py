@@ -13,13 +13,13 @@ import pytest
 
 from bidisc.bounds import (
     BoundSample,
-    blind_bound,
+    blind_interval,
     delta1,
     florian_angles,
     florian_bound,
     lipschitz_envelope,
     lipschitz_slope,
-    r_blind,
+    r_blind_interval,
 )
 from bidisc.errors import DepthExceeded
 from bidisc.flows import (
@@ -103,7 +103,7 @@ def test_criterion_02():
 def test_criterion_03():
     def body():
         lo, hi = 0.70, 0.80
-        f = lambda r: blind_bound(r) - delta1()
+        f = lambda r: blind_interval(Interval(r)).mid - delta1()
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:
@@ -111,7 +111,7 @@ def test_criterion_03():
             else:
                 hi = mid
         bisected = 0.5 * (lo + hi)
-        closed = r_blind()
+        closed = r_blind_interval().mid
         agree = abs(closed - bisected)
         pinned = abs(closed - 0.74299)
         return agree <= 1e-9 and pinned <= 1e-5, f"agree={agree:.1e} pinned={pinned:.1e}"
@@ -227,7 +227,7 @@ def test_criterion_10():
             return False, "extended window certified unexpectedly"
         except DepthExceeded as exc:
             trace = exc.trace
-        rb = r_blind()
+        rb = r_blind_interval().lo
         split = all(bool(leaf.verdict) == (leaf.interval.lo >= rb - 1e-12)
                     for leaf in trace.root.leaves())
         failing = len(trace.failing_leaves())

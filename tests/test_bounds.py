@@ -11,16 +11,15 @@ from bidisc.bounds import (
     ENVELOPE_BLOCK,
     TANGENT_TABLE,
     BoundSample,
-    blind_bound,
     blind_interval,
     delta1,
     delta1_interval,
     florian_angles,
     florian_bound,
-    florian_interval,
+    florian_enclosures,
     lipschitz_envelope,
     lipschitz_slope,
-    r_blind,
+    r_blind_interval,
     samples_from_csv,
     samples_to_csv,
     _tangent_intervals,
@@ -76,29 +75,51 @@ class TestFlorian:
 
     def test_interval_encloses_pointwise(self):
         rng = np.random.default_rng(20240817)
+        ends = []
         for _ in range(50):
             lo = rng.uniform(0.02, 0.95)
-            hi = lo + rng.uniform(0.0, 0.04)
-            enc = florian_interval(Interval(lo, hi))
+            ends.append((lo, lo + rng.uniform(0.0, 0.04)))
+        encs = florian_enclosures([Interval(lo, hi) for lo, hi in ends])
+        for (lo, hi), enc in zip(ends, encs):
             for r in np.linspace(lo, hi, 7):
                 assert florian_bound(float(r)) in enc
 
     def test_interval_tight_at_point(self):
-        enc = florian_interval(Interval(0.5))
+        (enc,) = florian_enclosures([Interval(0.5)])
         assert enc.width <= 1e-14
+
+
+def mp_blind(r):
+    """The polygonal bound pi*(1 + r**2)/(t7 + t5*r**2) at the working
+    precision."""
+    r = mpmath.mpf(r)
+    t7, t5 = (n * mpmath.tan(mpmath.pi / n) for n in (7, 5))
+    return mpmath.pi * (1 + r * r) / (t7 + t5 * r * r)
 
 
 class TestBlind:
     @pytest.mark.parametrize("r,ref", sorted(BLIND_REFERENCE.items()))
     def test_reference_values(self, r, ref):
-        assert math.isclose(blind_bound(r), ref, rel_tol=1e-14)
+        assert math.isclose(blind_interval(Interval(r)).mid, ref, rel_tol=1e-14)
 
     def test_crossing_constant(self):
-        assert math.isclose(r_blind(), R_BLIND, rel_tol=1e-14)
+        assert math.isclose(r_blind_interval().mid, R_BLIND, rel_tol=1e-14)
+
+    def test_crossing_encloses_closed_form(self):
+        # sqrt((t7 - t6)/(t6 - t5)) with t6 = 6*tan(pi/6) = 2*sqrt(3), at 50
+        # digits.  The enclosure is 2.3e-14 relative wide: t7 and t5 are 3
+        # and 6 ulp wide, and t7 - t6 and t6 - t5 cancel to 0.09 and 0.17,
+        # so even exact arithmetic on these enclosures spans 2.25e-14.
+        enc = r_blind_interval()
+        with mpmath.workdps(50):
+            t7, t5 = (n * mpmath.tan(mpmath.pi / n) for n in (7, 5))
+            t6 = 2 * mpmath.sqrt(3)
+            assert mp_contains(enc, mpmath.sqrt((t7 - t6) / (t6 - t5)))
+        assert enc.width <= 2.5e-14 * enc.lo
 
     def test_crossing_agrees_with_bisection(self):
         lo, hi = 0.70, 0.80
-        f = lambda r: blind_bound(r) - delta1()
+        f = lambda r: blind_interval(Interval(r)).mid - delta1()
         assert f(lo) > 0 > f(hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -106,13 +127,13 @@ class TestBlind:
                 lo = mid
             else:
                 hi = mid
-        assert abs(0.5 * (lo + hi) - r_blind()) <= 1e-9
+        assert abs(0.5 * (lo + hi) - r_blind_interval().mid) <= 1e-9
 
     def test_rejects_below_window(self):
         with pytest.raises(DomainError):
-            blind_bound(0.5)
+            blind_interval(Interval(0.5))
         with pytest.raises(DomainError):
-            blind_bound(BLIND_MIN_RATIO - 1e-6)
+            blind_interval(Interval(BLIND_MIN_RATIO - 1e-6))
 
     def test_interval_encloses_pointwise(self):
         rng = np.random.default_rng(20240818)
@@ -120,8 +141,9 @@ class TestBlind:
             lo = rng.uniform(BLIND_MIN_RATIO, 0.99)
             hi = min(1.0, lo + rng.uniform(0.0, 0.03))
             enc = blind_interval(Interval(lo, hi))
-            for r in np.linspace(lo, hi, 7):
-                assert blind_bound(float(r)) in enc
+            with mpmath.workdps(50):
+                for r in np.linspace(lo, hi, 7):
+                    assert mp_contains(enc, mp_blind(float(r)))
 
     def test_interval_tight_at_point(self):
         # the monotone endpoint evaluation must not inflate degenerate input

@@ -54,6 +54,12 @@ RATIOS_JSON_ROWS = [
 ]
 
 
+def curve_from_csv(text):
+    """The curve behind ``r,density,tag`` CSV output."""
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    return DensityCurve(tuple((float(r), float(value), tag) for r, value, tag in rows))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -103,7 +109,7 @@ class TestLower:
     def test_curve_and_crossings(self, capsys):
         code, out, err = run(capsys, "lower", "--range", "0.42:0.44", "--step", "0.01")
         assert code == 0
-        curve = DensityCurve.from_csv(out)
+        curve = curve_from_csv(out)
         rs = [row[0] for row in curve.samples]
         assert rs == [0.42, 0.43, 0.44]
         assert math.isclose(curve.samples[0][1], closed_form_841(0.42), rel_tol=1e-12)
@@ -131,7 +137,7 @@ class TestLower:
                            "--out", str(target))
         assert code == 0
         assert out == ""
-        curve = DensityCurve.from_csv(target.read_text())
+        curve = curve_from_csv(target.read_text())
         assert len(curve.samples) == 2
 
 
@@ -210,7 +216,7 @@ class TestLowerPinned:
         out, _, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001",
                                "--format", "json")
         obj = json.loads(out)
-        assert obj["curve"] == DensityCurve.from_csv(csv_out).to_json()
+        assert obj["curve"] == curve_from_csv(csv_out).to_json()
         assert [tuple(iv) for iv in obj["crossings"]] == stderr_crossings(csv_err)
 
     def test_crossings_036(self, cold_lower):
@@ -234,7 +240,7 @@ class TestLowerPinned:
     def test_small_ratios_above_delta1(self, cold_lower):
         # interstitial cells of up to 3417 discs
         out, _, _ = cold_lower("--range", "0.005:0.01", "--step", "0.001")
-        curve = DensityCurve.from_csv(out)
+        curve = curve_from_csv(out)
         assert len(curve.samples) == 6
         assert all(value > DELTA1 for _, value, _ in curve.samples)
 
@@ -336,7 +342,7 @@ class TestUpper:
         code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
                              "--precision", "0.0001")
         assert code == 0
-        curve = DensityCurve.from_csv(out)
+        curve = curve_from_csv(out)
         assert len(curve.samples) == 21
         assert all(row[2] == "upper" for row in curve.samples)
         # the default sweep samples the triangle bound certifier; between
@@ -357,7 +363,7 @@ class TestUpper:
         code, out, _ = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
                            "--samples", str(extra))
         assert code == 0
-        curve = DensityCurve.from_csv(out)
+        curve = curve_from_csv(out)
         at = {row[0]: row[1] for row in curve.samples}
         assert at[0.75] == 0.89
 
@@ -418,7 +424,7 @@ class TestUpper:
         code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
                              "--samples", str(extra))
         assert code == 0
-        assert DensityCurve.from_csv(out).samples[-1][1] == 0.5
+        assert curve_from_csv(out).samples[-1][1] == 0.5
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1
         assert "1 of 2 rows" in warnings[0] and "below delta1" in warnings[0]

@@ -26,8 +26,6 @@ from bidisc.flows import (
     eval_flow,
     find_crossings,
     interstitial,
-    interstitial_count,
-    lower_bound_at,
     lower_bound_curve,
     recipe_from_dict,
 )
@@ -410,22 +408,34 @@ class TestCrossings:
         assert find_crossings(closed_form_841, DELTA1, []) == []
 
 
+def small_per_hole(r):
+    """Number of small discs per hole of the interstitial packing at r."""
+    domain, _ = interstitial(r)
+    return (len(domain.discs) - 1) // 2
+
+
+def lower_at(r):
+    """The best known density at the one ratio r."""
+    curve, _ = lower_bound_curve([r])
+    return curve.samples[0][1]
+
+
 class TestInterstitial:
     def test_single_fill_at_snug_radius(self):
         r8 = ratio("r8")
         domain, value = interstitial(r8)
-        assert interstitial_count(r8) == 1
+        assert small_per_hole(r8) == 1
         expect = math.pi * (1 + 2 * r8 * r8) / (2 * math.sqrt(3.0))
         assert abs(value - expect) <= 1e-15
         assert abs(value - 0.9503079938772262) <= 1e-12
         assert validate(domain, tol=1e-9) == []
 
     def test_counts_small_radii(self):
-        assert interstitial_count(0.12) == 1
-        assert interstitial_count(0.1) == 1
-        assert interstitial_count(0.077) == 1
-        assert interstitial_count(0.05) == 10
-        assert interstitial_count(0.02) == 79
+        assert small_per_hole(0.12) == 1
+        assert small_per_hole(0.1) == 1
+        assert small_per_hole(0.077) == 1
+        assert small_per_hole(0.05) == 10
+        assert small_per_hole(0.02) == 79
 
     def test_density_values(self):
         assert math.isclose(interstitial(0.1)[1], 0.9250376757594512, abs_tol=1e-14)
@@ -473,8 +483,11 @@ class TestInterstitial:
 class TestDensityCurve:
     def test_csv_round_trip(self):
         curve = DensityCurve(((0.4, 0.89, "flow-841-mid"), (0.5, 0.88, "flow-841-mid")))
-        again = DensityCurve.from_csv(curve.to_csv())
-        assert again.samples == curve.samples
+        header, *rows = curve.to_csv().splitlines()
+        assert header == "r,density,tag"
+        again = tuple((float(r), float(value), tag)
+                      for r, value, tag in (row.split(",") for row in rows))
+        assert again == curve.samples
 
     def test_requires_increasing_r(self):
         with pytest.raises(ValueError):
@@ -486,15 +499,15 @@ class TestDensityCurve:
 class TestLowerEnvelope:
     def test_hexagonal_floor_everywhere(self):
         # outside every branch the unit lattice value remains available
-        assert lower_bound_at(0.9) == DELTA1
+        assert lower_at(0.9) == DELTA1
 
     def test_branch_beats_floor_inside_window(self):
-        assert math.isclose(lower_bound_at(0.42), closed_form_841(0.42), rel_tol=1e-12)
-        assert lower_bound_at(0.42) > DELTA1
+        assert math.isclose(lower_at(0.42), closed_form_841(0.42), rel_tol=1e-12)
+        assert lower_at(0.42) > DELTA1
 
     def test_interstitial_region(self):
         r8 = ratio("r8")
-        assert math.isclose(lower_bound_at(r8), 0.9503079938772262, abs_tol=1e-12)
+        assert math.isclose(lower_at(r8), 0.9503079938772262, abs_tol=1e-12)
 
     def test_curve_hands_back_recipe_samples(self):
         recipes = builtin_recipes()

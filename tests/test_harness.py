@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_bound, delta1
+from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_interval, delta1
 from bidisc.errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
@@ -58,7 +58,7 @@ class TestFindDelta:
         # lower start, which is therefore provable and must be walked down
         window = Interval(0.75, 0.7501)
         got = find_delta(BlindCertifier(), window, precision=1e-4)
-        reference = blind_bound(0.7501)
+        reference = blind_interval(Interval(0.7501)).mid
         assert reference <= got <= reference + 1e-4 + 1e-9
 
     def test_rejects_bad_precision(self):
@@ -77,10 +77,10 @@ class TestFindDelta:
                              ids=lambda c: c.name)
     def test_upper_start_at_bound_proven(self, certifier):
         for r in (0.3, 0.7, 0.8):
-            try:
-                top = certifier.bound(Interval(r)).hi
-            except DomainError:
+            (enc,) = certifier.bound_many([Interval(r)])
+            if isinstance(enc, DomainError):
                 continue
+            top = enc.hi
             got = find_delta(certifier, Interval(r), delta_hi=top)
             assert top <= got <= top + DEFAULT_PRECISION
 
@@ -94,18 +94,19 @@ class TestFindDelta:
         calls = []
 
         class Counting(FlorianCertifier):
-            def bound(self, r):
-                calls.append(r)
-                return super().bound(r)
+            def bound_many(self, rs):
+                calls.append(list(rs))
+                return super().bound_many(rs)
 
         find_delta(Counting(), Interval(0.5))
-        assert calls == [Interval(0.5)]
+        assert calls == [[Interval(0.5)]]
 
     def test_wide_interval_default_upper_start(self):
         # the triangle bound at the midpoint is not provable on the whole
         # interval; the defaulted upper start moves to the certified bound
         r = Interval(0.3, 0.5)
-        top = FlorianCertifier().bound(r).hi
+        (enc,) = FlorianCertifier().bound_many([r])
+        top = enc.hi
         got = find_delta(FlorianCertifier(), r, precision=1e-4)
         assert top <= got <= top + 1e-4
 
@@ -171,17 +172,11 @@ class TestCertifyInterval:
         assert trace.node_count >= 2 * trace.leaf_count - 1
 
 
-def scalar_and_batch(c, iv):
-    """c.bound(iv), or None where it raises DomainError; the certifier's
-    batch form must give the same enclosure or the same error."""
-    (batched,) = c.bound_many([iv])
-    try:
-        enc = c.bound(iv)
-    except DomainError as exc:
-        assert isinstance(batched, DomainError) and str(batched) == str(exc)
-        return None
-    assert repr(batched) == repr(enc)
-    return enc
+def bound_one(c, iv):
+    """c's enclosure over iv from a batch of one, or None where it is a
+    DomainError."""
+    (enc,) = c.bound_many([iv])
+    return None if isinstance(enc, DomainError) else enc
 
 
 def full_bisection(c, r, delta, max_depth):
@@ -191,7 +186,7 @@ def full_bisection(c, r, delta, max_depth):
     def check(iv):
         if isinstance(c, ThresholdCertifier):
             return delta >= c.t
-        enc = scalar_and_batch(c, iv)
+        enc = bound_one(c, iv)
         return enc is not None and enc.hi <= delta
 
     def descend(iv, depth):
@@ -209,22 +204,16 @@ def full_bisection(c, r, delta, max_depth):
 
 def depth_first(c, r, delta, max_depth):
     """certify_interval as a recursive bisection, left child first, with one
-    scalar bound call per node and per point probe."""
-
-    def enclosure(x):
-        try:
-            return c.bound(x)
-        except DomainError:
-            return None
+    bound call per node and per point probe."""
 
     def hopeless(iv, mid, enc):
         if enc is None:
-            points = (enclosure(Interval(x)) for x in (iv.lo, mid, iv.hi))
+            points = (bound_one(c, Interval(x)) for x in (iv.lo, mid, iv.hi))
             return all(p is None or p.lo > delta for p in points)
         return enc.lo > delta
 
     def descend(iv, depth):
-        enc = enclosure(iv)
+        enc = bound_one(c, iv)
         if enc is not None and enc.hi <= delta:
             return TraceNode(iv, delta, True)
         mid = 0.5 * (iv.lo + iv.hi)
@@ -248,27 +237,30 @@ def certified(c, r, delta, max_depth=DEFAULT_MAX_DEPTH):
 class VeeCertifier(Certifier):
     """Test certifier with a domain edge and a minimum inside its domain:
     bound 0.85 + |x - 0.5| for x >= 0.2.  Rounding to nearest is monotone,
-    so the float enclosures keep the inclusion property exactly.  Its
-    bound_many is the base class's loop over bound."""
+    so the float enclosures keep the inclusion property exactly."""
 
     name = "vee"
 
-    def bound(self, r):
-        if r.lo < 0.2:
-            raise DomainError(f"vee needs r >= 0.2, got {r}")
-        ends = sorted(abs(x - 0.5) for x in (r.lo, r.hi))
-        low = 0.0 if r.lo <= 0.5 <= r.hi else ends[0]
-        return Interval(0.85 + low, 0.85 + ends[1])
+    def bound_many(self, rs):
+        out = []
+        for r in rs:
+            if r.lo < 0.2:
+                out.append(DomainError(f"vee needs r >= 0.2, got {r}"))
+                continue
+            ends = sorted(abs(x - 0.5) for x in (r.lo, r.hi))
+            low = 0.0 if r.lo <= 0.5 <= r.hi else ends[0]
+            out.append(Interval(0.85 + low, 0.85 + ends[1]))
+        return out
 
 
 def refuted(c, iv, delta):
     """The rule under which certify_interval stops splitting a node."""
 
     def above(x):
-        enc = scalar_and_batch(c, x)
+        enc = bound_one(c, x)
         return enc is None or enc.lo > delta
 
-    enc = scalar_and_batch(c, iv)
+    enc = bound_one(c, iv)
     if enc is None:
         mid = 0.5 * (iv.lo + iv.hi)
         return all(above(Interval(x)) for x in (iv.lo, mid, iv.hi))
@@ -345,14 +337,14 @@ class TestLevelOrder:
                              ids=lambda case: f"{case[0].name}-{case[1]}:{case[2]}@{case[3]}")
     def test_matches_depth_first(self, case):
         # byte-identical trace, leaf order included, to the recursive
-        # bisection with scalar bound calls
+        # bisection with one bound call per node
         c, lo, hi, delta, max_depth, success, domain_leaves = case
         old = depth_first(c, Interval(lo, hi), delta, max_depth)
         new = certified(c, Interval(lo, hi), delta, max_depth)
         assert json.dumps(new.to_json()) == json.dumps(old.to_json())
         assert new.success == success
         assert sum(1 for leaf in new.failing_leaves()
-                   if scalar_and_batch(c, leaf.interval) is None) == domain_leaves
+                   if bound_one(c, leaf.interval) is None) == domain_leaves
 
     def test_913_nodes_at_931(self):
         trace = certify_interval(FlorianCertifier(), Interval(0.3, 0.99), 0.931)
@@ -417,8 +409,8 @@ class TestMakeCertifier:
         assert make_certifier("blind").name == "blind"
         assert make_certifier("florian").name == "florian"
         t = make_certifier("threshold:0.93")
-        assert t.bound(Interval(0.5, 0.6)) == Interval(0.93)
-        assert make_certifier("florian").bound(Interval(0.5)).hi <= 0.93
+        assert t.bound_many([Interval(0.5, 0.6)]) == [Interval(0.93)]
+        assert make_certifier("florian").bound_many([Interval(0.5)])[0].hi <= 0.93
 
     def test_unknown_spec(self):
         with pytest.raises(DomainError):
@@ -433,7 +425,7 @@ class TestSweep:
         # 0.5 is outside the blind window and must be skipped with a warning
         assert [s.r for s in samples] == [0.75, 0.76]
         for s in samples:
-            reference = blind_bound(s.r)
+            reference = blind_interval(Interval(s.r)).mid
             assert reference - 1e-9 <= s.value <= reference + 1e-4 + 1e-9
         assert any("0.5" in rec.message and "polygonal bound needs ratio" in rec.message
                    for rec in caplog.records)
@@ -489,3 +481,36 @@ class TestSweep:
         assert len(sweep(Counting(), grid)) == 3
         assert calls == [[Interval(r) for r in grid]]
 
+    NON_FINITE = [
+        (FlorianCertifier(), [(0.5, 0.9158118430285282), (0.6, 0.9118560041524228)], []),
+        (BlindCertifier(), [], [0.5, 0.6]),
+        (ThresholdCertifier(0.93), [(0.5, 0.93), (0.6, 0.93)], []),
+    ]
+
+    @pytest.mark.parametrize("certifier, values, unbounded", NON_FINITE,
+                             ids=[case[0].name for case in NON_FINITE])
+    def test_non_finite_points_skipped(self, caplog, certifier, values, unbounded):
+        # nan and inf are skipped with a warning, in grid order, like any
+        # point the certifier cannot bound; the finite points still take
+        # one batch call
+        calls = []
+
+        class Counting(Certifier):
+            name = certifier.name
+
+            def bound_many(self, rs):
+                calls.append(list(rs))
+                return certifier.bound_many(rs)
+
+        with caplog.at_level(logging.WARNING, logger="bidisc.harness"):
+            samples = sweep(Counting(), [0.5, math.nan, math.inf, 0.6])
+        assert [(s.r, s.value) for s in samples] == values
+        assert calls == [[Interval(0.5), Interval(0.6)]]
+        messages = [rec.getMessage() for rec in caplog.records]
+        skipped = [r for r in (0.5, math.nan, math.inf, 0.6)
+                   if r in unbounded or not math.isfinite(r)]
+        assert [m.split(" via ")[0] for m in messages] == [
+            f"sweep: no bound at r={r}" for r in skipped]
+        assert [m for m in messages if "must be finite" in m] == [
+            f"sweep: no bound at r={r} via {certifier.name}: interval endpoints must be finite"
+            for r in ("nan", "inf")]

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bidisc.bounds import florian_enclosures, florian_interval
-from bidisc.endpoints import (add_pairs, atan_points, div_pairs, mul_pairs, sqrt_pairs,
-                              square_pairs, sub_pairs)
+from bidisc.bounds import florian_enclosures
+from bidisc.endpoints import (acos_pairs, add_pairs, atan_points, div_pairs, mul_pairs,
+                              sqrt_pairs, square_pairs, sub_pairs)
 from bidisc.errors import DomainError
-from bidisc.intervals import Interval, iacos, iatan, ipow, pi_interval
+from bidisc.intervals import Interval, pi_interval
 
 mpmath.mp.dps = 60
 
@@ -38,6 +38,17 @@ def contains_mp(iv: Interval, value) -> bool:
     return mpmath.mpf(iv.lo) <= value <= mpmath.mpf(iv.hi)
 
 
+def atan_interval(x: Interval) -> Interval:
+    # atan is increasing, so the kernel's enclosures at the two ends suffice
+    lo, hi = atan_points([x.lo, x.hi])
+    return Interval(lo[0], hi[1])
+
+
+def acos_interval(x: Interval) -> Interval:
+    lo, hi = acos_pairs(([x.lo], [x.hi]))
+    return Interval(lo[0], hi[0])
+
+
 def test_constructor_and_accessors():
     iv = Interval(1.0, 2.0)
     assert iv.lo == 1.0 and iv.hi == 2.0
@@ -45,8 +56,6 @@ def test_constructor_and_accessors():
     assert Interval(3.5).lo == Interval(3.5).hi == 3.5
     assert 1.5 in iv
     assert Interval(1.2, 1.8) in iv
-    assert iv.intersects(Interval(1.9, 5.0))
-    assert not iv.intersects(Interval(2.5, 5.0))
     assert iv.hull(Interval(5.0, 6.0)) == Interval(1.0, 6.0)
 
 
@@ -119,10 +128,10 @@ def test_mixed_scalar_operands():
     assert (a + 1).lo >= 2.0 - 1e-15
     assert (3 - a).hi >= 1.0
     assert (2 * a) == (a * 2)
-    assert contains_fraction(1 / a, Fraction(2, 3))
+    assert contains_fraction(a / 3, Fraction(2, 3))
 
 
-def test_square_and_pow():
+def test_square():
     xs = rand_values(3000, -5.0, 5.0)
     for x in xs:
         iv = Interval(x - 0.25, x + 0.25)
@@ -130,11 +139,6 @@ def test_square_and_pow():
         assert sq.lo >= 0.0
         for probe in (x - 0.25, x, x + 0.25):
             assert contains_fraction(sq, Fraction(probe) ** 2)
-        cb = iv ** 3
-        assert contains_fraction(cb, Fraction(x) ** 3)
-    assert (Interval(-2.0, 3.0) ** 0) == Interval(1.0, 1.0)
-    neg = Interval(2.0, 4.0) ** -1
-    assert contains_fraction(neg, Fraction(1, 3))
 
 
 def test_sqrt():
@@ -160,8 +164,8 @@ def test_pi_interval():
 # a tangent row came first, removed with the interval tangent; the ids are
 # spelled out so the remaining rows keep their names
 @pytest.mark.parametrize("fn,mp_fn,domain", [
-    (iatan, mpmath.atan, (-50.0, 50.0)),
-    (iacos, mpmath.acos, (-0.999, 0.999)),
+    (atan_interval, mpmath.atan, (-50.0, 50.0)),
+    (acos_interval, mpmath.acos, (-0.999, 0.999)),
 ], ids=["iatan-f-domain1", "iacos-f-domain2"])
 def test_transcendental_enclosure(fn, mp_fn, domain):
     lo, hi = domain
@@ -179,23 +183,18 @@ def test_transcendental_enclosure(fn, mp_fn, domain):
 
 
 def test_acos_domain():
-    with pytest.raises(DomainError):
-        iacos(Interval(0.5, 1.5))
-
-
-def test_ipow_rejects_non_int_exponent():
-    # integer powers only, like Interval.__pow__
-    for exponent in (Interval(1.5), 1.5):
-        with pytest.raises(TypeError):
-            ipow(Interval(2.0), exponent)
-        with pytest.raises(TypeError):
-            Interval(2.0) ** exponent
+    # the acos kernel leaves its domain check to florian_enclosures, whose
+    # first acos argument rounds past 1 at tiny ratios
+    for r in (Interval(1e-10), Interval(1e-10, 0.5)):
+        (err,) = florian_enclosures([r])
+        assert isinstance(err, DomainError)
+        assert str(err).startswith("acos argument out of (-1, 1]: ")
 
 
 def test_serialization_round_trip():
     iv = Interval(0.1, 0.30000000000000004)
-    assert Interval.from_json(iv.to_json()) == iv
-    assert Interval.from_strings("0.25", "0.5") == Interval(0.25, 0.5)
+    assert iv.to_json() == ["0.1", "0.30000000000000004"]
+    assert Interval(*map(float, iv.to_json())) == iv
 
 
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False,
@@ -219,8 +218,8 @@ def test_hypothesis_sub_then_add_contains_start(x, y):
 def test_acos_accepts_one():
     # the quotient (1 - x)/(1 + x) is an exact 0 at x = 1; its outward
     # rounding must not push the square root out of its domain
-    assert 0.0 in iacos(Interval(1.0))
-    enc = iacos(Interval(0.5, 1.0))
+    assert 0.0 in acos_interval(Interval(1.0))
+    enc = acos_interval(Interval(0.5, 1.0))
     assert 0.0 in enc
     assert math.acos(0.5) in enc
 
@@ -245,20 +244,17 @@ def _ref_atan_point(x: float) -> Interval:
 ATAN_EDGE_POINTS = (0.0, -0.0, 5e-324, 1e-300, 1.0, -1.0, 1e16, 1e150, -1e150)
 
 
-@pytest.mark.parametrize("fn, ref_point, domain", [
-    (iatan, _ref_atan_point, (-50.0, 50.0)),
-    (iatan, _ref_atan_point, (-1.0, 1.0)),
-])
-def test_series_match_per_call_coefficients(fn, ref_point, domain):
+@pytest.mark.parametrize("domain", [(-50.0, 50.0), (-1.0, 1.0)])
+def test_series_match_per_call_coefficients(domain):
     rng = np.random.default_rng(20261018)
     lo, hi = domain
     for a, b in rng.uniform(lo, hi, size=(300, 2)):
         for iv in (Interval(min(a, b), max(a, b)), Interval(a)):
-            ref = Interval(ref_point(iv.lo).lo, ref_point(iv.hi).hi)
-            assert repr(fn(iv)) == repr(ref), iv
+            ref = Interval(_ref_atan_point(iv.lo).lo, _ref_atan_point(iv.hi).hi)
+            assert repr(atan_interval(iv)) == repr(ref), iv
     for x in ATAN_EDGE_POINTS:
-        ref = ref_point(x)
-        assert repr(fn(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
+        ref = _ref_atan_point(x)
+        assert repr(atan_interval(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
 
 
 @settings(max_examples=400, deadline=None)
@@ -266,7 +262,7 @@ def test_series_match_per_call_coefficients(fn, ref_point, domain):
                  allow_infinity=False))
 def test_hypothesis_atan_matches_reference(x):
     ref = _ref_atan_point(x)
-    assert repr(iatan(Interval(x))) == repr(Interval(ref.lo, ref.hi))
+    assert repr(atan_interval(Interval(x))) == repr(Interval(ref.lo, ref.hi))
 
 
 @pytest.mark.parametrize("iv", [
@@ -276,7 +272,7 @@ def test_atan_rejects_overflowing_squares(iv):
     # the first half-angle step squares each endpoint; an infinite square
     # must raise rather than let x/inf quietly give 0
     with pytest.raises(DomainError):
-        iatan(iv)
+        atan_interval(iv)
 
 
 def test_atan_raises_where_reference_raises():
@@ -291,10 +287,10 @@ def test_atan_raises_where_reference_raises():
             ref = _ref_atan_point(x)
         except DomainError:
             with pytest.raises(DomainError):
-                iatan(Interval(x))
+                atan_interval(Interval(x))
             raised.append(x)
         else:
-            assert repr(iatan(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
+            assert repr(atan_interval(Interval(x))) == repr(Interval(ref.lo, ref.hi)), x
         x = math.nextafter(x, math.inf)
     assert raised[0] == math.sqrt(sys.float_info.max) and len(raised) == 8
 
@@ -345,14 +341,15 @@ def test_atan_kernel_batch_matches_reference():
         assert (repr(a), repr(b)) == (repr(ref.lo), repr(ref.hi)), x
 
 
-unit_end = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+# the kernel's domain, (-1, 1]: its callers turn away -1, see test_acos_domain
+unit_end = st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
 @given(unit_end, unit_end)
 def test_hypothesis_acos_matches_reference(a, b):
     x = Interval(min(a, b), max(a, b))
-    assert _outcome(iacos, x) == _outcome(_ref_acos, x)
+    assert repr(acos_interval(x)) == repr(_ref_acos(x))
 
 
 # ends of the florian domain: r = 1, points and intervals touching it,
@@ -367,15 +364,18 @@ FLORIAN_EDGES = (
 
 
 def test_florian_edges_match_reference():
+    def shown(elements):
+        return [repr(e) if isinstance(e, Interval) else f"DomainError: {e}"
+                for e in elements]
+
     outcomes = [_outcome(_ref_florian, r) for r in FLORIAN_EDGES]
-    assert [_outcome(florian_interval, r) for r in FLORIAN_EDGES] == outcomes
+    assert shown(florian_enclosures([r])[0] for r in FLORIAN_EDGES) == outcomes
     # in one batch, each element is what it is alone, errors included, and
     # the stand-in values of failed elements raise no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = florian_enclosures(FLORIAN_EDGES)
-    assert [repr(e) if isinstance(e, Interval) else f"DomainError: {e}"
-            for e in batch] == outcomes
+    assert shown(batch) == outcomes
     assert all(isinstance(e, (Interval, DomainError)) for e in batch)
     assert sum(isinstance(e, DomainError) for e in batch) == 9
     assert florian_enclosures([]) == []
