@@ -6,6 +6,7 @@ hold-out equation for post-hoc residual and Jacobian conditioning, and
 cross-checks both built-in recipes against their closed forms.
 """
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -41,9 +42,7 @@ def main():
     print("== hold-out candidates at r0 =", R0)
     results = []
     for held in range(len(rec.equations)):
-        trial = type(rec)(rec.name, rec.valid_range, rec.range_spec, rec.census,
-                          rec.variables, rec.defines, rec.equations, held,
-                          rec.r0, tuple(guess), rec.lattice, rec.cell)
+        trial = dataclasses.replace(rec, verify_index=held, guess=tuple(guess))
         try:
             residuals, jacobian, values = trial.compiled
             sol = newton_solve(lambda q: residuals(q, R0), lambda q: jacobian(q, R0),

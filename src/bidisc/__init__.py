@@ -8,15 +8,14 @@ interval-arithmetic certifiers driven by a branch and bound harness.
 from .bounds import (BLIND_MIN_RATIO, BoundSample, blind_interval, delta1,
                      delta1_interval, florian_angles, florian_bound,
                      lipschitz_envelope, lipschitz_slope, r_blind_interval,
-                     samples_from_csv, samples_to_csv, suspicious_samples)
+                     samples_from_csv, suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError,
                      InitialBoundsInvalid, InvalidPacking, NoConvergence,
                      NoSolution, RecipeError, SingularJacobian)
-from .flows import (ConstrainedRecipe, DensityCurve, FlowRecipe,
-                    SequentialRecipe, builtin_recipes, closed_form_841,
-                    closed_form_r6, eval_flow, find_crossings,
-                    interstitial, load_recipe, lower_bound_curve,
-                    recipe_from_dict)
+from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
+                    builtin_recipes, closed_form_841, closed_form_r6,
+                    eval_flow, find_crossings, interstitial, load_recipe,
+                    lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density,
                        density_interval, stick, validate, validate_many)
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLIND_MIN_RATIO", "BidiscError", "BlindCertifier", "BoundSample",
-    "Certifier", "ConstrainedRecipe", "DensityCurve", "DepthExceeded",
+    "Certifier", "ConstrainedRecipe", "DepthExceeded",
     "Disc", "DomainError", "FlorianCertifier", "FlowRecipe",
     "FundamentalDomain", "InitialBoundsInvalid", "Interval", "InvalidPacking",
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
@@ -45,6 +44,6 @@ __all__ = [
     "lipschitz_envelope", "lipschitz_slope", "load_recipe",
     "lower_bound_curve", "make_certifier", "newton_solve", "pi_interval",
     "r_blind_interval", "ratio", "ratio_interval", "ratio_polynomial",
-    "recipe_from_dict", "refine_root", "samples_from_csv", "samples_to_csv",
+    "recipe_from_dict", "refine_root", "samples_from_csv",
     "stick", "suspicious_samples", "sweep", "validate", "validate_many",
 ]

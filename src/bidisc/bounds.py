@@ -17,6 +17,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
+import numpy as np
+
+from .endpoints import (ONE, TWO, acos_pairs, add_pairs, div_pairs, mul_pairs,
+                        sqrt_pairs, square_pairs, sub_pairs)
 from .errors import DomainError
 from .intervals import Interval, pi_interval
 from .polynomials import Polynomial, checked_root
@@ -77,11 +81,6 @@ def florian_enclosures(rs: Sequence[Interval]) -> list[Interval | DomainError]:
     arguments: the first acos argument rounds past 1 unless r.lo > 5e-9, so
     past them the area divisor is positive and every value is finite.
     """
-    import numpy as np  # on first use, see endpoints
-
-    from .endpoints import (ONE, TWO, acos_pairs, add_pairs, div_pairs, mul_pairs,
-                            sqrt_pairs, square_pairs, sub_pairs)
-
     lo = np.array([r.lo for r in rs], dtype=float)
     hi = np.array([r.hi for r in rs], dtype=float)
     errors: list[DomainError | None] = [None] * len(rs)
@@ -194,15 +193,9 @@ def suspicious_samples(samples: Sequence[BoundSample]) -> list[BoundSample]:
     return [s for s in samples if s.value < base]
 
 
-def samples_to_csv(samples: Sequence[BoundSample]) -> str:
-    lines = ["r,value"]
-    lines += [f"{s.r!r},{s.value!r}" for s in samples]
-    return "\n".join(lines) + "\n"
-
-
 def samples_from_csv(text: str) -> list[BoundSample]:
-    """Samples from ``r,value`` rows under the ``r,value`` header that
-    samples_to_csv writes; a missing header or a row with a non-finite r or
+    """Samples from ``r,value`` rows under an ``r,value`` header, the format
+    of ``upper --samples``; a missing header or a row with a non-finite r or
     value raises ValueError."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines and lines[0] != "r,value":
@@ -244,8 +237,6 @@ def lipschitz_envelope(samples: Sequence[BoundSample],
     ratio takes the least cap of its row.  A nan cap is passed over, so
     only nan caps give inf.
     """
-    import numpy as np  # on first use, see endpoints
-
     if not samples:
         raise DomainError("envelope needs at least one sample")
     rs = np.array([s.r for s in samples], dtype=float)

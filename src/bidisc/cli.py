@@ -5,9 +5,12 @@ Four subcommands: ``ratios`` tabulates the algebraic breakpoint ratios,
 ``upper`` sweeps a certifier and reports the resulting Lipschitz envelope,
 and ``certify`` runs the branch and bound prover on one interval.
 
-Data outputs (stdout or --out) are byte deterministic: no timestamps, floats
-printed via repr. Wall time and other diagnostics go to stderr. Exit codes:
-0 success, 2 certification failure, 3 configuration error.
+This module alone turns results into bytes: the library hands back rows,
+samples and proof trees, and every CSV table and JSON document is written
+here.  Data outputs (stdout or --out) are byte deterministic: no timestamps,
+floats printed via repr.  Wall time and other diagnostics go to stderr.  Exit
+codes: 0 success, 2 certification failure, 3 configuration error, which is
+any DomainError, from a flag or from the library.
 """
 
 from __future__ import annotations
@@ -21,23 +24,19 @@ from typing import Sequence
 
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
 from .errors import BidiscError, DepthExceeded, DomainError
-from .flows import (DensityCurve, builtin_recipes, eval_flow, find_crossings,
-                    load_recipe, lower_bound_curve)
-from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, certify_interval,
-                      make_certifier, sweep)
+from .flows import (builtin_recipes, eval_flow, find_crossings, load_recipe,
+                    lower_bound_curve)
+from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, TraceNode,
+                      certify_interval, make_certifier, sweep)
 from .intervals import Interval
 from .ratios import RATIO_TABLE, ratio_interval, ratio_polynomial
-
-
-class _ConfigError(Exception):
-    """Bad flags or unusable inputs; mapped to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, which would collide with
     # the certification-failure code. Route usage problems through exit 3.
     def error(self, message):
-        raise _ConfigError(message)
+        raise DomainError(message)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -45,22 +44,18 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo_s, hi_s = text.split(":")
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
-        raise _ConfigError(f"range must look like LO:HI, got {text!r}")
+        raise DomainError(f"range must look like LO:HI, got {text!r}")
     if not (0.0 < lo <= hi < 1.0):
-        raise _ConfigError(f"range must satisfy 0 < LO <= HI < 1, got {text!r}")
+        raise DomainError(f"range must satisfy 0 < LO <= HI < 1, got {text!r}")
     return lo, hi
 
 
-def _check_positive(name: str, value: float) -> None:
-    # isfinite also turns away nan, on which the grid loop never ends
-    if not (math.isfinite(value) and value > 0.0):
-        raise _ConfigError(f"{name} must be positive and finite, got {value}")
-
-
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    _check_positive("step", step)
+    # isfinite also turns away nan, on which the grid loop never ends
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be positive and finite, got {step}")
     if (hi - lo) / step > 1e7:
-        raise _ConfigError("step is too small for the range (over 1e7 points)")
+        raise DomainError("step is too small for the range (over 1e7 points)")
     out = []
     k = 0
     while True:
@@ -69,6 +64,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         if r >= hi - 1e-9 * step:
             out.append(hi)
             return out
+        if out and r <= out[-1]:
+            raise DomainError(f"step {step!r} is below the float spacing of the "
+                              f"range: the grid repeats r={r!r}")
         out.append(r)
         k += 1
 
@@ -76,13 +74,36 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc}")
 
 
-def _json_dumps(obj) -> str:
+def _csv(header: str, rows) -> str:
+    """A header line, then one line per row: floats by repr, the rest by str.
+
+    Each field goes through ``str.format``, which prints a float as its str,
+    and the str of a float is its repr.
+    """
+    line = ",".join(["{}"] * len(header.split(","))).format
+    return "\n".join([header, *(line(*row) for row in rows)]) + "\n"
+
+
+def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _verdict(node: TraceNode) -> str:
+    return "proven" if node.verdict else "unproven"
+
+
+def _node_json(node: TraceNode) -> dict:
+    return {"lo": repr(node.interval.lo), "hi": repr(node.interval.hi),
+            "delta": node.delta, "verdict": _verdict(node),
+            "children": [_node_json(child) for child in node.children]}
 
 
 def cmd_ratios(args) -> int:
@@ -95,14 +116,12 @@ def cmd_ratios(args) -> int:
         payload = [{"name": name,
                     "lo": enc.lo,
                     "hi": enc.hi,
-                    "polynomial": poly.to_json()}
+                    "polynomial": [[c.numerator, c.denominator] for c in poly.coeffs]}
                    for name, enc, poly in rows]
-        _emit(_json_dumps(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
-        lines = ["name,lo,hi,polynomial"]
-        for name, enc, poly in rows:
-            lines.append(f"{name},{enc.lo!r},{enc.hi!r},{poly}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("name,lo,hi,polynomial",
+                   ((name, enc.lo, enc.hi, poly) for name, enc, poly in rows)), args.out)
     return 0
 
 
@@ -112,7 +131,7 @@ def _load_recipes(paths: Sequence[str]):
         try:
             recipe = load_recipe(path)
         except (OSError, BidiscError, ValueError) as exc:
-            raise _ConfigError(f"cannot load recipe {path}: {exc}")
+            raise DomainError(f"cannot load recipe {path}: {exc}")
         recipes[recipe.name] = recipe
     return recipes
 
@@ -121,7 +140,8 @@ def cmd_lower(args) -> int:
     lo, hi = _parse_range(args.range)
     recipes = _load_recipes(args.recipe)
     grid = _grid(lo, hi, args.step)
-    curve, flow_samples = lower_bound_curve(grid, recipes)
+    rows, flow_samples = lower_bound_curve(grid, recipes)
+    curve = [(r, value, "lower") for r, value in rows]
 
     # Where does each construction cross the hexagonal baseline? The
     # interstitial construction strictly exceeds it everywhere it applies,
@@ -157,11 +177,11 @@ def cmd_lower(args) -> int:
     crossings.sort(key=lambda iv: iv.lo)
 
     if args.format == "json":
-        payload = {"curve": curve.to_json(),
+        payload = {"curve": curve,
                    "crossings": [[iv.lo, iv.hi] for iv in crossings]}
-        _emit(_json_dumps(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
-        _emit(curve.to_csv(), args.out)
+        _emit(_csv("r,density,tag", curve), args.out)
         for iv in crossings:
             print(f"crossing,{iv.lo!r},{iv.hi!r}", file=sys.stderr)
     return 0
@@ -169,7 +189,6 @@ def cmd_lower(args) -> int:
 
 def cmd_upper(args) -> int:
     lo, hi = _parse_range(args.range)
-    _check_positive("precision", args.precision)
     certifier = make_certifier(args.certifier)
     grid = _grid(lo, hi, args.step)
     samples = list(sweep(certifier, grid, precision=args.precision))
@@ -178,7 +197,7 @@ def cmd_upper(args) -> int:
             with open(args.samples, encoding="utf-8") as fh:
                 extra = samples_from_csv(fh.read())
         except (OSError, ValueError) as exc:
-            raise _ConfigError(f"cannot load samples {args.samples}: {exc}")
+            raise DomainError(f"cannot load samples {args.samples}: {exc}")
         low = suspicious_samples(extra)
         if low:
             print(f"warning: {len(low)} of {len(extra)} rows in {args.samples} "
@@ -186,27 +205,22 @@ def cmd_upper(args) -> int:
         samples.extend(extra)
     samples.sort(key=lambda s: (s.r, s.value))
     if not samples:
-        raise _ConfigError("no certified samples and no --samples file")
+        raise DomainError("no certified samples and no --samples file")
 
     fine = _grid(lo, hi, args.step / 10.0)
-    curve = DensityCurve(tuple(
-        (r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))))
+    curve = [(r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))]
     if args.format == "json":
         payload = {"samples": [[s.r, s.value] for s in samples],
-                   "curve": curve.to_json()}
-        _emit(_json_dumps(payload), args.out)
+                   "curve": curve}
+        _emit(_json(payload), args.out)
     else:
-        _emit(curve.to_csv(), args.out)
+        _emit(_csv("r,density,tag", curve), args.out)
         print(f"samples,{len(samples)}", file=sys.stderr)
     return 0
 
 
 def cmd_certify(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.delta is not None and not math.isfinite(args.delta):
-        raise _ConfigError(f"delta must be finite, got {args.delta}")
-    if args.max_depth < 1:
-        raise _ConfigError(f"max-depth must be at least 1, got {args.max_depth}")
     certifier = make_certifier(args.certifier)
     delta = delta1() if args.delta is None else args.delta
     try:
@@ -218,9 +232,13 @@ def cmd_certify(args) -> int:
         failed = exc
 
     if args.format == "json":
-        _emit(_json_dumps(trace.to_json()), args.out)
+        # wall time stays out, so the document is byte-stable across runs
+        _emit(_json({"leaf_count": trace.leaf_count, "node_count": trace.node_count,
+                     "success": trace.success, "root": _node_json(trace.root)}), args.out)
     else:
-        _emit(trace.leaves_csv(), args.out)
+        _emit(_csv("lo,hi,delta,verdict",
+                   ((leaf.interval.lo, leaf.interval.hi, leaf.delta, _verdict(leaf))
+                    for leaf in trace.leaves())), args.out)
     print(f"leaves,{trace.leaf_count}", file=sys.stderr)
 
     if failed is not None:
@@ -286,9 +304,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         code = args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -6,10 +6,6 @@ nudges of the ``Interval`` operation it is named after, in the same order,
 so every element is bit-identical to that operation's result, and a batch of
 intervals costs one pass of numpy calls.  Domain checks are left to the
 caller: ``bounds.florian_enclosures`` makes them.
-
-The package loads this module, and with it numpy, on first use: importing
-numpy ahead of the rest of the package raised the peak memory of whole runs
-by 0.4-0.8 MB.
 """
 
 import math

@@ -12,7 +12,8 @@ ratio r varies.  Two kinds are supported:
 The module also provides the two reference closed-form density curves used
 as oracles, the interstitial construction that drops small discs into the
 holes of the unit hexagonal packing, crossing detection against a level,
-and the combined lower-bound curve.
+and the combined lower-bound curve as plain ``(r, density)`` rows, which
+the command line writes out.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class FlowRecipe:
 
     name: str
     valid_range: tuple[float, float]
-    range_spec: tuple
     census: tuple[int, int]            # (unit discs, ratio discs) per cell
 
     kind = "abstract"
@@ -183,8 +183,7 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
     try:
         name = obj["name"]
         kind = obj["kind"]
-        range_spec = tuple(obj["valid_range"])
-        valid_range = tuple(_resolve_range_endpoint(s) for s in range_spec)
+        valid_range = tuple(_resolve_range_endpoint(s) for s in obj["valid_range"])
         census = (int(obj["census"]["unit"]), int(obj["census"]["ratio"]))
         if kind == "sequential":
             seeds = tuple(Disc(*map(float, row)) for row in obj["seeds"])
@@ -195,8 +194,7 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
             cell = tuple(
                 (tuple((int(i), float(c)) for i, c in entry["combo"]), str(entry["radius"]))
                 for entry in obj["cell"])
-            return SequentialRecipe(name, valid_range, range_spec, census,
-                                    seeds, steps, lattice, cell)
+            return SequentialRecipe(name, valid_range, census, seeds, steps, lattice, cell)
         if kind == "constrained":
             variables = tuple(obj["variables"])
             scope = list(variables) + ["r"]
@@ -213,7 +211,7 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
                 for row in obj["cell"])
             guess_map = obj["guess"]
             guess = tuple(float(guess_map[v]) for v in variables)
-            return ConstrainedRecipe(name, valid_range, range_spec, census,
+            return ConstrainedRecipe(name, valid_range, census,
                                      variables, tuple(defines), equations,
                                      int(obj["verify_index"]), float(obj["r0"]),
                                      guess, lattice, cell)
@@ -448,41 +446,23 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
 
 
 # ---------------------------------------------------------------------------
-# curves and crossings
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    """Sorted (r, value, tag) samples of a density curve."""
-
-    samples: tuple[tuple[float, float, str], ...]
-
-    def __post_init__(self):
-        rs = [s[0] for s in self.samples]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("curve samples must have strictly increasing r")
-
-    def to_csv(self) -> str:
-        lines = ["r,density,tag"]
-        lines += [f"{r!r},{value!r},{tag}" for r, value, tag in self.samples]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> list:
-        return [[r, value, tag] for r, value, tag in self.samples]
+# the lower-bound curve and crossings
 
 
 def lower_bound_curve(grid: Sequence[float],
                       recipes: dict[str, FlowRecipe] | None = None
-                      ) -> tuple[DensityCurve, dict[str, list[tuple[float, float | None]]]]:
+                      ) -> tuple[list[tuple[float, float]],
+                                 dict[str, list[tuple[float, float | None]]]]:
     """Best known packing density at each ratio of a sorted grid, with the
     samples behind it.
 
     At each ratio this is the maximum of the hexagonal baseline, the
     interstitial construction where it applies, and every registered recipe
     whose range covers the ratio; recipe evaluations that fail are skipped.
-    Returns the curve and, for each recipe name, the ``(r, density)`` pairs
-    at the grid ratios its range covers, in grid order; density is None
-    where the evaluation failed.  Each recipe is evaluated once per ratio.
+    Returns the curve as ``(r, density)`` rows in grid order and, for each
+    recipe name, the ``(r, density)`` pairs at the grid ratios its range
+    covers, in grid order; density is None where the evaluation failed.
+    Each recipe is evaluated once per ratio.
     """
     if recipes is None:
         recipes = builtin_recipes()
@@ -506,7 +486,7 @@ def lower_bound_curve(grid: Sequence[float],
         if value is not None:
             best[k] = max(best[k], value)
         per_recipe[name].append((grid[k], value))
-    return DensityCurve(tuple((r, b, "lower") for r, b in zip(grid, best))), per_recipe
+    return list(zip(grid, best)), per_recipe
 
 
 def find_crossings(fn: Callable[[float], float], level: float,

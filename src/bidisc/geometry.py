@@ -70,17 +70,6 @@ class FundamentalDomain:
             census[d.radius] = census.get(d.radius, 0) + 1
         return census
 
-    def to_json(self) -> dict:
-        return {
-            "u": list(self.u),
-            "v": list(self.v),
-            "discs": [[d.x, d.y, d.radius] for d in self.discs],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FundamentalDomain":
-        return cls(tuple(obj["u"]), tuple(obj["v"]), tuple(Disc(*row) for row in obj["discs"]))
-
 
 def stick(d1: Disc, d2: Disc, radius: float) -> Disc:
     """New disc of given radius tangent to d1 and d2, on the left of d1->d2.

@@ -204,15 +204,6 @@ class TraceNode:
     def count(self) -> int:
         return 1 + sum(child.count() for child in self.children)
 
-    def to_json(self) -> dict:
-        return {
-            "lo": repr(self.interval.lo),
-            "hi": repr(self.interval.hi),
-            "delta": self.delta,
-            "verdict": "proven" if self.verdict else "unproven",
-            "children": [child.to_json() for child in self.children],
-        }
-
 
 @dataclass(frozen=True)
 class ProofTrace:
@@ -238,23 +229,6 @@ class ProofTrace:
     @property
     def node_count(self) -> int:
         return self.root.count()
-
-    def to_json(self) -> dict:
-        # wall time is deliberately left out so serialized traces are
-        # byte-stable across runs; it stays available on the object
-        return {
-            "leaf_count": self.leaf_count,
-            "node_count": self.node_count,
-            "success": self.success,
-            "root": self.root.to_json(),
-        }
-
-    def leaves_csv(self) -> str:
-        lines = ["lo,hi,delta,verdict"]
-        for leaf in self.root.leaves():
-            verdict = "proven" if leaf.verdict else "unproven"
-            lines.append(f"{leaf.interval.lo!r},{leaf.interval.hi!r},{leaf.delta!r},{verdict}")
-        return "\n".join(lines) + "\n"
 
 
 def certify_interval(c: Certifier, r: Interval, delta: float,

@@ -96,12 +96,6 @@ class Interval:
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> list:
-        """Two decimal strings; repr round-trips doubles exactly."""
-        return [repr(self.lo), repr(self.hi)]
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod

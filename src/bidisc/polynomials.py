@@ -81,11 +81,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> list:
-        return [[c.numerator, c.denominator] for c in self.coeffs]
-
 
 def refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
     """Bisect a bracket across which p changes sign down to width <= tol.

@@ -21,7 +21,6 @@ from bidisc.bounds import (
     lipschitz_slope,
     r_blind_interval,
     samples_from_csv,
-    samples_to_csv,
     _tangent_intervals,
     suspicious_samples,
 )
@@ -329,8 +328,7 @@ class TestEnvelope:
 class TestSamples:
     def test_csv_round_trip(self):
         samples = [BoundSample(0.3, 0.94), BoundSample(0.5, 0.915)]
-        again = samples_from_csv(samples_to_csv(samples))
-        assert again == samples
+        assert samples_from_csv("r,value\n0.3,0.94\n0.5,0.915\n") == samples
 
     @pytest.mark.parametrize("text", ["0.75,0.5\n", "0.75,0.5\n0.8,0.9\n",
                                       "value,r\n0.75,0.5\n"],

@@ -13,7 +13,7 @@ import pytest
 from bidisc import cli, flows
 from bidisc.bounds import samples_from_csv
 from bidisc.cli import main
-from bidisc.flows import DensityCurve, closed_form_841
+from bidisc.flows import closed_form_841
 from bidisc.ratios import RATIO_TABLE
 
 DELTA1 = 0.9068996821171089
@@ -55,9 +55,12 @@ RATIOS_JSON_ROWS = [
 
 
 def curve_from_csv(text):
-    """The curve behind ``r,density,tag`` CSV output."""
+    """The ``(r, density, tag)`` rows of ``r,density,tag`` CSV output,
+    checked to have strictly increasing r."""
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    return DensityCurve(tuple((float(r), float(value), tag) for r, value, tag in rows))
+    curve = [(float(r), float(value), tag) for r, value, tag in rows]
+    assert all(a[0] < b[0] for a, b in zip(curve, curve[1:]))
+    return curve
 
 
 def run(capsys, *argv):
@@ -110,9 +113,9 @@ class TestLower:
         code, out, err = run(capsys, "lower", "--range", "0.42:0.44", "--step", "0.01")
         assert code == 0
         curve = curve_from_csv(out)
-        rs = [row[0] for row in curve.samples]
+        rs = [row[0] for row in curve]
         assert rs == [0.42, 0.43, 0.44]
-        assert math.isclose(curve.samples[0][1], closed_form_841(0.42), rel_tol=1e-12)
+        assert math.isclose(curve[0][1], closed_form_841(0.42), rel_tol=1e-12)
         crossing_lines = [l for l in err.splitlines() if l.startswith("crossing,")]
         assert len(crossing_lines) == 1
         _, lo, hi = crossing_lines[0].split(",")
@@ -137,8 +140,7 @@ class TestLower:
                            "--out", str(target))
         assert code == 0
         assert out == ""
-        curve = curve_from_csv(target.read_text())
-        assert len(curve.samples) == 2
+        assert len(curve_from_csv(target.read_text())) == 2
 
 
 # sha256 of the CSV stdout of `bidisc lower --range 0.36:0.99 --step 0.001`,
@@ -216,7 +218,7 @@ class TestLowerPinned:
         out, _, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001",
                                "--format", "json")
         obj = json.loads(out)
-        assert obj["curve"] == curve_from_csv(csv_out).to_json()
+        assert obj["curve"] == [list(row) for row in curve_from_csv(csv_out)]
         assert [tuple(iv) for iv in obj["crossings"]] == stderr_crossings(csv_err)
 
     def test_crossings_036(self, cold_lower):
@@ -241,8 +243,8 @@ class TestLowerPinned:
         # interstitial cells of up to 3417 discs
         out, _, _ = cold_lower("--range", "0.005:0.01", "--step", "0.001")
         curve = curve_from_csv(out)
-        assert len(curve.samples) == 6
-        assert all(value > DELTA1 for _, value, _ in curve.samples)
+        assert len(curve) == 6
+        assert all(value > DELTA1 for _, value, _ in curve)
 
 
     @pytest.mark.parametrize("variant", range(len(EXPECTED["lower_sweep"])))
@@ -343,13 +345,13 @@ class TestUpper:
                              "--precision", "0.0001")
         assert code == 0
         curve = curve_from_csv(out)
-        assert len(curve.samples) == 21
-        assert all(row[2] == "upper" for row in curve.samples)
+        assert len(curve) == 21
+        assert all(row[2] == "upper" for row in curve)
         # the default sweep samples the triangle bound certifier; between
         # samples the envelope bulges by at most slope times half a step
         from bidisc.bounds import florian_bound, lipschitz_slope
         bulge = lipschitz_slope(0.74) * 0.005 + 2e-4
-        for r, value, _ in curve.samples:
+        for r, value, _ in curve:
             assert florian_bound(r) - 2e-3 <= value <= florian_bound(r) + bulge
         assert any(line.startswith("samples,") for line in err.splitlines())
 
@@ -363,8 +365,7 @@ class TestUpper:
         code, out, _ = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
                            "--samples", str(extra))
         assert code == 0
-        curve = curve_from_csv(out)
-        at = {row[0]: row[1] for row in curve.samples}
+        at = {row[0]: row[1] for row in curve_from_csv(out)}
         assert at[0.75] == 0.89
 
     def test_non_finite_sample_row_is_config_error(self, capsys, tmp_path):
@@ -424,7 +425,7 @@ class TestUpper:
         code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
                              "--samples", str(extra))
         assert code == 0
-        assert curve_from_csv(out).samples[-1][1] == 0.5
+        assert curve_from_csv(out)[-1][1] == 0.5
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1
         assert "1 of 2 rows" in warnings[0] and "below delta1" in warnings[0]
@@ -509,6 +510,38 @@ def test_non_finite_number_is_config_error(capsys, argv, value):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, lo", [("lower", 0.5), ("upper", 0.9)])
+def test_step_below_float_spacing_is_config_error(capsys, command, lo):
+    # a step below the float spacing of the range would repeat grid ratios;
+    # an ordinary step gives rows with strictly increasing r, which
+    # curve_from_csv checks
+    code, out, err = run(capsys, command, "--range", f"{lo!r}:{lo + 5e-16!r}",
+                         "--step", "1e-17")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    code, out, _ = run(capsys, command, "--range", f"{lo!r}:{lo + 0.01!r}", "--step", "0.005")
+    assert code == 0
+    assert curve_from_csv(out)
+
+
+def test_unwritable_out_is_config_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "ratios", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+def test_max_depth_below_one_is_config_error(capsys):
+    # the library's check and message: the command line does not repeat it
+    code, out, err = run(capsys, "certify", "--range", "0.743:0.99", "--max-depth", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: max_depth must be at least 1\n")
 
 
 def test_certify_has_no_precision_flag(capsys):

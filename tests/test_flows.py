@@ -18,7 +18,6 @@ from bidisc import flows
 from bidisc.errors import (DomainError, InvalidPacking, NoConvergence,
                            NoSolution, RecipeError, SingularJacobian)
 from bidisc.flows import (
-    DensityCurve,
     builtin_recipes,
     clear_continuation_cache,
     closed_form_841,
@@ -416,8 +415,8 @@ def small_per_hole(r):
 
 def lower_at(r):
     """The best known density at the one ratio r."""
-    curve, _ = lower_bound_curve([r])
-    return curve.samples[0][1]
+    rows, _ = lower_bound_curve([r])
+    return rows[0][1]
 
 
 class TestInterstitial:
@@ -480,22 +479,6 @@ class TestInterstitial:
             interstitial(0.0)
 
 
-class TestDensityCurve:
-    def test_csv_round_trip(self):
-        curve = DensityCurve(((0.4, 0.89, "flow-841-mid"), (0.5, 0.88, "flow-841-mid")))
-        header, *rows = curve.to_csv().splitlines()
-        assert header == "r,density,tag"
-        again = tuple((float(r), float(value), tag)
-                      for r, value, tag in (row.split(",") for row in rows))
-        assert again == curve.samples
-
-    def test_requires_increasing_r(self):
-        with pytest.raises(ValueError):
-            DensityCurve(((0.5, 0.9, "a"), (0.5, 0.9, "a")))
-        with pytest.raises(ValueError):
-            DensityCurve(((0.5, 0.9, "a"), (0.4, 0.9, "a")))
-
-
 class TestLowerEnvelope:
     def test_hexagonal_floor_everywhere(self):
         # outside every branch the unit lattice value remains available
@@ -511,30 +494,29 @@ class TestLowerEnvelope:
 
     def test_curve_hands_back_recipe_samples(self):
         recipes = builtin_recipes()
-        curve, per_recipe = lower_bound_curve([0.3, 0.42, 0.5, 0.9], recipes)
+        rows, per_recipe = lower_bound_curve([0.3, 0.42, 0.5, 0.9], recipes)
         assert set(per_recipe) == set(recipes)
         assert [r for r, _ in per_recipe["flow-841-mid"]] == [0.42, 0.5]
         assert [r for r, _ in per_recipe["flow-r6-1"]] == [0.42, 0.5, 0.9]
         for name, samples in per_recipe.items():
             for r, value in samples:
                 assert value == eval_flow(recipes[name], r)[1]
-        assert curve.samples[1][1] == max(v for s in per_recipe.values()
-                                          for r, v in s if r == 0.42)
+        assert rows[1][1] == max(v for s in per_recipe.values() for r, v in s if r == 0.42)
 
     def test_failed_recipe_samples_are_none(self):
         # flow-841-mid's discs overlap below r4
         obj = recipe_to_dict_841()
         obj["name"], obj["valid_range"] = "wide", [0.4, "r1"]
         wide = recipe_from_dict(obj)
-        curve, per_recipe = lower_bound_curve([0.405, 0.42], {"wide": wide})
-        assert per_recipe == {"wide": [(0.405, None), (0.42, curve.samples[1][1])]}
-        assert curve.samples[0][1] == DELTA1
-        assert curve.samples[1][1] == eval_flow(wide, 0.42)[1]
+        rows, per_recipe = lower_bound_curve([0.405, 0.42], {"wide": wide})
+        assert per_recipe == {"wide": [(0.405, None), (0.42, rows[1][1])]}
+        assert rows[0][1] == DELTA1
+        assert rows[1][1] == eval_flow(wide, 0.42)[1]
 
     def test_curve_rows(self):
-        curve, _ = lower_bound_curve([0.1, 0.42, 0.9])
-        assert [row[2] for row in curve.samples] == ["lower"] * 3
-        values = [row[1] for row in curve.samples]
+        rows, _ = lower_bound_curve([0.1, 0.42, 0.9])
+        assert [r for r, _ in rows] == [0.1, 0.42, 0.9]
+        values = [value for _, value in rows]
         assert math.isclose(values[0], interstitial(0.1)[1], rel_tol=1e-15)
         assert math.isclose(values[1], closed_form_841(0.42), rel_tol=1e-12)
         assert values[2] == DELTA1

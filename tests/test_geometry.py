@@ -100,10 +100,6 @@ class TestFundamentalDomain:
                               (Disc(0, 0, 1.0), Disc(2, 0, 1.0), Disc(1, 2, 0.5)))
         assert d.radius_census() == {1.0: 2, 0.5: 1}
 
-    def test_json_round_trip(self):
-        d = hex_domain()
-        assert FundamentalDomain.from_json(d.to_json()) == d
-
     def test_rejects_degenerate_lattice(self):
         with pytest.raises(InvalidPacking):
             FundamentalDomain((1.0, 2.0), (2.0, 4.0), (Disc(0, 0, 1),))

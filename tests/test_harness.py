@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bidisc import cli
 from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_interval, delta1
 from bidisc.errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from bidisc.harness import (
@@ -309,7 +310,7 @@ class TestRefutation:
                 new = exc.trace
             assert new.success == old.success
             if new.success:
-                assert new.to_json() == old.to_json()
+                assert new.root == old.root
             else:
                 failures += 1
                 compare(new.root, old.root, 1, max_depth)
@@ -341,7 +342,7 @@ class TestLevelOrder:
         c, lo, hi, delta, max_depth, success, domain_leaves = case
         old = depth_first(c, Interval(lo, hi), delta, max_depth)
         new = certified(c, Interval(lo, hi), delta, max_depth)
-        assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+        assert new.root == old.root
         assert new.success == success
         assert sum(1 for leaf in new.failing_leaves()
                    if bound_one(c, leaf.interval) is None) == domain_leaves
@@ -377,25 +378,47 @@ class TestLevelOrder:
         assert sum(calls) == trace.node_count + 3 * probes
 
 
-class TestSerialization:
-    def test_trace_json_deterministic(self):
-        c = make_certifier("florian")
-        a = certify_interval(c, Interval(0.9, 0.99), 0.9075)
-        b = certify_interval(c, Interval(0.9, 0.99), 0.9075)
-        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
-        obj = a.to_json()
-        assert "wall_time" not in json.dumps(obj)
-        assert obj["root"]["verdict"] == "proven"
+def json_leaves(node):
+    """The leaves of a trace document's node tree, left to right."""
+    if not node["children"]:
+        yield node
+    for child in node["children"]:
+        yield from json_leaves(child)
 
-    def test_leaves_csv_shape(self):
+
+class TestSerialization:
+    # the command line writes traces; these read what it writes for the
+    # trace of one run
+    @staticmethod
+    def certify_stdout(capsys, fmt):
+        code = cli.main(["certify", "--range", "0.9:0.99", "--certifier", "florian",
+                         "--delta", "0.9075", "--format", fmt])
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_trace_json_deterministic(self, capsys):
+        first = self.certify_stdout(capsys, "json")
+        assert first == self.certify_stdout(capsys, "json")
+        assert "wall_time" not in first
+        obj = json.loads(first)
         trace = certify_interval(make_certifier("florian"), Interval(0.9, 0.99), 0.9075)
-        lines = trace.leaves_csv().strip().splitlines()
+        assert (obj["leaf_count"], obj["node_count"], obj["success"]) == (
+            trace.leaf_count, trace.node_count, True)
+        assert obj["root"]["verdict"] == "proven"
+        assert [(float(n["lo"]), float(n["hi"]), n["delta"], n["verdict"])
+                for n in json_leaves(obj["root"])] == [
+            (leaf.interval.lo, leaf.interval.hi, leaf.delta, "proven")
+            for leaf in trace.leaves()]
+
+    def test_leaves_csv_shape(self, capsys):
+        trace = certify_interval(make_certifier("florian"), Interval(0.9, 0.99), 0.9075)
+        lines = self.certify_stdout(capsys, "csv").strip().splitlines()
         assert lines[0] == "lo,hi,delta,verdict"
         assert len(lines) == trace.leaf_count + 1
-        for row in lines[1:]:
-            lo, hi, delta, verdict = row.split(",")
-            assert float(lo) < float(hi) or float(lo) == float(hi)
-            assert verdict in ("proven", "unproven")
+        rows = [row.split(",") for row in lines[1:]]
+        assert [(float(lo), float(hi), float(delta)) for lo, hi, delta, _ in rows] == [
+            (leaf.interval.lo, leaf.interval.hi, leaf.delta) for leaf in trace.leaves()]
+        assert all(verdict in ("proven", "unproven") for *_, verdict in rows)
 
     def test_wall_time_not_compared(self):
         c = make_certifier("florian")

@@ -191,12 +191,6 @@ def test_acos_domain():
         assert str(err).startswith("acos argument out of (-1, 1]: ")
 
 
-def test_serialization_round_trip():
-    iv = Interval(0.1, 0.30000000000000004)
-    assert iv.to_json() == ["0.1", "0.30000000000000004"]
-    assert Interval(*map(float, iv.to_json())) == iv
-
-
 finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False,
                    allow_infinity=False)
 

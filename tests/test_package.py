@@ -1,8 +1,12 @@
 """The package's public surface."""
 
 import pathlib
+import shlex
 
 import bidisc
+from bidisc import cli
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_all_names_resolve_once():
@@ -14,7 +18,19 @@ def test_all_names_resolve_once():
 def test_readme_library_sketch_runs():
     # the README's example exactly as written, so the docs cannot go on
     # naming an API the package no longer has
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Library sketch", 1)[1]
+    section = README.split("## Library sketch", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md#library-sketch", "exec"), {})
+
+
+def test_readme_command_line_runs(capsys):
+    # each command of the README's command line block, comments stripped,
+    # exits 0 with output
+    section = README.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+    assert commands
+    for argv in commands:
+        assert argv[0] == "bidisc"
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out, argv
