@@ -191,7 +191,10 @@ def cmd_upper(args) -> int:
     lo, hi = _parse_range(args.range)
     certifier = make_certifier(args.certifier)
     grid = _grid(lo, hi, args.step)
-    samples = list(sweep(certifier, grid, precision=args.precision))
+    fine = _grid(lo, hi, args.step / 10.0)
+    samples, skipped = sweep(certifier, grid, precision=args.precision)
+    for r, exc in skipped:
+        print(f"sweep: no bound at r={r} via {certifier.name}: {exc}", file=sys.stderr)
     if args.samples is not None:
         try:
             with open(args.samples, encoding="utf-8") as fh:
@@ -207,7 +210,6 @@ def cmd_upper(args) -> int:
     if not samples:
         raise DomainError("no certified samples and no --samples file")
 
-    fine = _grid(lo, hi, args.step / 10.0)
     curve = [(r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))]
     if args.format == "json":
         payload = {"samples": [[s.r, s.value] for s in samples],

@@ -386,51 +386,41 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
 _ADMIT_SLACK = 5e-10
 
 
+def _fills_holes(r: float) -> bool:
+    """Whether the interstitial construction applies at ratio r."""
+    return 0.0 < r <= ratio("r8") + _RANGE_SLACK
+
+
 def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     """Hexagonal unit packing with small discs filling both holes per cell.
 
-    Small discs sit on a pitch-2r triangular lattice centered on the hole
-    center, keeping only those far enough from the surrounding unit discs
-    and closer to this hole than to any other, so adjacent holes never
-    claim the same site.  The second hole is filled with the point
-    reflection of the first through the midpoint between the hole centers,
-    which maps the surrounding unit centers onto themselves.  The domain is
-    scanned for overlaps before it is returned, as in ``eval_flow``.
+    The unit discs sit at (2a + b, sqrt(3) b).  Small discs sit on a pitch-2r
+    triangular lattice centred on the hole centre (1, sqrt(3)/3); a site is
+    kept when it lies strictly inside the hole's triangle (0, 0), (2, 0),
+    (1, sqrt(3)) and at least 1 + r from its three vertices.  No other test
+    is needed: among the hole centres that triangle is exactly this hole's
+    Voronoi cell, so adjacent holes never claim the same site; every other
+    unit centre is at least sqrt(3) > 1 + r8 from the triangle; and a site
+    1 + r from both ends of an edge is at least sqrt(2r + r^2) from it, so
+    the strict tests never meet a rounding tie.  The second hole is filled
+    with the point reflection of the first through (3/2, sqrt(3)/2), which
+    maps the unit centres onto themselves.  The domain is scanned for
+    overlaps before it is returned, as in ``eval_flow``.
     """
-    r8 = ratio("r8")
-    if not 0.0 < r <= r8 + _RANGE_SLACK:
-        raise DomainError(f"interstitial construction needs 0 < r <= {r8:.6f}, got {r}")
+    if not _fills_holes(r):
+        raise DomainError(f"interstitial construction needs 0 < r <= {ratio('r8'):.6f}, got {r}")
 
     hx, hy = 1.0, SQRT3 / 3.0
-    window = 2.0 / SQRT3
-    kmax = int(math.ceil(window / (2.0 * r))) + 1
+    circumradius = 2.0 / SQRT3
+    kmax = int(math.ceil(circumradius / (2.0 * r))) + 1
     m, n = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-kmax, kmax + 1),
                        indexing="ij")
     px = hx + 2.0 * r * m.ravel() + r * n.ravel()
     py = hy + r * SQRT3 * n.ravel()
-    keep = (px - hx) ** 2 + (py - hy) ** 2 <= window * window
+    keep = (py > 0.0) & (py < SQRT3 * px) & (py < SQRT3 * (2.0 - px))
     limit = (1.0 + r - _ADMIT_SLACK) ** 2
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            cx = 2.0 * a + b
-            cy = SQRT3 * b
-            if (cx - hx) ** 2 + (cy - hy) ** 2 > 2.6 ** 2 + window * window:
-                continue
-            keep &= (px - cx) ** 2 + (py - cy) ** 2 >= limit
-    # A site far enough from the unit discs may sit in an adjacent hole,
-    # where the other cluster (or a periodic image of this one) would place
-    # the same disc again.  Every site belongs to its nearest hole center,
-    # and no admissible site is equidistant: the bisector between two holes
-    # runs through the tangency cusp, inside the unit-disc exclusion zone.
-    own = (px - hx) ** 2 + (py - hy) ** 2
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            for gx, gy in ((hx, hy), (2.0, 2.0 * SQRT3 / 3.0)):
-                cx = gx + 2.0 * a + b
-                cy = gy + SQRT3 * b
-                if cx == hx and cy == hy:
-                    continue
-                keep &= own < (px - cx) ** 2 + (py - cy) ** 2
+    for cx, cy in ((0.0, 0.0), (2.0, 0.0), (1.0, SQRT3)):
+        keep &= (px - cx) ** 2 + (py - cy) ** 2 >= limit
     px, py = px[keep], py[keep]
     order = np.lexsort((px, py))
     px, py = px[order], py[order]
@@ -471,7 +461,7 @@ def lower_bound_curve(grid: Sequence[float],
     grid = [float(r) for r in grid]
     best, cells = [delta1() for _ in grid], []
     for k, r in enumerate(grid):
-        if 0.0 < r <= ratio("r8") + _RANGE_SLACK:
+        if _fills_holes(r):
             best[k] = max(best[k], interstitial(r)[1])
         for name, recipe in recipes.items():
             if recipe.contains(r):

@@ -23,18 +23,14 @@ never strengthen them.
 
 from __future__ import annotations
 
-import logging
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
                      florian_enclosures)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from .intervals import Interval
-
-log = logging.getLogger(__name__)
 
 DEFAULT_PRECISION = 1e-4
 DEFAULT_MAX_DEPTH = 40
@@ -210,7 +206,6 @@ class ProofTrace:
     """Bisection tree of one certification run."""
 
     root: TraceNode
-    wall_time: float = field(compare=False, default=0.0)
 
     @property
     def success(self) -> bool:
@@ -255,7 +250,6 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
         raise DomainError("max_depth must be at least 1")
     if not math.isfinite(delta):
         raise DomainError(f"delta must be finite, got {delta}")
-    start = time.perf_counter()
 
     def refuted(p: Interval | DomainError) -> bool:
         return isinstance(p, DomainError) or p.lo > delta
@@ -306,7 +300,7 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
                 nodes.append(TraceNode(iv, delta, verdict, children))
             else:
                 nodes.append(TraceNode(iv, delta, verdict))
-    trace = ProofTrace(nodes[0], wall_time=time.perf_counter() - start)
+    trace = ProofTrace(nodes[0])
     if not trace.success:
         raise DepthExceeded(
             f"{len(trace.failing_leaves())} leaf interval(s) unproven at depth {max_depth}",
@@ -314,21 +308,22 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
     return trace
 
 
-def sweep(c: Certifier, grid: Sequence[float],
-          precision: float = DEFAULT_PRECISION) -> list[BoundSample]:
+def sweep(c: Certifier, grid: Sequence[float], precision: float = DEFAULT_PRECISION
+          ) -> tuple[list[BoundSample], list[tuple[float, DomainError]]]:
     """find_delta at each grid ratio, after one ``bound_many`` call for all
-    of them; failed points, non-finite ones included, are logged and
-    skipped."""
+    of them.  Returns the samples and, in grid order, the ``(r, error)``
+    pairs of the points that could not be bounded, non-finite ones
+    included."""
     _check_precision(precision)
     points = _each(lambda r: Interval(float(r)), grid)
     enclosures = iter(c.bound_many([p for p in points if isinstance(p, Interval)]))
-    samples = []
+    samples, skipped = [], []
     for r, point in zip(grid, points):
         enclosure = next(enclosures) if isinstance(point, Interval) else point
         try:
             if isinstance(enclosure, DomainError):
                 raise enclosure
             samples.append(BoundSample(float(r), _dichotomy(c, point, enclosure.hi, precision)))
-        except (InitialBoundsInvalid, DomainError) as exc:
-            log.warning("sweep: no bound at r=%s via %s: %s", r, c.name, exc)
-    return samples
+        except DomainError as exc:
+            skipped.append((r, exc))
+    return samples, skipped

@@ -430,6 +430,29 @@ class TestUpper:
         assert len(warnings) == 1
         assert "1 of 2 rows" in warnings[0] and "below delta1" in warnings[0]
 
+    def test_skipped_points_on_stderr(self, capsys):
+        # the library returns the points it could not bound; the command
+        # line writes one line for each, in grid order, before the count
+        code, _, err = run(capsys, "upper", "--range", "0.5:0.7", "--step", "0.05",
+                           "--certifier", "blind")
+        assert code == 0
+        assert err.splitlines()[:-1] == [
+            f"sweep: no bound at r={r} via blind: polygonal bound needs ratio within "
+            f"[0.6735, 1], got Interval({r}, {r})" for r in ("0.5", "0.55", "0.6", "0.65")
+        ] + ["samples,1"]
+
+    def test_fine_grid_refused_before_sweep(self, capsys, monkeypatch):
+        # the envelope's tenfold finer grid is checked before any certifier
+        # work: this range would sweep 1,100,001 coarse points first
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep called")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        code, out, err = run(capsys, "upper", "--range", "0.5:0.61", "--step", "1e-7")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines()[0].startswith("error: step is too small for the range")
+
 
 class TestCertify:
     def test_success_exit_zero(self, capsys):

@@ -479,6 +479,69 @@ class TestInterstitial:
             interstitial(0.0)
 
 
+def reference_sites(r):
+    """The first hole's sites as three filters chose them: inside the hole's
+    circumcircle, at least 1 + r from the unit centres of a 5 x 5 patch, and
+    nearer this hole centre than any other of a 5 x 5 patch of cells."""
+    sqrt3 = math.sqrt(3.0)
+    hx, hy = 1.0, sqrt3 / 3.0
+    window = 2.0 / sqrt3
+    kmax = int(math.ceil(window / (2.0 * r))) + 1
+    m, n = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-kmax, kmax + 1),
+                       indexing="ij")
+    px = hx + 2.0 * r * m.ravel() + r * n.ravel()
+    py = hy + r * sqrt3 * n.ravel()
+    keep = (px - hx) ** 2 + (py - hy) ** 2 <= window * window
+    limit = (1.0 + r - 5e-10) ** 2
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            cx, cy = 2.0 * a + b, sqrt3 * b
+            if (cx - hx) ** 2 + (cy - hy) ** 2 > 2.6 ** 2 + window * window:
+                continue
+            keep &= (px - cx) ** 2 + (py - cy) ** 2 >= limit
+    own = (px - hx) ** 2 + (py - hy) ** 2
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            for gx, gy in ((hx, hy), (2.0, 2.0 * sqrt3 / 3.0)):
+                cx, cy = gx + 2.0 * a + b, gy + sqrt3 * b
+                if cx == hx and cy == hy:
+                    continue
+                keep &= own < (px - cx) ** 2 + (py - cy) ** 2
+    px, py = px[keep], py[keep]
+    order = np.lexsort((px, py))
+    return px[order], py[order]
+
+
+# the benchmark's interstitial_scan outcomes, one list of four radii per variant
+INTERSTITIAL_SCAN = json.loads((REPO / "perfbench" / "expected.json").read_text())[
+    "interstitial_scan"]
+
+
+class TestInterstitialOracle:
+    def test_sites_match_three_filters(self, monkeypatch):
+        # the triangle test keeps the sites, in the same order, that the
+        # window, the unit-centre exclusion and the ownership rule kept
+        monkeypatch.setattr(flows, "validate", lambda domain, tol: [])
+        r8 = ratio("r8")
+        bench = [float(row["r"]) for variant in INTERSTITIAL_SCAN for row in variant]
+        assert len(bench) == 32
+        for r in [*np.linspace(0.005, r8, 400, endpoint=False).tolist(), r8, *bench]:
+            domain, _ = interstitial(r)
+            k = (len(domain.discs) - 1) // 2
+            sites = domain.discs[1:1 + k]
+            ref_x, ref_y = reference_sites(r)
+            assert np.array_equal([d.x for d in sites], ref_x), r
+            assert np.array_equal([d.y for d in sites], ref_y), r
+
+    @pytest.mark.parametrize("variant", range(len(INTERSTITIAL_SCAN)))
+    def test_benchmark_outcomes(self, variant):
+        for row in INTERSTITIAL_SCAN[variant]:
+            domain, value = interstitial(float(row["r"]))
+            assert len(domain.discs) == row["discs"]
+            assert repr(value) == row["density"]
+            assert len(validate(domain)) == row["violations"] == 0
+
+
 class TestLowerEnvelope:
     def test_hexagonal_floor_everywhere(self):
         # outside every branch the unit lattice value remains available

@@ -1,7 +1,6 @@
 """Dichotomy and bisection drivers over pluggable certifiers."""
 
 import json
-import logging
 import math
 
 import numpy as np
@@ -440,21 +439,25 @@ class TestMakeCertifier:
             make_certifier("magic")
 
 
+def skip_lines(certifier, skipped):
+    """The stderr lines the command line writes for sweep's skipped points."""
+    return [f"sweep: no bound at r={r} via {certifier.name}: {exc}" for r, exc in skipped]
+
+
 class TestSweep:
-    def test_values_and_skips(self, caplog):
+    def test_values_and_skips(self):
         grid = [0.75, 0.76, 0.5]
-        with caplog.at_level(logging.WARNING, logger="bidisc.harness"):
-            samples = sweep(BlindCertifier(), grid, precision=1e-4)
-        # 0.5 is outside the blind window and must be skipped with a warning
+        samples, skipped = sweep(BlindCertifier(), grid, precision=1e-4)
+        # 0.5 is outside the blind window and must be skipped with its reason
         assert [s.r for s in samples] == [0.75, 0.76]
         for s in samples:
             reference = blind_interval(Interval(s.r)).mid
             assert reference - 1e-9 <= s.value <= reference + 1e-4 + 1e-9
-        assert any("0.5" in rec.message and "polygonal bound needs ratio" in rec.message
-                   for rec in caplog.records)
+        assert any(m.startswith("sweep: no bound at r=0.5 ") and "polygonal bound needs ratio" in m
+                   for m in skip_lines(BlindCertifier(), skipped))
 
     def test_empty_grid(self):
-        assert sweep(FlorianCertifier(), [], precision=1e-3) == []
+        assert sweep(FlorianCertifier(), [], precision=1e-3) == ([], [])
 
     # samples and warnings as the per-point sweep gave them, before the
     # batch call: each skipped point keeps its own reason, in grid order
@@ -483,11 +486,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("certifier, grid, values, warnings", PINNED,
                              ids=[case[0].name for case in PINNED])
-    def test_warnings_pinned(self, caplog, certifier, grid, values, warnings):
-        with caplog.at_level(logging.WARNING, logger="bidisc.harness"):
-            samples = sweep(certifier, grid)
+    def test_warnings_pinned(self, certifier, grid, values, warnings):
+        samples, skipped = sweep(certifier, grid)
         assert [(s.r, s.value) for s in samples] == values
-        assert [rec.getMessage() for rec in caplog.records] == warnings
+        assert skip_lines(certifier, skipped) == warnings
 
     def test_one_batch_call(self):
         calls = []
@@ -501,7 +503,7 @@ class TestSweep:
                 return super().bound_many(rs)
 
         grid = [0.3, 0.5, 0.7, 1.5]
-        assert len(sweep(Counting(), grid)) == 3
+        assert len(sweep(Counting(), grid)[0]) == 3
         assert calls == [[Interval(r) for r in grid]]
 
     NON_FINITE = [
@@ -512,8 +514,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("certifier, values, unbounded", NON_FINITE,
                              ids=[case[0].name for case in NON_FINITE])
-    def test_non_finite_points_skipped(self, caplog, certifier, values, unbounded):
-        # nan and inf are skipped with a warning, in grid order, like any
+    def test_non_finite_points_skipped(self, certifier, values, unbounded):
+        # nan and inf are skipped with their reason, in grid order, like any
         # point the certifier cannot bound; the finite points still take
         # one batch call
         calls = []
@@ -525,11 +527,10 @@ class TestSweep:
                 calls.append(list(rs))
                 return certifier.bound_many(rs)
 
-        with caplog.at_level(logging.WARNING, logger="bidisc.harness"):
-            samples = sweep(Counting(), [0.5, math.nan, math.inf, 0.6])
+        samples, skipped = sweep(Counting(), [0.5, math.nan, math.inf, 0.6])
         assert [(s.r, s.value) for s in samples] == values
         assert calls == [[Interval(0.5), Interval(0.6)]]
-        messages = [rec.getMessage() for rec in caplog.records]
+        messages = skip_lines(certifier, skipped)
         skipped = [r for r in (0.5, math.nan, math.inf, 0.6)
                    if r in unbounded or not math.isfinite(r)]
         assert [m.split(" via ")[0] for m in messages] == [
