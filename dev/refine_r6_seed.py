@@ -54,7 +54,7 @@ def main():
         cond = jacobian_cond(trial, sol, R0)
         dom = trial.build_from(sol, R0)
         dens = density(dom)
-        ok = not validate(dom, tol=1e-9)
+        ok = not validate(dom)
         print(f"  held={held}: post-hoc residual {resid:.3e}  cond {cond:.3e}  "
               f"density {dens:.15f}  valid={ok}")
         results.append((resid, cond, held, sol, dens))

@@ -22,7 +22,7 @@ from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
 from .intervals import Interval, pi_interval
-from .polynomials import Polynomial, refine_root
+from .polynomials import Polynomial
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
 from .solve import newton_solve
 
@@ -44,6 +44,6 @@ __all__ = [
     "lipschitz_envelope", "lipschitz_slope", "load_recipe",
     "lower_bound_curve", "make_certifier", "newton_solve", "pi_interval",
     "r_blind_interval", "ratio", "ratio_interval", "ratio_polynomial",
-    "recipe_from_dict", "refine_root", "samples_from_csv",
+    "recipe_from_dict", "samples_from_csv",
     "stick", "suspicious_samples", "sweep", "validate", "validate_many",
 ]

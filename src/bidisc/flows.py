@@ -33,7 +33,7 @@ from .errors import (DomainError, InvalidPacking, NoConvergence, NoSolution,
                      RecipeError, SingularJacobian)
 from .expressions import Expr, compile_system
 from .geometry import Disc, FundamentalDomain, density, stick, validate, validate_many
-from .intervals import Interval
+from .intervals import Interval, narrow
 from .ratios import ratio
 from .solve import newton_solve
 
@@ -373,7 +373,7 @@ def _build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
 def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
     """Build the recipe's packing at ratio r and return it with its density."""
     domain = _build_checked(recipe, r)
-    bad = validate(domain, tol=1e-9)
+    bad = validate(domain)
     if bad:
         worst = min(bad, key=lambda row: row.gap)
         raise InvalidPacking(f"{recipe.name}: {len(bad)} overlap(s) at r={r}, worst {worst}")
@@ -429,7 +429,7 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     discs += [Disc(x, y, r) for x, y in zip(px, py)]
     discs += [Disc(3.0 - x, SQRT3 - y, r) for x, y in zip(px, py)]
     domain = FundamentalDomain((2.0, 0.0), (1.0, SQRT3), tuple(discs))
-    bad = validate(domain, tol=1e-9)
+    bad = validate(domain)
     if bad:
         raise InvalidPacking(f"interstitial: {len(bad)} overlap(s) at r={r}, first {bad[0]}")
     return domain, density(domain)
@@ -469,7 +469,7 @@ def lower_bound_curve(grid: Sequence[float],
                     cells.append((k, name, _build_checked(recipe, r)))
                 except (NoSolution, InvalidPacking, DomainError):
                     cells.append((k, name, None))
-    scans = iter(validate_many([domain for *_, domain in cells if domain is not None], 1e-9))
+    scans = iter(validate_many([domain for *_, domain in cells if domain is not None]))
     per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
     for k, name, domain in cells:
         value = None if domain is None or next(scans) else density(domain)
@@ -484,11 +484,13 @@ def find_crossings(fn: Callable[[float], float], level: float,
                    tol: float = 1e-9) -> list[Interval]:
     """Brackets of sign changes of fn - level, each narrowed to width <= tol.
 
-    ``samples`` are ``(x, fn(x))`` pairs sorted by x.  Adjacent samples on
-    opposite sides of the level are bisected with fn, which is called only
-    there; a sample exactly at the level is a point bracket.  Sign changes
-    between samples that cancel out go unseen, so the sample spacing sets
-    the resolution.
+    ``samples`` are ``(x, fn(x))`` pairs sorted by x.  Adjacent samples
+    strictly on opposite sides of the level are bisected with fn, which is
+    called only there; a sample exactly at the level is a point bracket.
+    Sides are told by comparing signs, so tiny values cannot underflow a
+    crossing away, and a tol below the float spacing stops at adjacent
+    floats.  Sign changes between samples that cancel out go unseen, so the
+    sample spacing sets the resolution.
     """
     out = []
     xprev, fprev = None, 0.0
@@ -496,18 +498,9 @@ def find_crossings(fn: Callable[[float], float], level: float,
         fcur = fx - level
         if fcur == 0.0:
             out.append(Interval(x, x))
-        elif fprev * fcur < 0.0:
-            a, b, fa = xprev, x, fprev
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = fn(mid) - level
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            out.append(Interval(a, b))
+        elif fprev < 0.0 < fcur:
+            out.append(Interval(*narrow(lambda m: fn(m) - level, xprev, x, tol)))
+        elif fcur < 0.0 < fprev:
+            out.append(Interval(*narrow(lambda m: level - fn(m), xprev, x, tol)))
         xprev, fprev = x, fcur
     return out

@@ -20,6 +20,10 @@ from .errors import InvalidPacking, NoSolution
 from .intervals import Interval, pi_interval
 from .kernels import batch_violations
 
+# Two discs overlap when their centres are closer than the sum of their
+# radii by more than this; it absorbs the roundoff of constructed packings.
+OVERLAP_TOL = 1e-9
+
 
 class Disc(NamedTuple):
     x: float
@@ -112,7 +116,7 @@ def density_interval(domain: FundamentalDomain) -> Interval:
     return pi_interval() * total / area
 
 
-def validate(domain: FundamentalDomain, tol: float = 1e-9) -> list[Violation]:
+def validate(domain: FundamentalDomain, tol: float = OVERLAP_TOL) -> list[Violation]:
     """All overlapping periodic disc pairs, worst offenders included once.
 
     Empty result means no two discs (over all lattice translates) are
@@ -122,7 +126,7 @@ def validate(domain: FundamentalDomain, tol: float = 1e-9) -> list[Violation]:
 
 
 def validate_many(domains: Sequence[FundamentalDomain],
-                  tol: float = 1e-9) -> list[list[Violation]]:
+                  tol: float = OVERLAP_TOL) -> list[list[Violation]]:
     """``[validate(d, tol) for d in domains]``, from one scan of all their cells."""
     discs = [d for domain in domains for d in domain.discs]
     rows = batch_violations(

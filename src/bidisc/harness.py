@@ -30,7 +30,7 @@ from typing import Sequence
 from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
                      florian_enclosures)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
-from .intervals import Interval
+from .intervals import Interval, narrow
 
 DEFAULT_PRECISION = 1e-4
 DEFAULT_MAX_DEPTH = 40
@@ -147,40 +147,29 @@ def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
 
 def _dichotomy(c: Certifier, r: Interval, top: float, precision: float,
                delta_lo: float | None = None, delta_hi: float | None = None) -> float:
-    """find_delta's search on r, given the ``hi`` of c's enclosure over r."""
-
-    def proven(delta: float) -> bool:
-        return top <= delta
-
+    """find_delta's search on r, given the ``hi`` of c's enclosure over r:
+    a delta is proven on r exactly when ``top <= delta``."""
     explicit_lo = delta_lo is not None
     explicit_hi = delta_hi is not None
     if delta_hi is None:
         delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
     if delta_lo is None:
         delta_lo = delta1() - _DELTA_LO_OFFSET
-    if not proven(delta_hi):
+    if not top <= delta_hi:
         if explicit_hi:
             raise InitialBoundsInvalid(
                 f"upper start {delta_hi} is not provable on {r} by {c.name}")
         delta_hi = top
-    if proven(delta_lo):
+    if top <= delta_lo:
         if explicit_lo:
             raise InitialBoundsInvalid(
                 f"lower start {delta_lo} is already provable on {r} by {c.name}")
         gap = max(precision, _DELTA_LO_OFFSET)
-        while delta_lo > 0.0 and proven(delta_lo):
+        while delta_lo > 0.0 and top <= delta_lo:
             delta_hi = delta_lo
             delta_lo = max(0.0, delta_lo - gap)
             gap *= 2.0
-    while delta_hi - delta_lo > precision:
-        mid = 0.5 * (delta_lo + delta_hi)
-        if mid <= delta_lo or mid >= delta_hi:
-            break
-        if proven(mid):
-            delta_hi = mid
-        else:
-            delta_lo = mid
-    return delta_hi
+    return narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)[1]
 
 
 @dataclass(frozen=True)

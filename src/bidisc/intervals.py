@@ -12,6 +12,9 @@ arctangent series with an explicit remainder term, never libm, run with
 Interval's operations, outward rounding included, on numpy arrays of
 endpoints, one interval per element.  Results are bit-identical to the same
 formula on Interval objects, and a batch of intervals costs one pass.
+
+``narrow`` is the package's one bracket-halving loop: the critical radii, the
+upper-bound dichotomy and the crossings with a density level all use it.
 """
 
 import math
@@ -184,6 +187,29 @@ class Interval:
         if self.hi <= 0.0:
             return Interval(-self.hi, -self.lo)
         return Interval(0.0, max(-self.lo, self.hi))
+
+
+def narrow(side, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve the float bracket [lo, hi] until it is at most tol wide.
+
+    ``side(m)`` places the midpoint m: below 0 moves lo to m, above 0 moves
+    hi to m, and 0 (an exact hit) returns ``(m, m)``.  The loop also stops
+    once the float midpoint is no longer strictly inside the bracket, so
+    ``tol=0.0`` narrows to adjacent floats.  The ends may be infinite, which
+    is why the result is a tuple and not an Interval.
+    """
+    while hi - lo > tol:
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            break
+        s = side(m)
+        if s < 0:
+            lo = m
+        elif s > 0:
+            hi = m
+        else:
+            return m, m
+    return lo, hi
 
 
 def pi_interval() -> Interval:

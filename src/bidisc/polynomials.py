@@ -1,20 +1,17 @@
-"""Univariate polynomials over exact rationals, with exact-sign bisection.
+"""Univariate polynomials over exact rationals, and checked roots.
 
 Coefficients are ``fractions.Fraction`` in ascending degree order.
-Refinement bisects in double precision but evaluates the polynomial exactly
-at each (rational-valued) float midpoint, so every sign decision is exact and
-the bracket signs stay trustworthy all the way down to a width of a few ulp.
 ``checked_root`` first proves that a stored bracket holds exactly one simple
 root; it certifies the critical radii and the polygonal bound's constants.
+It then bisects the bracket in double precision with ``intervals.narrow``,
+but evaluates the polynomial exactly at each (rational-valued) float
+midpoint, so every sign decision is exact and the bracket signs stay
+trustworthy all the way down to a width of a few ulp.
 """
 
 from fractions import Fraction
 
-from .intervals import Interval
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+from .intervals import Interval, narrow
 
 
 class Polynomial:
@@ -66,12 +63,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def eval_interval(self, x: Interval) -> Interval:
         acc = Interval(0.0)
         for c in reversed(self.coeffs):
@@ -82,34 +73,6 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
 
-def refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
-    """Bisect a bracket across which p changes sign down to width <= tol.
-
-    Signs are decided by exact rational evaluation, so the result still
-    brackets a sign change of p.  If an endpoint or a bisection midpoint is
-    an exact root the degenerate point interval is returned.
-    """
-    lo = bracket.lo
-    hi = bracket.hi
-    slo = _sign(p.eval_exact(lo))
-    if slo == 0:
-        return Interval(lo, lo)
-    if _sign(p.eval_exact(hi)) == 0:
-        return Interval(hi, hi)
-    while hi - lo > tol:
-        m = 0.5 * (lo + hi)
-        if m <= lo or m >= hi:
-            break
-        sm = _sign(p.eval_exact(m))
-        if sm == 0:
-            return Interval(m, m)
-        if sm == slo:
-            lo = m
-        else:
-            hi = m
-    return Interval(lo, hi)
-
-
 def checked_root(name: str, p: Polynomial, bracket: Interval, tol: float) -> Interval:
     """Enclosure, width <= tol, of the one simple root of p in bracket.
 
@@ -118,9 +81,11 @@ def checked_root(name: str, p: Polynomial, bracket: Interval, tol: float) -> Int
     an interval enclosure of its derivative over the bracket excludes 0.
     Raises ValueError naming the constant if either check fails.
     """
-    if p.eval_exact(bracket.lo) * p.eval_exact(bracket.hi) >= 0:
+    at_hi = p.eval_exact(bracket.hi)
+    if p.eval_exact(bracket.lo) * at_hi >= 0:
         raise ValueError(f"{name} polynomial does not change sign across {bracket!r}")
     if 0.0 in p.derivative().eval_interval(bracket):
         raise ValueError(f"{name} polynomial may have several roots in {bracket!r}: "
                          f"its derivative is not bounded away from 0 there")
-    return refine_root(p, bracket, tol)
+    sign = 1 if at_hi > 0 else -1
+    return Interval(*narrow(lambda x: sign * p.eval_exact(x), bracket.lo, bracket.hi, tol))

@@ -11,13 +11,15 @@ import numpy as np
 
 from .errors import NoConvergence, SingularJacobian
 
+_MAX_HALVINGS = 40
+
 
 def _residuals(residuals, x):
     return np.array([float(v) for v in residuals(x)], dtype=float)
 
 
 def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
-                 max_iter: int = 60, max_halvings: int = 40) -> np.ndarray:
+                 max_iter: int = 60) -> np.ndarray:
     """Solve the square system F(x) = 0 to max-norm residual <= tol.
 
     ``residuals`` maps a point to the list of its residuals, one per
@@ -27,7 +29,7 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
     residual.
 
     Each iteration takes the full Newton step and halves it (up to
-    ``max_halvings`` times) until the residual max-norm decreases; if no
+    ``_MAX_HALVINGS`` times) until the residual max-norm decreases; if no
     damped step improves, or the iteration budget runs out, NoConvergence is
     raised.  A singular Jacobian raises SingularJacobian.
     """
@@ -47,7 +49,7 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("Newton step is not finite")
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             x_new = x + scale * step
             f_new = _residuals(residuals, x_new)
             n_new = np.max(np.abs(f_new))

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestSequentialFlow:
     def test_overlap_message_names_least_gap(self, monkeypatch):
         # validate lists rows in (i, j, m, n) order, not by gap
         rows = [Violation(0, 1, 0, 0, -1e-6), Violation(1, 2, 0, 1, -1e-3)]
-        monkeypatch.setattr(flows, "validate", lambda domain, tol: rows)
+        monkeypatch.setattr(flows, "validate", lambda domain: rows)
         with pytest.raises(InvalidPacking) as info:
             eval_flow(builtin_recipes()["flow-841-mid"], 0.5)
         assert "2 overlap(s)" in str(info.value)
@@ -406,6 +407,25 @@ class TestCrossings:
     def test_no_samples(self):
         assert find_crossings(closed_form_841, DELTA1, []) == []
 
+    def test_zero_tol_stops_at_adjacent_floats(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            if len(calls) > 200:
+                pytest.fail("bisection does not stop at float resolution")
+            return x * x
+
+        (found,) = find_crossings(fn, 0.5, [(0.0, 0.0), (1.0, 1.0)], tol=0.0)
+        assert found.hi == math.nextafter(found.lo, math.inf)
+        assert Fraction(found.lo) ** 2 < Fraction(1, 2) < Fraction(found.hi) ** 2
+
+    def test_tiny_values_do_not_underflow_the_sign_test(self):
+        fn = lambda x: 1e-200 * (x - 0.3)
+        (found,) = find_crossings(fn, 0.0, [(0.0, fn(0.0)), (1.0, fn(1.0))])
+        assert 0.3 in found
+        assert found.width <= 1e-9
+
 
 def small_per_hole(r):
     """Number of small discs per hole of the interstitial packing at r."""
@@ -468,7 +488,7 @@ class TestInterstitial:
 
     def test_refuses_overlapping_domain(self, monkeypatch):
         overlap = Violation(1, 2, 0, 0, -1e-3)
-        monkeypatch.setattr(flows, "validate", lambda domain, tol: [overlap])
+        monkeypatch.setattr(flows, "validate", lambda domain: [overlap])
         with pytest.raises(InvalidPacking, match="1 overlap"):
             interstitial(0.05)
 
@@ -521,7 +541,7 @@ class TestInterstitialOracle:
     def test_sites_match_three_filters(self, monkeypatch):
         # the triangle test keeps the sites, in the same order, that the
         # window, the unit-centre exclusion and the ownership rule kept
-        monkeypatch.setattr(flows, "validate", lambda domain, tol: [])
+        monkeypatch.setattr(flows, "validate", lambda domain: [])
         r8 = ratio("r8")
         bench = [float(row["r"]) for variant in INTERSTITIAL_SCAN for row in variant]
         assert len(bench) == 32

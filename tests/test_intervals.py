@@ -3,9 +3,12 @@
 Arithmetic results are checked against exact Fraction computation, the
 transcendental functions against mpmath at 60 digits.  Every double is an
 exact rational, so "the true value lies inside the interval" is decidable.
+``narrow``, the one bracket-halving loop, is checked bit for bit against the
+three loops it replaced.
 """
 
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -15,11 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bidisc.bounds import florian_enclosures
+from bidisc.bounds import TANGENT_TABLE, delta1, florian_bound, florian_enclosures
 from bidisc.endpoints import (acos_pairs, add_pairs, atan_points, div_pairs, mul_pairs,
                               sqrt_pairs, square_pairs, sub_pairs)
-from bidisc.errors import DomainError
-from bidisc.intervals import Interval, pi_interval
+from bidisc.errors import DomainError, InitialBoundsInvalid
+from bidisc.flows import find_crossings
+from bidisc.harness import (_DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECISION,
+                            ThresholdCertifier, _dichotomy)
+from bidisc.intervals import Interval, narrow, pi_interval
+from bidisc.polynomials import Polynomial, checked_root
+from bidisc.ratios import RATIO_TABLE
 
 mpmath.mp.dps = 60
 
@@ -415,3 +423,221 @@ def test_pair_operations_match_interval_operations():
             y = Interval(b[0][i], b[1][i])
             z = Interval(pos[0][i], pos[1][i])
             assert repr(Interval(lo[i], hi[i])) == repr(op(x, y, z)), i
+
+
+# -- narrow, against the three loops it replaced ------------------------------
+#
+# The three reference functions below are the bracket-halving loops that
+# ``narrow`` replaced, copied verbatim: ``polynomials.refine_root``,
+# ``harness._dichotomy`` and ``flows.find_crossings``.  Wherever a reference
+# terminates, ``narrow`` and its callers must return the same floats.
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def ref_refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
+    lo = bracket.lo
+    hi = bracket.hi
+    slo = _sign(p.eval_exact(lo))
+    if slo == 0:
+        return Interval(lo, lo)
+    if _sign(p.eval_exact(hi)) == 0:
+        return Interval(hi, hi)
+    while hi - lo > tol:
+        m = 0.5 * (lo + hi)
+        if m <= lo or m >= hi:
+            break
+        sm = _sign(p.eval_exact(m))
+        if sm == 0:
+            return Interval(m, m)
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return Interval(lo, hi)
+
+
+def ref_dichotomy(c, r: Interval, top: float, precision: float,
+                  delta_lo: float | None = None, delta_hi: float | None = None) -> float:
+
+    def proven(delta: float) -> bool:
+        return top <= delta
+
+    explicit_lo = delta_lo is not None
+    explicit_hi = delta_hi is not None
+    if delta_hi is None:
+        delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
+    if delta_lo is None:
+        delta_lo = delta1() - _DELTA_LO_OFFSET
+    if not proven(delta_hi):
+        if explicit_hi:
+            raise InitialBoundsInvalid(
+                f"upper start {delta_hi} is not provable on {r} by {c.name}")
+        delta_hi = top
+    if proven(delta_lo):
+        if explicit_lo:
+            raise InitialBoundsInvalid(
+                f"lower start {delta_lo} is already provable on {r} by {c.name}")
+        gap = max(precision, _DELTA_LO_OFFSET)
+        while delta_lo > 0.0 and proven(delta_lo):
+            delta_hi = delta_lo
+            delta_lo = max(0.0, delta_lo - gap)
+            gap *= 2.0
+    while delta_hi - delta_lo > precision:
+        mid = 0.5 * (delta_lo + delta_hi)
+        if mid <= delta_lo or mid >= delta_hi:
+            break
+        if proven(mid):
+            delta_hi = mid
+        else:
+            delta_lo = mid
+    return delta_hi
+
+
+def ref_find_crossings(fn, level, samples, tol=1e-9):
+    out = []
+    xprev, fprev = None, 0.0
+    for x, fx in samples:
+        fcur = fx - level
+        if fcur == 0.0:
+            out.append(Interval(x, x))
+        elif fprev * fcur < 0.0:
+            a, b, fa = xprev, x, fprev
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = fn(mid) - level
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            out.append(Interval(a, b))
+        xprev, fprev = x, fcur
+    return out
+
+
+def same(a: Interval, b: Interval) -> bool:
+    """Bit-for-bit equality of both ends, -0.0 told from 0.0."""
+    return (math.copysign(1.0, a.lo), a.lo, math.copysign(1.0, a.hi), a.hi) == \
+        (math.copysign(1.0, b.lo), b.lo, math.copysign(1.0, b.hi), b.hi)
+
+
+def root_cases(rng):
+    """(polynomial, bracket, tol): one simple root strictly inside each
+    bracket, wide and adjacent-float brackets, dyadic (exact-midpoint) roots,
+    and tol 0 (float exhaustion) among the tolerances."""
+    tols = (0.0, 1e-300, 1e-18, 1e-15, 1e-12, 1e-9, 1e-4, 0.3)
+    cases = []
+    for coeffs, bracket in [*RATIO_TABLE.values(), *TANGENT_TABLE.values()]:
+        cases += [(Polynomial(coeffs), Interval(*bracket), tol) for tol in tols]
+    for _ in range(300):
+        lo, hi = sorted(float(x) for x in rng.uniform(-5.0, 5.0, size=2))
+        kind = rng.integers(3)
+        if kind == 0:      # a rational root anywhere inside
+            root = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * Fraction(
+                int(rng.integers(1, 999)), 1000)
+        elif kind == 1:    # a root at a float midpoint of a random halving path
+            a, b = lo, hi
+            for _ in range(int(rng.integers(1, 40))):
+                m = 0.5 * (a + b)
+                a, b = (m, b) if rng.random() < 0.5 else (a, m)
+            root = Fraction(0.5 * (a + b))
+        else:              # a bracket of adjacent floats
+            hi = math.nextafter(lo, math.inf)
+            root = (Fraction(lo) + 2 * Fraction(hi)) / 3
+        scale = Fraction(int(rng.integers(1, 50)) * int(rng.choice([-1, 1])),
+                         int(rng.integers(1, 50)))
+        tol = float(rng.choice(tols)) if rng.random() < 0.7 else float(rng.uniform(0, 1e-6))
+        cases.append((Polynomial([-scale * root, scale]), Interval(lo, hi), tol))
+    return cases
+
+
+def test_narrow_matches_refine_root():
+    hits = 0
+    for p, bracket, tol in root_cases(np.random.default_rng(2026)):
+        want = ref_refine_root(p, bracket, tol)
+        sign = 1 if p.eval_exact(bracket.hi) > 0 else -1
+        got = Interval(*narrow(lambda x: sign * p.eval_exact(x), bracket.lo, bracket.hi, tol))
+        assert same(got, want), (p, bracket, tol)
+        assert same(checked_root("case", p, bracket, tol), want), (p, bracket, tol)
+        hits += want.lo == want.hi
+    assert hits > 20  # exact midpoint roots were reached
+
+
+def test_narrow_matches_dichotomy():
+    rng = np.random.default_rng(2027)
+    c = ThresholdCertifier(0.92)
+    precisions = (0.0, 1e-300, 1e-15, 1e-12, DEFAULT_PRECISION, 1e-4, 0.05)
+    for k in range(400):
+        r = Interval(float(rng.uniform(0.3, 0.99)))
+        top = float(rng.uniform(0.0, 1.0)) if k % 4 else float(rng.uniform(0.9, 0.95))
+        precision = float(rng.choice(precisions))
+        starts = [(None, None), (None, math.inf), (0.5, 1.0), (None, 0.95), (0.91, None)]
+        if k % 10 == 0:  # a top at a float midpoint of the bracket
+            top = 0.5 + 0.5 * float(rng.integers(1, 2**20)) / 2**20
+            starts = [(0.5, 1.0)]
+        for delta_lo, delta_hi in starts:
+            try:
+                want = ref_dichotomy(c, r, top, precision, delta_lo, delta_hi)
+            except InitialBoundsInvalid as exc:
+                with pytest.raises(InitialBoundsInvalid, match=re.escape(str(exc))):
+                    _dichotomy(c, r, top, precision, delta_lo, delta_hi)
+                continue
+            assert _dichotomy(c, r, top, precision, delta_lo, delta_hi) == want
+            if delta_lo is not None and delta_hi is not None:
+                got = narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)
+                assert got[1] == want
+
+
+def test_narrow_stops_without_a_float_midpoint_inside():
+    # an infinite end, as find_delta's delta_hi may be, and adjacent floats
+    # both stop the loop before side is called
+    lo = 0.7071067811865476
+    hi = math.nextafter(lo, 1.0)
+    for tol in (0.0, 1e-300, 1e-9):
+        assert narrow(lambda m: pytest.fail("no midpoint"), lo, hi, tol) == (lo, hi)
+        assert narrow(lambda m: pytest.fail("no midpoint"), lo, math.inf, tol) == (lo, math.inf)
+
+
+def crossing_cases(rng):
+    """(fn, level, samples, tol) on which the crossings reference terminates:
+    tol stays above the float spacing of [0, 1], and values stay far from
+    underflow."""
+    cases = []
+    for _ in range(150):
+        roots = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(0, 4))))
+        gain = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0))
+        level = float(rng.uniform(-0.5, 0.5))
+
+        def fn(x, roots=tuple(float(t) for t in roots), gain=gain, level=level):
+            value = gain
+            for t in roots:
+                value *= x - t
+            return level + value
+
+        xs = np.linspace(0.0, 1.0, int(rng.integers(2, 60)))
+        samples = [(float(x), fn(float(x))) for x in xs]
+        tol = float(rng.choice([1e-15, 1e-12, 1e-9, 1e-5, 0.1]))
+        cases.append((fn, level, samples, tol))
+    # exact midpoint hits and samples exactly at the level
+    line = lambda x: x - 0.375
+    cases.append((line, 0.0, [(0.0, -0.375), (1.0, 0.625)], 1e-12))
+    cases.append((line, 0.0, [(0.0, -0.375), (0.375, 0.0), (1.0, 0.625)], 1e-12))
+    cases.append((line, 0.125, [(0.0, -0.375), (1.0, 0.625)], 1e-12))
+    cases.append((lambda x: 0.375 - x, 0.0, [(0.0, 0.375), (1.0, -0.625)], 1e-12))
+    return cases
+
+
+def test_find_crossings_matches_reference():
+    found = 0
+    for fn, level, samples, tol in crossing_cases(np.random.default_rng(2028)):
+        want = ref_find_crossings(fn, level, samples, tol)
+        got = find_crossings(fn, level, samples, tol)
+        assert len(got) == len(want)
+        assert all(same(g, w) for g, w in zip(got, want)), (samples, level, tol)
+        found += len(want)
+    assert found > 50

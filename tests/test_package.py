@@ -1,18 +1,28 @@
 """The package's public surface."""
 
 import pathlib
+import re
 import shlex
 
 import bidisc
 from bidisc import cli
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_all_names_resolve_once():
     assert len(bidisc.__all__) == len(set(bidisc.__all__))
     for name in bidisc.__all__:
         assert hasattr(bidisc, name), name
+
+
+def test_readme_layout_lists_modules():
+    section = README.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `bidisc\.(\w+)` \|", section, re.MULTILINE)
+    modules = {path.stem for path in (ROOT / "src" / "bidisc").glob("*.py")} - {"__init__"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules
 
 
 def test_readme_library_sketch_runs():
