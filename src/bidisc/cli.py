@@ -22,9 +22,10 @@ import sys
 import time
 from typing import Sequence
 
+from . import geometry
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
 from .errors import BidiscError, DepthExceeded, DomainError
-from .flows import (builtin_recipes, eval_flow, find_crossings, load_recipe,
+from .flows import (build_checked, builtin_recipes, find_crossings, load_recipe,
                     lower_bound_curve)
 from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, TraceNode,
                       certify_interval, make_certifier, sweep)
@@ -146,8 +147,9 @@ def cmd_lower(args) -> int:
     # Where does each construction cross the hexagonal baseline? The
     # interstitial construction strictly exceeds it everywhere it applies,
     # so only recipe curves can cross. The curve pass's samples are scanned
-    # over the recipe's part of the range; the recipe is evaluated again
-    # only at range ends off the grid and inside sign-change brackets.
+    # over the recipe's part of the range; the recipe is built again only at
+    # range ends off the grid and inside sign-change brackets, and those
+    # cells are scanned for overlaps together, once the brackets are narrow.
     level = delta1()
     crossings = []
     for name, recipe in recipes.items():
@@ -161,9 +163,12 @@ def cmd_lower(args) -> int:
         scanned = [(r, value) for r, value in samples if rlo <= r <= rhi]
         if rlo >= rhi or any(value is None for _, value in scanned):
             continue
+        built = []
 
-        def fn(r, _recipe=recipe):
-            return eval_flow(_recipe, r)[1]
+        def fn(r, _recipe=recipe, _built=built):
+            domain = build_checked(_recipe, r)
+            _built.append(domain)
+            return geometry.density(domain)
 
         try:
             if not scanned or scanned[0][0] != rlo:
@@ -172,6 +177,9 @@ def cmd_lower(args) -> int:
                 scanned.append((rhi, fn(rhi)))
             found = find_crossings(fn, level, scanned)
         except BidiscError:
+            continue
+        # a recipe with an overlapping cell is dropped, as a failed build is
+        if built and any(geometry.validate_many(built)):
             continue
         crossings.extend(found)
     crossings.sort(key=lambda iv: iv.lo)

@@ -349,7 +349,7 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
 # evaluation
 
 
-def _build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
+def build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
     """The recipe's packing at ratio r, range and disc census checked."""
     if not recipe.contains(r):
         raise DomainError(
@@ -372,7 +372,7 @@ def _build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
 
 def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
     """Build the recipe's packing at ratio r and return it with its density."""
-    domain = _build_checked(recipe, r)
+    domain = build_checked(recipe, r)
     bad = validate(domain)
     if bad:
         worst = min(bad, key=lambda row: row.gap)
@@ -384,6 +384,9 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
 # interstitial packings for small r
 
 _ADMIT_SLACK = 5e-10
+# The most candidate sites interstitial() lays out, the same bound as the
+# command line's limit on grid points; it admits every r >= 3.7e-4.
+_MAX_SITES = 1e7
 
 
 def _fills_holes(r: float) -> bool:
@@ -412,7 +415,11 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
 
     hx, hy = 1.0, SQRT3 / 3.0
     circumradius = 2.0 / SQRT3
-    kmax = int(math.ceil(circumradius / (2.0 * r))) + 1
+    # min() caps the inf that a subnormal r gives, which math.ceil rejects
+    kmax = math.ceil(min(circumradius / (2.0 * r), _MAX_SITES)) + 1
+    if (2 * kmax + 1) ** 2 > _MAX_SITES:
+        raise DomainError(f"interstitial construction at r={r} needs over "
+                          f"{_MAX_SITES:.0e} candidate sites")
     m, n = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-kmax, kmax + 1),
                        indexing="ij")
     px = hx + 2.0 * r * m.ravel() + r * n.ravel()
@@ -438,6 +445,12 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
 # ---------------------------------------------------------------------------
 # the lower-bound curve and crossings
 
+# Recipe cells the lower curve scans for overlaps in one call: the smallest
+# count at which the 854 cells of ``lower --range 0.36:0.99 --step 0.001``
+# scan as fast as in one batch (12.5 ms in blocks of 128 and 12.8 ms in one,
+# against 13.6 ms in blocks of 64 and 16.6 ms in blocks of 32, on 2 cores).
+_SCAN_CELLS = 128
+
 
 def lower_bound_curve(grid: Sequence[float],
                       recipes: dict[str, FlowRecipe] | None = None
@@ -453,29 +466,43 @@ def lower_bound_curve(grid: Sequence[float],
     recipe name, the ``(r, density)`` pairs at the grid ratios its range
     covers, in grid order; density is None where the evaluation failed.
     Each recipe is evaluated once per ratio.
+
+    Cells are built strictly in grid order, so continuation stays
+    sequential, and are scanned for overlaps ``_SCAN_CELLS`` at a time, as
+    soon as that many are pending.  Of a scanned cell only its density is
+    kept, so apart from the returned rows and the continuation cache,
+    memory does not grow with the grid.
     """
     if recipes is None:
         recipes = builtin_recipes()
-    # every cell is built first, in grid order, so continuation stays
-    # sequential; then all of them are scanned for overlaps at once
     grid = [float(r) for r in grid]
-    best, cells = [delta1() for _ in grid], []
+    best = [delta1() for _ in grid]
+    per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
+    pending = []        # (k, name, slot in per_recipe[name], domain), not yet scanned
+
+    def scan():
+        for (k, name, slot, domain), bad in zip(pending, validate_many([d for *_, d in pending])):
+            if not bad:
+                value = density(domain)
+                best[k] = max(best[k], value)
+                per_recipe[name][slot] = (grid[k], value)
+        pending.clear()
+
     for k, r in enumerate(grid):
         if _fills_holes(r):
             best[k] = max(best[k], interstitial(r)[1])
         for name, recipe in recipes.items():
             if recipe.contains(r):
+                samples = per_recipe[name]
+                samples.append((r, None))
                 try:
-                    cells.append((k, name, _build_checked(recipe, r)))
+                    pending.append((k, name, len(samples) - 1, build_checked(recipe, r)))
                 except (NoSolution, InvalidPacking, DomainError):
-                    cells.append((k, name, None))
-    scans = iter(validate_many([domain for *_, domain in cells if domain is not None]))
-    per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
-    for k, name, domain in cells:
-        value = None if domain is None or next(scans) else density(domain)
-        if value is not None:
-            best[k] = max(best[k], value)
-        per_recipe[name].append((grid[k], value))
+                    continue
+                if len(pending) == _SCAN_CELLS:
+                    scan()
+    if pending:
+        scan()
     return list(zip(grid, best)), per_recipe
 
 

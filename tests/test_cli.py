@@ -5,12 +5,11 @@ import io
 import json
 import math
 import pathlib
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from bidisc import cli, flows
+from bidisc import cli, flows, geometry
 from bidisc.bounds import samples_from_csv
 from bidisc.cli import main
 from bidisc.flows import closed_form_841
@@ -164,29 +163,27 @@ CROSSINGS_030 = [(0.35585347881279183, 0.3558534794799493),
 def cold_lower():
     """`bidisc lower ARGS` from a cold continuation cache, as a new process
     runs it, returning (stdout, stderr, work); memoised per ARGS.  work
-    counts `eval_flow` calls, the curve's `validate_many` calls and the
-    cells they scan."""
+    lists the cell count of every overlap scan: under "curve" those of the
+    curve (`flows.validate_many`), and under "other" the rest
+    (`geometry.validate_many`: the crossing bisection's scans, and the
+    interstitial checks below r8)."""
     runs = {}
 
     def lower(*argv):
         if argv not in runs:
-            work = Counter()
+            work = {"curve": [], "other": []}
 
-            def counted(original, name, cells=None):
-                def wrapper(*args, **kwargs):
-                    work[name] += 1
-                    if cells:
-                        work[cells] += len(args[0])
-                    return original(*args, **kwargs)
+            def scans(original, key):
+                def wrapper(domains, *args):
+                    work[key].append(len(domains))
+                    return original(domains, *args)
                 return wrapper
 
             flows.clear_continuation_cache()
             out, err = io.StringIO(), io.StringIO()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "eval_flow", counted(cli.eval_flow, "eval_flow"))
-                mp.setattr(flows, "eval_flow", counted(flows.eval_flow, "eval_flow"))
-                mp.setattr(flows, "validate_many",
-                           counted(flows.validate_many, "validate_many", "cells"))
+                mp.setattr(flows, "validate_many", scans(flows.validate_many, "curve"))
+                mp.setattr(geometry, "validate_many", scans(geometry.validate_many, "other"))
                 with redirect_stdout(out), redirect_stderr(err):
                     code = main(["lower", *argv])
             assert code == 0
@@ -230,14 +227,16 @@ class TestLowerPinned:
         _, err, _ = cold_lower("--range", "0.3:0.99", "--step", "0.0007")
         assert_crossings_meet(stderr_crossings(err), CROSSINGS_030)
 
-    def test_eval_flow_work(self, cold_lower):
-        # the curve's 854 (grid point, recipe) cells are scanned in one
-        # batch; eval_flow runs only at the two ends of flow-841-mid's
-        # range, which lie off the grid, and for at most 20 bisection steps
-        # for each of the two crossings
+    def test_overlap_scan_work(self, cold_lower):
+        # the curve's 854 (grid point, recipe) cells are scanned as they are
+        # built, flows._SCAN_CELLS at a time; the crossing bisection builds
+        # flow-841-mid at the two ends of its range, which lie off the grid,
+        # and at most 20 times for each of its two crossings, and scans
+        # those cells in one call
         _, _, work = cold_lower("--range", "0.36:0.99", "--step", "0.001")
-        assert (work["validate_many"], work["cells"]) == (1, 854)
-        assert work["eval_flow"] <= 2 + 2 * 20
+        full, rest = divmod(854, flows._SCAN_CELLS)
+        assert work["curve"] == [flows._SCAN_CELLS] * full + [rest]
+        assert len(work["other"]) == 1 and work["other"][0] <= 2 + 2 * 20
 
     def test_small_ratios_above_delta1(self, cold_lower):
         # interstitial cells of up to 3417 discs
@@ -548,6 +547,15 @@ def test_step_below_float_spacing_is_config_error(capsys, command, lo):
     code, out, _ = run(capsys, command, "--range", f"{lo!r}:{lo + 0.01!r}", "--step", "0.005")
     assert code == 0
     assert curve_from_csv(out)
+
+
+def test_tiny_ratio_is_config_error(capsys):
+    # the interstitial construction refuses its candidate lattice of over
+    # 1e7 sites before laying it out
+    code, out, err = run(capsys, "lower", "--range", "1e-300:1e-299", "--step", "1e-300")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: interstitial construction at r=1e-300 needs over 1e+07")
 
 
 def test_unwritable_out_is_config_error(capsys, tmp_path):

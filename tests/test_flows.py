@@ -30,7 +30,7 @@ from bidisc.flows import (
     recipe_from_dict,
 )
 from bidisc.bounds import delta1
-from bidisc.geometry import Violation, density, validate
+from bidisc.geometry import Violation, density, validate, validate_many
 from bidisc.intervals import Interval
 from bidisc.ratios import ratio
 
@@ -475,7 +475,8 @@ class TestInterstitial:
 
     def test_small_radius_scan_memory(self):
         # 3417 discs: 5.8M pairs i <= j, of which the scan forms only those
-        # within reach of contact
+        # within reach of contact, kernels.BLOCK_ROWS candidates at a time
+        # (traced peak 14.7 MB in one block, 3.2 MB in blocks)
         domain, _ = interstitial(0.005)
         tracemalloc.start()
         try:
@@ -484,7 +485,7 @@ class TestInterstitial:
         finally:
             tracemalloc.stop()
         assert len(domain.discs) == 3417
-        assert peak < 64e6
+        assert peak < 5e6
 
     def test_refuses_overlapping_domain(self, monkeypatch):
         overlap = Violation(1, 2, 0, 0, -1e-3)
@@ -497,6 +498,19 @@ class TestInterstitial:
             interstitial(0.2)
         with pytest.raises(DomainError):
             interstitial(0.0)
+
+    @pytest.mark.parametrize("r", [3.6e-4, 1e-5, 1e-300, 5e-324])
+    def test_rejects_lattice_over_1e7_sites(self, r):
+        # refused before the lattice is laid out: 1e-5 would take 1.3e10
+        # sites, and 5e-324 overflows circumradius / (2 r)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="over 1e\\+07 candidate sites"):
+                interstitial(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 def reference_sites(r):
@@ -603,3 +617,76 @@ class TestLowerEnvelope:
         assert math.isclose(values[0], interstitial(0.1)[1], rel_tol=1e-15)
         assert math.isclose(values[1], closed_form_841(0.42), rel_tol=1e-12)
         assert values[2] == DELTA1
+
+    def test_curve_memory(self):
+        # the benchmark's 854 cells, of which only (r, density) is kept,
+        # scanned flows._SCAN_CELLS at a time (traced peak 8.7 MB with all
+        # cells held and scanned at once, 1.7 MB in blocks)
+        grid = [0.36 + k * 0.001 for k in range(630)] + [0.99]
+        clear_continuation_cache()
+        tracemalloc.start()
+        try:
+            _, per_recipe = lower_bound_curve(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, per_recipe.values())) == 854
+        assert peak < 3e6
+
+
+def one_scan_curve(grid, recipes):
+    """``lower_bound_curve`` as it was with a single overlap scan: every cell
+    built in grid order and held, then all of them scanned in one call."""
+    grid = [float(r) for r in grid]
+    best, cells = [delta1() for _ in grid], []
+    for k, r in enumerate(grid):
+        if flows._fills_holes(r):
+            best[k] = max(best[k], interstitial(r)[1])
+        for name, recipe in recipes.items():
+            if recipe.contains(r):
+                try:
+                    cells.append((k, name, flows.build_checked(recipe, r)))
+                except (NoSolution, InvalidPacking, DomainError):
+                    cells.append((k, name, None))
+    scans = iter(validate_many([domain for *_, domain in cells if domain is not None]))
+    per_recipe = {name: [] for name in recipes}
+    for k, name, domain in cells:
+        value = None if domain is None or next(scans) else density(domain)
+        if value is not None:
+            best[k] = max(best[k], value)
+        per_recipe[name].append((grid[k], value))
+    return list(zip(grid, best)), per_recipe
+
+
+def failing_recipes():
+    """The built-in recipes, with one that fails to build everywhere (every
+    guess zero: its seed Jacobian is singular) and one whose cells overlap
+    below r4 (flow-841-mid widened down to 0.4)."""
+    recipes = builtin_recipes()
+    obj = json.loads((REPO / "src" / "bidisc" / "data" / "flow_r6_1.json").read_text())
+    obj["name"], obj["guess"] = "stuck", {name: 0.0 for name in obj["guess"]}
+    recipes["stuck"] = recipe_from_dict(obj)
+    obj = recipe_to_dict_841()
+    obj["name"], obj["valid_range"] = "wide", [0.4, "r1"]
+    recipes["wide"] = recipe_from_dict(obj)
+    return recipes
+
+
+@pytest.mark.parametrize("block", [1, 7, flows._SCAN_CELLS])
+@pytest.mark.parametrize("grid, recipes", [
+    ([0.36 + k * 0.001 for k in range(630)] + [0.99], builtin_recipes),
+    ([0.14 + k * 0.004 for k in range(100)], failing_recipes),
+], ids=["benchmark", "failing"])
+def test_curve_in_blocks_matches_one_scan(monkeypatch, block, grid, recipes):
+    # the same rows and samples, bit for bit, wherever the blocks end
+    monkeypatch.setattr(flows, "_SCAN_CELLS", block)
+    clear_continuation_cache()
+    got = lower_bound_curve(grid, recipes())
+    clear_continuation_cache()
+    expected = one_scan_curve(grid, recipes())
+    assert got == expected
+    samples = [v for s in expected[1].values() for _, v in s]
+    assert len(samples) > block
+    if recipes is failing_recipes:
+        assert [v for _, v in expected[1]["stuck"]] == [None] * len(expected[1]["stuck"])
+        assert 0 < samples.count(None) - len(expected[1]["stuck"]) < len(expected[1]["wide"])

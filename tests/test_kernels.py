@@ -321,3 +321,54 @@ def test_benchmark_cells_batch_equals_per_cell(benchmark_cells, tol, flagged):
     got = geometry.validate_many(lower + large, tol)
     assert got == [validate(domain, tol) for domain in lower + large]
     assert (sum(map(len, got[:len(lower)])), sum(map(len, got[len(lower):]))) == flagged
+
+
+def test_blocks_cover_items_greedily(monkeypatch):
+    # each block holds at most BLOCK_ROWS rows or else one item, and takes
+    # every item that still fits
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 10)
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        size = int(rng.integers(0, 30))
+        count = rng.integers(0, 25, size=size) * (rng.random(size) < 0.7)
+        blocks = kernels._blocks(count)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == size
+        for a, b in blocks:
+            assert b - a == 1 or count[a:b].sum() <= 10
+            assert b == size or count[a:b + 1].sum() > 10
+
+
+def kernel_args(cells):
+    """``batch_violations``' arguments but tol, for cells given as (xy, radii,
+    u, v)."""
+    cells = list(cells)
+    return (np.concatenate([np.asarray(c[0], dtype=float).reshape(-1, 2) for c in cells]),
+            np.concatenate([c[1] for c in cells]),
+            np.cumsum([0] + [len(c[1]) for c in cells]),
+            [((u[0], v[0]), (u[1], v[1])) for _, _, u, v in cells])
+
+
+def domain_cell(domain):
+    return ([(d.x, d.y) for d in domain.discs], np.array([d.radius for d in domain.discs]),
+            domain.u, domain.v)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocks_match_one_block(benchmark_cells, monkeypatch, block):
+    # rows split at every block boundary of either stage come out as from
+    # one block, in the same order and bit for bit.  At block 1 every disc
+    # and every pair is a block of its own, and one lower cell in eight
+    # keeps the run short; the two recipes' cells vary slowly along the grid
+    lower, large = benchmark_cells
+    rng = np.random.default_rng(7321)
+    groups = [[domain_cell(d) for d in (lower if block > 1 else lower[::8])],
+              [domain_cell(d) for d in large],
+              [random_cell(rng)[:4] for _ in range(200)]]
+    for tol in (1e-9, 0.0, -1e-3, -0.05):
+        for cells in groups:
+            args = kernel_args(cells)
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", 1 << 62)
+            whole = kernels.batch_violations(*args, tol)
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+            assert np.array_equal(kernels.batch_violations(*args, tol), whole), (block, tol)
