@@ -214,12 +214,11 @@ def lipschitz_slope(hi: float) -> float:
     return math.pi / (hi * hi * SQRT3)
 
 
-# fine points per block of lipschitz_envelope: its caps are block x samples
-# arrays, so memory stays flat however many points are asked for.  With the
-# 346 samples of a 0.002 sweep, 32 rows keep each array near 90 kB; at 64
-# rows (177 kB) each array was mapped and unmapped afresh, and the envelope
-# took twice as long.
-ENVELOPE_BLOCK = 32
+# fine points, and caps, per block of lipschitz_envelope: every array of a
+# block then stays under 128 kB.  Arrays above that size are mapped and
+# unmapped afresh by malloc: an envelope whose blocks held 177 kB arrays
+# took twice as long as one whose arrays held 90 kB.
+ENVELOPE_BLOCK = 4096
 
 
 def lipschitz_envelope(samples: Sequence[BoundSample],
@@ -232,19 +231,80 @@ def lipschitz_envelope(samples: Sequence[BoundSample],
     the list of envelope values at them.
 
     Each cap is s.value + lipschitz_slope(max(r, s.r)) * abs(r - s.r) in
-    double arithmetic, element by element.  The caps are evaluated with
-    numpy for ENVELOPE_BLOCK ratios against all samples at a time, and each
-    ratio takes the least cap of its row.  A nan cap is passed over, so
+    double arithmetic, element by element.  A nan cap is passed over, so
     only nan caps give inf.
+
+    A point x is evaluated only against a window of the samples sorted by
+    r, and gets the same float as against all of them.  The window starts
+    at x's two neighbouring samples, whose least cap is c, and widens until
+    a bound at each of its edges exceeds c:
+
+    - every cap left of x (s.r <= x) has the slope s(x) at x, so with P
+      the least value of the samples up to an edge e (nan values passed
+      over), P + s(x)*abs(x - r_e) bounds every cap at or beyond e;
+    - every cap right of x has the slope at its own r, which is at least
+      the slope s_max at the largest r when no r is negative (else 0
+      bounds it), so with S the least value from e on, S + s_max*abs(x -
+      r_e) bounds every cap at or beyond e.
+
+    The bounds take the caps' own float operations, each of which is
+    monotone, so an excluded cap exceeds c, and so the window's minimum.
+    A point whose c is inf (or not a number) keeps every sample.  The caps
+    are evaluated with numpy, ENVELOPE_BLOCK points and ENVELOPE_BLOCK
+    caps at a time (or one point whose window is larger).
     """
     if not samples:
         raise DomainError("envelope needs at least one sample")
     rs = np.array([s.r for s in samples], dtype=float)
     values = np.array([s.value for s in samples], dtype=float)
-    xs = np.array(r, dtype=float).reshape(-1, 1)
+    if not np.all(rs[:-1] <= rs[1:]):
+        order = np.argsort(rs)
+        rs, values = rs[order], values[order]
+    n = len(rs)
+    prefix = np.fmin.accumulate(values)
+    suffix = np.fmin.accumulate(values[::-1])[::-1]
+    least = lipschitz_slope(rs[-1]) if rs[0] >= 0.0 and rs[-1] > 0.0 else 0.0
+
+    def caps(x, j):
+        return values[j] + lipschitz_slope(np.maximum(x, rs[j])) * np.abs(x - rs[j])
+
+    xs = np.array(r, dtype=float).ravel()
     out = []
     for start in range(0, len(xs), ENVELOPE_BLOCK):
         x = xs[start:start + ENVELOPE_BLOCK]
-        caps = values + lipschitz_slope(np.maximum(x, rs)) * np.abs(x - rs)
-        out += np.fmin.reduce(caps, axis=1, initial=math.inf).tolist()
+        p = np.searchsorted(rs, x, "right")            # rs[:p] <= x < rs[p:]
+        every = np.arange(len(x))
+        lo, hi = np.maximum(p, 1) - 1, np.minimum(p, n - 1) + 1
+        slope = lipschitz_slope(np.maximum(x, rs[lo]))  # s(x) where p > 0
+        c = np.fmin(values[lo] + slope * np.abs(x - rs[lo]), caps(x, hi - 1))
+        whole = ~(c < math.inf)
+        lo[whole], hi[whole] = 0, n
+
+        # widen by 1, 2, 4, ... samples while an edge's bound is not above c
+        k, width = every[lo > 0], 1
+        while k.size:
+            e = lo[k] - 1
+            k = k[~(prefix[e] + slope[k] * np.abs(x[k] - rs[e]) > c[k])]
+            lo[k] = np.maximum(lo[k] - width, 0)
+            k, width = k[lo[k] > 0], 2 * width
+        k, width = every[hi < n], 1
+        while k.size:
+            e = hi[k]
+            k = k[~(suffix[e] + least * np.abs(x[k] - rs[e]) > c[k])]
+            hi[k] = np.minimum(hi[k] + width, n)
+            k, width = k[hi[k] < n], 2 * width
+
+        # the windows' caps as flat rows, ENVELOPE_BLOCK at a time
+        count = hi - lo
+        ends = np.cumsum(count)
+        a = 0
+        while a < len(x):
+            b = max(int(np.searchsorted(ends, (ends[a - 1] if a else 0) + ENVELOPE_BLOCK,
+                                        "right")), a + 1)
+            cnt = count[a:b]
+            first = np.cumsum(cnt) - cnt
+            pt = np.repeat(np.arange(a, b), cnt)
+            cap = caps(x[pt], lo[pt] + np.arange(pt.size) - np.repeat(first, cnt))
+            out += np.fmin(np.fmin.reduceat(cap, first), math.inf).tolist()
+            a = b
     return out if np.ndim(r) else out[0]

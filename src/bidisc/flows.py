@@ -7,7 +7,9 @@ ratio r varies.  Two kinds are supported:
   explicit in r.
 * constrained: positions solve a square polynomial contact system; values
   are tracked in r by predictor-corrector continuation seeded from a stored
-  starting point.
+  starting point.  The continuation keeps its points as lists of Python
+  floats, on which the compiled recipe code and the secant predictor do
+  the same IEEE operations as on numpy arrays, at a fraction of the cost.
 
 The module also provides the two reference closed-form density curves used
 as oracles, the interstitial construction that drops small discs into the
@@ -170,13 +172,22 @@ class ConstrainedRecipe(FlowRecipe):
         return compile_system(self.variables, self.defines, eqs, outputs)
 
     def build_from(self, values, r: float) -> FundamentalDomain:
-        _, ux, uy, vx, vy, *xy = self.compiled[2](values, r)
-        cell = tuple(Disc(x, y, 1.0 if sel == "one" else r)
+        """The packing at ratio r from the unknowns' values, a sequence of
+        floats; a division by zero or an overflow in the recipe's outputs
+        raises InvalidPacking, as the non-finite value it gave in numpy."""
+        try:
+            _, ux, uy, vx, vy, *xy = self.compiled[2](values, r)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise InvalidPacking(f"{self.name}: {exc} at r={r}") from exc
+        # float() turns integer constants such as a centre at "0" into the
+        # floats that FundamentalDomain keeps without a copy
+        r = float(r)
+        cell = tuple(Disc(float(x), float(y), 1.0 if sel == "one" else r)
                      for x, y, (_, _, sel) in zip(xy[::2], xy[1::2], self.cell))
         return FundamentalDomain((ux, uy), (vx, vy), cell)
 
     def build(self, r: float) -> FundamentalDomain:
-        return self.build_from(solve_constrained(self, r), r)
+        return self.build_from(solve_constrained(self, r).tolist(), r)
 
 
 def recipe_from_dict(obj: dict) -> FlowRecipe:
@@ -248,11 +259,12 @@ _MAX_STEP = 1e-3
 _MIN_STEP = 1e-9
 _VERIFY_TOL = 1e-8
 
-# Per-recipe solution paths: name -> sorted list of (r, values), with
-# _path_keys[name] the same r values as a plain list for bisect and
-# _path_owners[name] the recipe that walked them, the only one to read them.
-# Correct for single-writer access; concurrent sweeps must partition r ranges.
-_paths: dict[str, list[tuple[float, np.ndarray]]] = {}
+# Per-recipe solution paths: name -> sorted list of (r, values), values a
+# list of floats, with _path_keys[name] the same r values as a plain list for
+# bisect and _path_owners[name] the recipe that walked them, the only one to
+# read them.  Correct for single-writer access; concurrent sweeps must
+# partition r ranges.
+_paths: dict[str, list[tuple[float, list[float]]]] = {}
 _path_keys: dict[str, list[float]] = {}
 _path_owners: dict[str, ConstrainedRecipe] = {}
 
@@ -265,10 +277,16 @@ def clear_continuation_cache(name: str | None = None) -> None:
             cache.pop(name, None)
 
 
-def _correct(recipe: ConstrainedRecipe, r: float, guess) -> np.ndarray:
+def _correct(recipe: ConstrainedRecipe, r: float, guess) -> list[float]:
+    """Newton's solution at ratio r from guess, as a list of floats, once
+    the held-out equation holds there too."""
     residuals, jacobian, values = recipe.compiled
-    sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess, tol=1e-12)
-    resid = values(sol, r)[0]
+    sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess,
+                       tol=1e-12).tolist()
+    try:
+        resid = values(sol, r)[0]
+    except (ZeroDivisionError, OverflowError):
+        resid = math.inf
     if abs(resid) > _VERIFY_TOL:
         raise InvalidPacking(
             f"{recipe.name}: held-out contact residual {resid:.3e} at r={r}")
@@ -292,26 +310,36 @@ def _nearest(rs: list[float], target: float) -> int:
     return pos
 
 
-def _predict(path: list[tuple[float, np.ndarray]], rs: list[float],
-             target: float) -> np.ndarray:
-    """Secant extrapolation from the two nearest path points, else nearest."""
+def _predict(path: list[tuple[float, list[float]]], rs: list[float],
+             target: float) -> list[float]:
+    """Secant extrapolation from the two nearest path points, else nearest.
+
+    The secant is ``qa[i] + (qb[i] - qa[i]) * t`` with ``t = (target - ra)
+    / (rb - ra)`` computed once, element by element on floats: the
+    operations, and so the bits, of the same expression broadcast in numpy.
+    """
     k = _nearest(rs, target)
     if len(path) == 1:
-        return path[k][1].copy()
+        return list(path[k][1])
     k2 = k - 1 if (k == len(path) - 1 or
                    (k > 0 and abs(rs[k - 1] - target) <= abs(rs[k + 1] - target))) else k + 1
     (ra, qa), (rb, qb) = path[k], path[k2]
     if ra == rb:
-        return qa.copy()
-    return qa + (qb - qa) * ((target - ra) / (rb - ra))
+        return list(qa)
+    t = (target - ra) / (rb - ra)
+    return [a + (b - a) * t for a, b in zip(qa, qb)]
 
 
 def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
-    """Unknown values at ratio r, walked from the recipe's seed point."""
+    """Unknown values at ratio r, walked from the recipe's seed point.
+
+    The walk keeps its points as lists of floats, and only the result
+    becomes an ndarray.
+    """
     path = _paths.get(recipe.name)
     if path is None or _path_owners[recipe.name] is not recipe:
         try:
-            seed = _correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
+            seed = _correct(recipe, recipe.r0, recipe.guess)
         except (NoConvergence, SingularJacobian) as exc:
             raise NoSolution(f"{recipe.name}: no solution at r0={recipe.r0}: {exc}") from exc
         path = [(recipe.r0, seed)]
@@ -321,7 +349,7 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     rs = _path_keys[recipe.name]
     pos = bisect.bisect_left(rs, r)
     if pos < len(rs) and rs[pos] == r:
-        return path[pos][1].copy()
+        return np.array(path[pos][1])
 
     current, sol = path[_nearest(rs, r)]
     step = _MAX_STEP
@@ -342,7 +370,7 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
         path.insert(pos, (target, sol))
         current = target
         step = min(step * 2.0, _MAX_STEP)
-    return sol.copy()
+    return np.array(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +458,7 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
         keep &= (px - cx) ** 2 + (py - cy) ** 2 >= limit
     px, py = px[keep], py[keep]
     order = np.lexsort((px, py))
-    px, py = px[order], py[order]
+    px, py = px[order].tolist(), py[order].tolist()
 
     discs = [Disc(0.0, 0.0, 1.0)]
     discs += [Disc(x, y, r) for x, y in zip(px, py)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +51,15 @@ class FundamentalDomain:
     def __post_init__(self):
         object.__setattr__(self, "u", (float(self.u[0]), float(self.u[1])))
         object.__setattr__(self, "v", (float(self.v[0]), float(self.v[1])))
-        object.__setattr__(
-            self, "discs", tuple(Disc(float(x), float(y), float(r)) for x, y, r in self.discs)
-        )
+        # discs that are already a tuple of Discs on Python floats are kept
+        # as they are: the constructions build them so, and the copy would
+        # cost more than the checks below
+        if not (type(self.discs) is tuple and all(
+                type(d) is Disc and type(d.x) is float and type(d.y) is float
+                and type(d.radius) is float for d in self.discs)):
+            object.__setattr__(
+                self, "discs", tuple(Disc(float(x), float(y), float(r)) for x, y, r in self.discs)
+            )
         if not all(map(math.isfinite, (*self.u, *self.v))):
             raise InvalidPacking("lattice vectors must be finite")
         if abs(self.cell_area) < 1e-12:
@@ -128,11 +135,14 @@ def validate(domain: FundamentalDomain, tol: float = OVERLAP_TOL) -> list[Violat
 def validate_many(domains: Sequence[FundamentalDomain],
                   tol: float = OVERLAP_TOL) -> list[list[Violation]]:
     """``[validate(d, tol) for d in domains]``, from one scan of all their cells."""
-    discs = [d for domain in domains for d in domain.discs]
-    rows = batch_violations(
-        [(d.x, d.y) for d in discs], [d.radius for d in discs],
-        np.cumsum([0] + [len(domain.discs) for domain in domains]),
-        [((dm.u[0], dm.v[0]), (dm.u[1], dm.v[1])) for dm in domains], tol)
+    # np.fromiter reads the floats without the nested lists that np.array
+    # would first have to walk
+    count = [len(domain.discs) for domain in domains]
+    discs = np.fromiter(chain.from_iterable(chain.from_iterable(d.discs for d in domains)),
+                        dtype=float, count=3 * sum(count)).reshape(-1, 3)
+    lattices = np.fromiter(chain.from_iterable((d.u[0], d.v[0], d.u[1], d.v[1]) for d in domains),
+                           dtype=float, count=4 * len(domains)).reshape(-1, 2, 2)
+    rows = batch_violations(discs[:, :2], discs[:, 2], np.cumsum([0] + count), lattices, tol)
     found = [Violation(int(i), int(j), int(m), int(n), float(g)) for _, i, j, m, n, g in rows]
     cuts = np.searchsorted(rows[:, 0], np.arange(len(domains) + 1))
     return [found[a:b] for a, b in zip(cuts[:-1], cuts[1:])]

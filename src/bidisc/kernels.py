@@ -78,9 +78,10 @@ def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
 
     Blocks change neither the rows nor their order.  Each row is computed
     from its own pair and translate alone; the kept pairs of all prune
-    blocks are merged by one ``np.unique``, which sorts them (i, j) as one
-    block would; and scan blocks follow that pair order, each pair's
-    translates in (m, n) order, so the blocks' rows concatenate sorted.
+    blocks are merged by one sort that drops repeated pairs, which orders
+    them (i, j) as one block would; and scan blocks follow that pair order,
+    each pair's translates in (m, n) order, so the blocks' rows concatenate
+    sorted.
     """
     xy, radii = np.asarray(xy, dtype=float).reshape(-1, 2), np.asarray(radii, dtype=float)
     start = np.asarray(start, dtype=np.int64)
@@ -128,7 +129,12 @@ def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
                 & (np.abs(db - np.rint(db)) <= inv_n[cc] * rc + pc))
         ci, cj = ci[keep], cj[keep]
         codes.append(np.minimum(ci, cj) * size + np.maximum(ci, cj))
-    iu, ju = np.divmod(np.unique(np.concatenate(codes)), size)
+    # merge: sort the codes and keep the first of each run of equal ones
+    # (np.unique does the same, but through a slower hash path)
+    codes = np.sort(np.concatenate(codes))
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    iu, ju = np.divmod(codes[first], size)
 
     # scan the kept pairs (i <= j, rows of one cell), BLOCK_ROWS pairs at a time
     out = [np.empty((0, 6))]

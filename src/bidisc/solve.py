@@ -1,11 +1,18 @@
 """Damped Newton iteration for small square systems.
 
-A system is two callables on a point (a sequence of n unknowns): one gives
-the list of its n residuals, the other the n rows of its Jacobian.  Recipe
-systems get both from ``expressions.compile_system``, which differentiates
-the equations in forward mode, exactly to roundoff; no finite-difference
-step tuning is involved.
+A system is two callables on a point (a list of n unknowns, as Python
+floats): one gives the list of its n residuals, the other the n rows of its
+Jacobian.  Recipe systems get both from ``expressions.compile_system``,
+which differentiates the equations in forward mode, exactly to roundoff; no
+finite-difference step tuning is involved.
+
+The systems are small (six unknowns for the densest recipe), so a numpy
+call costs more than the arithmetic it does.  The point, the residuals,
+their max-norm and the damped updates are Python floats, and each iteration
+makes one numpy call: the linear solve for the Newton step.
 """
+
+import math
 
 import numpy as np
 
@@ -14,45 +21,63 @@ from .errors import NoConvergence, SingularJacobian
 _MAX_HALVINGS = 40
 
 
-def _residuals(residuals, x):
-    return np.array([float(v) for v in residuals(x)], dtype=float)
+def _norm(fx: list[float]) -> float:
+    """Max-norm of fx; nan when any entry is nan, as ``np.max`` gives."""
+    # max() would pass a nan over, as it compares false with everything
+    return math.nan if any(map(math.isnan, fx)) else max(map(abs, fx))
+
+
+def _trial(residuals, x: list[float]) -> tuple[list[float], float]:
+    """Residuals at a trial point and their max-norm, which is inf where the
+    arithmetic divides by zero or overflows: Python floats raise there, and
+    the step is rejected, as numpy's inf or nan rejected it."""
+    try:
+        f = [float(v) for v in residuals(x)]
+    except (ZeroDivisionError, OverflowError):
+        return [math.inf] * len(x), math.inf
+    return f, _norm(f)
 
 
 def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
                  max_iter: int = 60) -> np.ndarray:
     """Solve the square system F(x) = 0 to max-norm residual <= tol.
 
-    ``residuals`` maps a point to the list of its residuals, one per
-    unknown; a system whose residual count differs from the unknown count
-    raises ValueError on its first evaluation.  ``jacobian`` maps a point
-    to the rows of the residuals' partial derivatives, one row per
-    residual.
+    ``residuals`` maps a point, a list of floats, to the list of its
+    residuals, one per unknown; a system whose residual count differs from
+    the unknown count raises ValueError on its first evaluation.
+    ``jacobian`` maps a point to the rows of the residuals' partial
+    derivatives, one row per residual.  The solution is returned as an
+    ndarray.
 
     Each iteration takes the full Newton step and halves it (up to
     ``_MAX_HALVINGS`` times) until the residual max-norm decreases; if no
     damped step improves, or the iteration budget runs out, NoConvergence is
-    raised.  A singular Jacobian raises SingularJacobian.
+    raised.  A singular Jacobian raises SingularJacobian.  A point where
+    the residuals divide by zero or overflow (ZeroDivisionError or
+    OverflowError) has an infinite norm: a trial step there is rejected, and
+    a guess there leaves no finite Newton step.
+
+    The only numpy call of an iteration is the ``np.linalg.solve`` of the
+    step; the rest is the same IEEE arithmetic on Python floats that numpy
+    would do element by element, so every iterate has numpy's bits.
     """
-    x = np.asarray(guess, dtype=float).copy()
-    fx = _residuals(residuals, x)
-    if fx.size != x.size:
-        raise ValueError(f"system of {fx.size} equations with {x.size} unknowns is not square")
-    norm = np.max(np.abs(fx))
+    x = [float(v) for v in guess]
+    fx, norm = _trial(residuals, x)
+    if len(fx) != len(x):
+        raise ValueError(f"system of {len(fx)} equations with {len(x)} unknowns is not square")
     for _ in range(max_iter):
         if norm <= tol:
-            return x
-        jac = np.array(jacobian(x), dtype=float)
+            return np.array(x)
         try:
-            step = np.linalg.solve(jac, -fx)
+            step = np.linalg.solve(jacobian(x), [-v for v in fx]).tolist()
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step)):
             raise SingularJacobian("Newton step is not finite")
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            x_new = x + scale * step
-            f_new = _residuals(residuals, x_new)
-            n_new = np.max(np.abs(f_new))
+            x_new = [a + scale * d for a, d in zip(x, step)]
+            f_new, n_new = _trial(residuals, x_new)
             if n_new < norm or n_new <= tol:
                 x, fx, norm = x_new, f_new, n_new
                 break
@@ -60,5 +85,5 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
         else:
             raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
     if norm <= tol:
-        return x
+        return np.array(x)
     raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")

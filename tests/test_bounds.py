@@ -1,11 +1,14 @@
 """Analytic upper bounds, their interval forms, the Lipschitz envelope."""
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import numpy as np
 import pytest
 
+from bidisc import bounds, cli
 from bidisc.bounds import (
     BLIND_MIN_RATIO,
     ENVELOPE_BLOCK,
@@ -28,6 +31,20 @@ from bidisc.errors import DomainError
 from bidisc.intervals import Interval
 
 DELTA1 = 0.9068996821171089
+
+
+def all_caps_envelope(samples, r):
+    """``lipschitz_envelope`` as it was before the window: every fine point
+    against every sample, 32 points at a time."""
+    rs = np.array([s.r for s in samples], dtype=float)
+    values = np.array([s.value for s in samples], dtype=float)
+    xs = np.array(r, dtype=float).reshape(-1, 1)
+    out = []
+    for start in range(0, len(xs), 32):
+        x = xs[start:start + 32]
+        caps = values + lipschitz_slope(np.maximum(x, rs)) * np.abs(x - rs)
+        out += np.fmin.reduce(caps, axis=1, initial=math.inf).tolist()
+    return out if np.ndim(r) else out[0]
 
 # All frozen against 50 digit mpmath evaluations of the same formulas.
 FLORIAN_REFERENCE = {
@@ -323,6 +340,68 @@ class TestEnvelope:
     def test_only_nan_samples_give_inf(self):
         samples = [BoundSample(0.5, math.nan), BoundSample(0.6, math.nan)]
         assert lipschitz_envelope(samples, [0.4, 0.55]) == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("block", [1, 2, 7, ENVELOPE_BLOCK])
+    def test_window_matches_all_samples(self, monkeypatch, block):
+        # the windowed envelope against every cap of every sample, by repr,
+        # on unsorted samples with repeated r, nan, signed-zero and
+        # non-monotone values; small blocks cut windows and points apart
+        monkeypatch.setattr(bounds, "ENVELOPE_BLOCK", block)
+        rng = np.random.default_rng(20261019)
+        for case in range(400 if block == ENVELOPE_BLOCK else 40):
+            n = int(rng.integers(1, 60))
+            rs = rng.uniform(0.2, 1.0, size=n)
+            if case % 3 == 0:
+                rs = np.round(rs, 2)
+            values = rng.uniform(0.85, 0.97, size=n)
+            if case % 4 == 0:
+                values = np.sort(values)[::-1] if case % 8 else np.sort(values)
+            if case % 5 == 0:
+                values[rng.integers(0, n, size=max(1, n // 4))] = math.nan
+            if case % 7 == 0:
+                values[rng.integers(0, n, size=max(1, n // 5))] = rng.choice([0.0, -0.0])
+            if case % 11 == 0:
+                values = rng.uniform(-1.0, 2.0, size=n)
+            samples = [BoundSample(float(r), float(v)) for r, v in zip(rs, values)]
+            grid = [float(t) for t in rng.uniform(0.1, 1.1, size=int(rng.integers(1, 300)))]
+            grid += [s.r for s in samples[:3]] + [0.0, -0.0, 1.0]
+            assert repr(lipschitz_envelope(samples, grid)) == repr(all_caps_envelope(samples, grid))
+            x = grid[int(rng.integers(0, len(grid)))]
+            assert repr(lipschitz_envelope(samples, x)) == repr(all_caps_envelope(samples, x))
+        one = [BoundSample(0.7, 0.92)]
+        grid = [0.3, 0.7, 0.71, 1.0]
+        assert repr(lipschitz_envelope(one, grid)) == repr(all_caps_envelope(one, grid))
+
+    def test_window_work_is_linear_on_benchmark_grid(self, monkeypatch):
+        # the benchmark's upper sweep: 346 samples, 3,451 fine points.
+        # Against every sample, each fine point would take 346 caps
+        sizes = []
+        slope = bounds.lipschitz_slope
+
+        def counting(hi):
+            sizes.append(np.size(hi))
+            return slope(hi)
+
+        seen = []
+        envelope = cli.lipschitz_envelope
+
+        def recording(samples, r):
+            monkeypatch.setattr(bounds, "lipschitz_slope", counting)
+            try:
+                got = envelope(samples, r)
+            finally:
+                monkeypatch.setattr(bounds, "lipschitz_slope", slope)
+            seen.append((samples, r, got))
+            return got
+
+        monkeypatch.setattr(cli, "lipschitz_envelope", recording)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["upper", "--range", "0.3:0.99", "--step", "0.002",
+                             "--certifier", "florian"]) == 0
+        [(samples, fine, got)] = seen
+        assert (len(samples), len(fine)) == (346, 3451)
+        assert sum(sizes) <= 16 * len(fine)
+        assert repr(got) == repr(all_caps_envelope(samples, fine))
 
 
 class TestSamples:

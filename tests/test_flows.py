@@ -199,6 +199,24 @@ class TestConstrainedFlow:
         recipe.build_from(q, 0.5)
         assert len(compiled) == 1
 
+    @pytest.mark.parametrize("where", ["held-out", "cell"])
+    def test_zero_division_in_outputs_is_invalid_packing(self, where):
+        # on floats a zero denominator raises where numpy gave inf; the
+        # recipe's point is still refused as an invalid packing
+        with open("src/bidisc/data/flow_r6_1.json") as fh:
+            obj = json.load(fh)
+        obj["name"] = f"divides-{where}"
+        if where == "held-out":
+            k = obj["verify_index"]
+            obj["equations"][k] += " + 1 / (r - r)"
+        else:
+            obj["cell"][1][0] += " + 1 / (r - r)"
+        recipe = recipe_from_dict(obj)
+        clear_continuation_cache(recipe.name)
+        with pytest.raises(InvalidPacking):
+            eval_flow(recipe, 0.5)
+        clear_continuation_cache(recipe.name)
+
     def test_seed_point_failure_is_no_solution(self):
         with open("src/bidisc/data/flow_r6_1.json") as fh:
             obj = json.load(fh)
@@ -235,7 +253,9 @@ class TestConstrainedFlow:
 
 
 # Order-of-visit oracle: the path lookup as it was before the key list, one
-# linear scan of the whole path per query.
+# linear scan of the whole path per query, with the path's points and the
+# secant prediction as ndarrays, as they were before the continuation moved
+# to lists of floats.
 
 def _linear_predict(path, target):
     rs = [p[0] for p in path]
@@ -253,7 +273,7 @@ def _linear_predict(path, target):
 def _linear_solve_constrained(paths, recipe, r):
     path = paths.get(recipe.name)
     if path is None:
-        seed = flows._correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float))
+        seed = np.array(flows._correct(recipe, recipe.r0, np.asarray(recipe.guess, dtype=float)))
         path = [(recipe.r0, seed)]
         paths[recipe.name] = path
     rs = [p[0] for p in path]
@@ -269,7 +289,7 @@ def _linear_solve_constrained(paths, recipe, r):
         move = math.copysign(min(step, abs(remaining)), remaining)
         target = r if abs(remaining) <= step else current + move
         try:
-            sol = flows._correct(recipe, target, _linear_predict(path, target))
+            sol = np.array(flows._correct(recipe, target, _linear_predict(path, target)))
         except (NoConvergence, SingularJacobian) as exc:
             step *= 0.5
             if step < flows._MIN_STEP:
@@ -299,6 +319,20 @@ class TestContinuationLookup:
         expect = min(range(len(rs)), key=lambda i: abs(rs[i] - target))
         assert flows._nearest(rs, target) == expect
 
+    def test_predict_on_lists_matches_numpy_form(self):
+        # the secant on lists of floats gives the bits of the ndarray
+        # broadcast, on paths with repeated ratios and targets on either side
+        rng = np.random.default_rng(20261019)
+        for _ in range(500):
+            rs = sorted(float(r) for r in rng.choice(
+                rng.uniform(0.36, 0.99, size=6), size=int(rng.integers(1, 8))))
+            path = [(r, rng.normal(scale=2.0, size=6).tolist()) for r in rs]
+            target = float(rng.choice([*rs, *rng.uniform(0.3, 1.05, size=3)]))
+            got = flows._predict(path, rs, target)
+            expect = _linear_predict([(r, np.array(q)) for r, q in path], target)
+            assert all(type(v) is float for v in got)
+            assert repr(got) == repr(expect.tolist())
+
     def test_matches_linear_scan_bit_for_bit(self):
         recipe = builtin_recipes()["flow-r6-1"]
         queries = (0.5, 0.45, 0.7, 0.44999, 0.9, 0.6, 0.7, 0.3999)
@@ -307,7 +341,8 @@ class TestContinuationLookup:
         paths = {}
         old = [repr(_linear_solve_constrained(paths, recipe, r).tolist()) for r in queries]
         assert new == old
-        assert (repr([(r, q.tolist()) for r, q in flows._paths[recipe.name]])
+        # the path holds lists of floats, the oracle's ndarrays
+        assert (repr(flows._paths[recipe.name])
                 == repr([(r, q.tolist()) for r, q in paths[recipe.name]]))
         assert flows._path_keys[recipe.name] == [r for r, _ in flows._paths[recipe.name]]
         clear_continuation_cache()

@@ -241,6 +241,14 @@ def test_no_violation_shape():
     assert out.shape == (0, 5)
 
 
+def test_no_kept_pair_shape():
+    # a tol above every radius sum keeps no pair for the scan at all
+    xy = np.array([[0.0, 0.0], [0.5, 0.5]])
+    radii = np.array([1.0, 1.0])
+    out = scan(xy, radii, (1.0, 0.0), (0.0, 1.0), 10.0)
+    assert out.shape == (0, 5)
+
+
 def test_self_pair_half_lattice_dedup():
     # a crowded one-disc cell: every self image pair must be reported
     # exactly once, from the canonical half of the translate lattice

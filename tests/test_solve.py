@@ -109,3 +109,149 @@ def test_newton_immediate_return_at_root():
     system = lambda q: [q[0] - 1.0, q[1] + 2.0]
     sol = newton_solve(system, lambda q: [[1.0, 0.0], [0.0, 1.0]], [1.0, -2.0])
     assert sol.tolist() == [1.0, -2.0]
+
+
+# The numpy form of newton_solve, as it was before the iteration moved to
+# Python floats: the point and the residuals are ndarrays, and the callbacks
+# see an ndarray point.
+
+def _numpy_newton(residuals, jacobian, guess, tol=1e-12, *, max_iter=60):
+    def evaluate(x):
+        return np.array([float(v) for v in residuals(x)], dtype=float)
+
+    x = np.asarray(guess, dtype=float).copy()
+    fx = evaluate(x)
+    if fx.size != x.size:
+        raise ValueError(f"system of {fx.size} equations with {x.size} unknowns is not square")
+    norm = np.max(np.abs(fx))
+    for _ in range(max_iter):
+        if norm <= tol:
+            return x
+        jac = np.array(jacobian(x), dtype=float)
+        try:
+            step = np.linalg.solve(jac, -fx)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(str(exc)) from exc
+        if not np.all(np.isfinite(step)):
+            raise SingularJacobian("Newton step is not finite")
+        scale = 1.0
+        for _ in range(41):
+            x_new = x + scale * step
+            f_new = evaluate(x_new)
+            n_new = np.max(np.abs(f_new))
+            if n_new < norm or n_new <= tol:
+                x, fx, norm = x_new, f_new, n_new
+                break
+            scale *= 0.5
+        else:
+            raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
+    if norm <= tol:
+        return x
+    raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")
+
+
+def _outcome(solver, residuals, jacobian, guess, log):
+    """The solver's result or error, with every point its callbacks saw
+    appended to log as ("F" or "J", repr of the point's floats)."""
+    def traced(kind, fn):
+        def call(q):
+            log.append((kind, repr([float(v) for v in q])))
+            return fn(q)
+        return call
+
+    try:
+        with np.errstate(all="ignore"):
+            sol = solver(traced("F", residuals), traced("J", jacobian), guess)
+    except (ValueError, NoConvergence, SingularJacobian) as exc:
+        return type(exc).__name__, str(exc)
+    assert isinstance(sol, np.ndarray)
+    return repr(sol.tolist())
+
+
+def test_replays_lower_sweep_as_numpy_form(monkeypatch):
+    # every Newton solve of a cold lower sweep, replayed from its recorded
+    # system and guess: the same solutions, at the same points, with the
+    # same number of linear solves
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from bidisc import cli, flows
+
+    recorded = []
+    real = flows.newton_solve
+
+    def recording(residuals, jacobian, guess, tol=1e-12, **kwargs):
+        recorded.append((residuals, jacobian, [float(v) for v in guess]))
+        return real(residuals, jacobian, guess, tol, **kwargs)
+
+    flows.clear_continuation_cache()
+    with monkeypatch.context() as mp:
+        mp.setattr(flows, "newton_solve", recording)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["lower", "--range", "0.36:0.99", "--step", "0.001"]) == 0
+    flows.clear_continuation_cache()
+    assert len(recorded) > 700
+
+    solves = {"numpy": 0, "floats": 0}
+    lapack = np.linalg.solve
+    for side, solver in (("numpy", _numpy_newton), ("floats", newton_solve)):
+        def counting(a, b, side=side):
+            solves[side] += 1
+            return lapack(a, b)
+
+        logs, outcomes = [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "solve", counting)
+            for residuals, jacobian, guess in recorded:
+                log = []
+                outcomes.append(_outcome(solver, residuals, jacobian, guess, log))
+                logs.append(log)
+        if side == "numpy":
+            expect = (outcomes, logs)
+    assert outcomes == expect[0]
+    assert logs == expect[1]
+    assert solves["floats"] == solves["numpy"] == sum(
+        kind == "J" for log in logs for kind, _ in log)
+
+
+def test_compiled_code_on_floats_matches_float64():
+    # the continuation calls the compiled recipe code on lists of floats;
+    # it must give the bits that ndarray points (numpy float64 scalars) gave
+    from bidisc.flows import builtin_recipes
+
+    recipe = builtin_recipes()["flow-r6-1"]
+    residuals, _, values = recipe.compiled
+    scope = ("x", "y", "r", "d")
+    mixed = compile_system(
+        ("x", "y"), [("d", Expr("x / y - y ** -2 + 3 * x ** 2 * r", scope[:3]))],
+        [Expr("d ** -2 - x / (y + 2)", scope), Expr("(x - y) ** 3 / d - 1", scope)],
+        [Expr("d / x ** -1 - r ** -2", scope), Expr("0", scope)])
+    systems = [(residuals, values, np.array(recipe.guess), 0.05),
+               (mixed[0], mixed[2], np.array([0.7, 1.3]), 0.5)]
+    rng = np.random.default_rng(20261019)
+    for fresiduals, fvalues, centre, spread in systems:
+        for _ in range(1000):
+            q = centre + rng.uniform(-spread, spread, size=centre.size)
+            r = float(rng.uniform(0.36, 0.99))
+            for fn in (fresiduals, fvalues):
+                on_floats = fn(q.tolist(), r)
+                assert all(type(v) in (float, int) for v in on_floats)
+                assert (repr([float(v) for v in on_floats])
+                        == repr([float(v) for v in fn(q, r)]))
+
+
+@pytest.mark.parametrize("residuals,jacobian,guess", [
+    # the full step lands on q0 = 0, where q0 / q0 divides by zero
+    (lambda q: [q[0] - 1.0 + q[0] / q[0] - 1.0], lambda q: [[0.5]], [2.0]),
+    # ... and where a negative power of zero is taken
+    (lambda q: [q[0] ** -2 - 4.0], lambda q: [[-3.0]], [1.0]),
+    # steps that overflow q0 ** 400 before the damping reaches the root
+    (lambda q: [q[0] - 2.0 + 0.0 * q[0] ** 400], lambda q: [[0.1]], [1.0]),
+    # a guess at the zero denominator leaves no finite step
+    (lambda q: [q[0] - 1.0 + q[0] / q[0] - 1.0], lambda q: [[0.5]], [0.0]),
+], ids=["division", "negative-power", "overflow", "guess"])
+def test_arithmetic_error_at_trial_point_ends_as_numpy_form(residuals, jacobian, guess):
+    # Python floats raise where numpy gave inf or nan; a trial point there
+    # is a rejected step, as numpy's non-finite residual was
+    expect = _outcome(_numpy_newton, residuals, jacobian, guess, [])
+    assert _outcome(newton_solve, residuals, jacobian, guess, []) == expect
