@@ -5,8 +5,8 @@ periodic packings built by explicit recipes, and rigorous upper bounds from
 interval-arithmetic certifiers driven by a branch and bound harness.
 """
 
-from .bounds import (BLIND_MIN_RATIO, BoundSample, blind_interval, delta1,
-                     delta1_interval, florian_angles, florian_bound,
+from .bounds import (BLIND_MIN_RATIO, BoundSample, delta1, delta1_interval,
+                     florian_angles, florian_bound,
                      lipschitz_envelope, lipschitz_slope, r_blind_interval,
                      samples_from_csv, suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError,
@@ -16,8 +16,8 @@ from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
                     builtin_recipes, closed_form_841, closed_form_r6,
                     eval_flow, find_crossings, interstitial, load_recipe,
                     lower_bound_curve, recipe_from_dict)
-from .geometry import (Disc, FundamentalDomain, Violation, density,
-                       density_interval, stick, validate, validate_many)
+from .geometry import (Disc, FundamentalDomain, Violation, density, stick,
+                       validate, validate_many)
 from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
                       ThresholdCertifier, TraceNode, certify_interval,
                       find_delta, make_certifier, sweep)
@@ -36,9 +36,9 @@ __all__ = [
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
     "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
-    "blind_interval", "builtin_recipes",
+    "builtin_recipes",
     "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
-    "delta1_interval", "density", "density_interval",
+    "delta1_interval", "density",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
     "florian_bound", "interstitial",
     "lipschitz_envelope", "lipschitz_slope", "load_recipe",

@@ -5,7 +5,8 @@ bound (one unit disc against two ratio discs, all mutually tangent), the
 polygonal bound built from a circumscribed regular heptagon and pentagon,
 the ratio where the polygonal bound meets delta1, and the Lipschitz
 envelope that extends discrete certified samples to a continuous bound.
-The bounds are certified in interval form; the tangent-triangle bound also
+The bounds are certified in interval form, each on a batch of ratio
+intervals in one pass over endpoint arrays; the tangent-triangle bound also
 has a float form, which gives the dichotomy its default upper start.
 """
 
@@ -126,40 +127,53 @@ TANGENT_TABLE: dict[int, tuple[tuple[int, ...], tuple[float, float]]] = {
 }
 
 
+def _pair(iv: Interval) -> tuple[float, float]:
+    return iv.lo, iv.hi
+
+
 @cache
 def _tangent_intervals() -> tuple[Interval, Interval]:
     """Enclosures of t7 = 7*tan(pi/7) and t5 = 5*tan(pi/5), as n times the
     square root of the checked root of tan(pi/n)**2's minimal polynomial."""
-    t7, t5 = (Interval(n) * checked_root(f"tan(pi/{n})**2", Polynomial(coeffs),
-                                         Interval(*bracket), 0.0).sqrt()
-              for n, (coeffs, bracket) in TANGENT_TABLE.items())
+    enclosures = []
+    for n, (coeffs, bracket) in TANGENT_TABLE.items():
+        root = checked_root(f"tan(pi/{n})**2", Polynomial(coeffs), Interval(*bracket), 0.0)
+        enclosures.append(Interval(*mul_pairs((n, n), sqrt_pairs(_pair(root)))))
+    t7, t5 = enclosures
     # monotonicity of the bound in r**2 rests on t5 > t7; certify it here
     if not t5.lo > t7.hi:
         raise ArithmeticError("tangent constants violate expected ordering")
     return t7, t5
 
 
-def blind_interval(r: Interval) -> Interval:
-    """Enclosure of the polygonal bound over a ratio interval: unit disc in
-    a regular heptagon, ratio disc in a regular pentagon, each
+def blind_enclosures(rs: Sequence[Interval]) -> list[Interval | DomainError]:
+    """Enclosures of the polygonal bound over each ratio interval of rs: unit
+    disc in a regular heptagon, ratio disc in a regular pentagon, each
     circumscribed; valid from 0.6735 up to 1.
 
     With s = r**2 the bound is pi*(1+s)/(t7+t5*s), which is strictly
     decreasing in s because t5 > t7 (derivative sign pi*(t7-t5)/den**2),
-    so evaluating the two endpoints encloses the whole image without the
-    dependency widening of a naive interval evaluation.
+    so the hull of its enclosures at the two ends of r encloses the whole
+    image without the dependency widening of a naive interval evaluation.
+    Both ends of every interval go through one pass on endpoint arrays, and
+    the hull takes their min and max without a nudge.  An interval outside
+    [0.6735, 1] gets its DomainError in place of an enclosure.
     """
-    if not (BLIND_MIN_RATIO <= r.lo and r.hi <= 1.0):
-        raise DomainError(f"polygonal bound needs ratio within [{BLIND_MIN_RATIO}, 1], got {r}")
-    t7, t5 = _tangent_intervals()
-    pi_iv = pi_interval()
-    one = Interval(1.0, 1.0)
-
-    def at(x: float) -> Interval:
-        rsq = Interval(x, x).square()
-        return pi_iv * (one + rsq) / (t7 + t5 * rsq)
-
-    return at(r.lo).hull(at(r.hi))
+    lo = np.array([r.lo for r in rs], dtype=float)
+    hi = np.array([r.hi for r in rs], dtype=float)
+    bad = ~((BLIND_MIN_RATIO <= lo) & (hi <= 1.0))
+    # a failed element's ends are evaluated at the stand-in 1.0
+    x = np.where(np.concatenate([bad, bad]), 1.0, np.concatenate([lo, hi]))
+    t7, t5 = map(_pair, _tangent_intervals())
+    rsq = square_pairs((x, x))
+    vlo, vhi = div_pairs(mul_pairs(_pair(pi_interval()), add_pairs(ONE, rsq)),
+                         add_pairs(t7, mul_pairs(t5, rsq)))
+    n = len(rs)
+    flo = np.minimum(vlo[:n], vlo[n:]).tolist()
+    fhi = np.maximum(vhi[:n], vhi[n:]).tolist()
+    return [DomainError(f"polygonal bound needs ratio within [{BLIND_MIN_RATIO}, 1], got {r}")
+            if failed else Interval(a, z)
+            for r, failed, a, z in zip(rs, bad.tolist(), flo, fhi)]
 
 
 def r_blind_interval() -> Interval:
@@ -167,11 +181,12 @@ def r_blind_interval() -> Interval:
 
     pi cancels from blind(r) <= delta1 = pi/t6, with t6 = 6*tan(pi/6) =
     2*sqrt(3): it holds exactly when t6*(1 + r**2) <= t7 + t5*r**2, so the
-    crossing is sqrt((t7 - t6)/(t6 - t5)).
+    crossing is sqrt((t7 - t6)/(t6 - t5)).  Both differences are negative,
+    as t7 < t6 < t5, so the quotient is positive.
     """
-    t7, t5 = _tangent_intervals()
-    t6 = Interval(12).sqrt()
-    return ((t7 - t6) / (t6 - t5)).sqrt()
+    t7, t5 = map(_pair, _tangent_intervals())
+    t6 = sqrt_pairs((12.0, 12.0))
+    return Interval(*sqrt_pairs(div_pairs(sub_pairs(t7, t6), sub_pairs(t6, t5))))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import json
 import math
 import sys
 import time
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from . import geometry
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
@@ -72,25 +73,34 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         k += 1
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text chunks in order, to stdout or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc}")
 
 
-def _csv(header: str, rows) -> str:
+# rows per chunk of CSV text: a table's text is never held whole
+_CSV_BLOCK = 4096
+
+
+def _csv(header: str, rows: Iterable) -> Iterator[str]:
     """A header line, then one line per row: floats by repr, the rest by str.
 
     Each field goes through ``str.format``, which prints a float as its str,
-    and the str of a float is its repr.
+    and the str of a float is its repr.  The lines come as chunks of the
+    header, then of at most _CSV_BLOCK rows each.
     """
     line = ",".join(["{}"] * len(header.split(","))).format
-    return "\n".join([header, *(line(*row) for row in rows)]) + "\n"
+    yield header + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        yield "".join([line(*row) + "\n" for row in block])
 
 
 def _json(obj) -> str:
@@ -119,7 +129,7 @@ def cmd_ratios(args) -> int:
                     "hi": enc.hi,
                     "polynomial": [[c.numerator, c.denominator] for c in poly.coeffs]}
                    for name, enc, poly in rows]
-        _emit(_json(payload), args.out)
+        _emit([_json(payload)], args.out)
     else:
         _emit(_csv("name,lo,hi,polynomial",
                    ((name, enc.lo, enc.hi, poly) for name, enc, poly in rows)), args.out)
@@ -142,7 +152,7 @@ def cmd_lower(args) -> int:
     recipes = _load_recipes(args.recipe)
     grid = _grid(lo, hi, args.step)
     rows, flow_samples = lower_bound_curve(grid, recipes)
-    curve = [(r, value, "lower") for r, value in rows]
+    curve = ((r, value, "lower") for r, value in rows)
 
     # Where does each construction cross the hexagonal baseline? The
     # interstitial construction strictly exceeds it everywhere it applies,
@@ -185,9 +195,9 @@ def cmd_lower(args) -> int:
     crossings.sort(key=lambda iv: iv.lo)
 
     if args.format == "json":
-        payload = {"curve": curve,
+        payload = {"curve": list(curve),
                    "crossings": [[iv.lo, iv.hi] for iv in crossings]}
-        _emit(_json(payload), args.out)
+        _emit([_json(payload)], args.out)
     else:
         _emit(_csv("r,density,tag", curve), args.out)
         for iv in crossings:
@@ -218,11 +228,11 @@ def cmd_upper(args) -> int:
     if not samples:
         raise DomainError("no certified samples and no --samples file")
 
-    curve = [(r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine))]
+    curve = ((r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine)))
     if args.format == "json":
         payload = {"samples": [[s.r, s.value] for s in samples],
-                   "curve": curve}
-        _emit(_json(payload), args.out)
+                   "curve": list(curve)}
+        _emit([_json(payload)], args.out)
     else:
         _emit(_csv("r,density,tag", curve), args.out)
         print(f"samples,{len(samples)}", file=sys.stderr)
@@ -243,8 +253,8 @@ def cmd_certify(args) -> int:
 
     if args.format == "json":
         # wall time stays out, so the document is byte-stable across runs
-        _emit(_json({"leaf_count": trace.leaf_count, "node_count": trace.node_count,
-                     "success": trace.success, "root": _node_json(trace.root)}), args.out)
+        _emit([_json({"leaf_count": trace.leaf_count, "node_count": trace.node_count,
+                     "success": trace.success, "root": _node_json(trace.root)})], args.out)
     else:
         _emit(_csv("lo,hi,delta,verdict",
                    ((leaf.interval.lo, leaf.interval.hi, leaf.delta, _verdict(leaf))
@@ -288,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, metavar="LO:HI")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--precision", type=float, default=DEFAULT_PRECISION)
-    p.add_argument("--certifier", default="florian",
-                   help="blind, florian, or threshold:T")
+    p.add_argument("--certifier", default="florian", help="blind or florian")
     p.add_argument("--samples", default=None,
                    help="merge extra bound samples from a CSV file")
     add_common(p)
@@ -299,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True, metavar="LO:HI")
     p.add_argument("--delta", type=float, default=None,
                    help="density level to certify (default hexagonal)")
-    p.add_argument("--certifier", default="blind",
-                   help="blind, florian, or threshold:T")
+    p.add_argument("--certifier", default="blind", help="blind or florian")
     p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     add_common(p)
     p.set_defaults(func=cmd_certify)

@@ -1,11 +1,22 @@
-"""Interval arithmetic on numpy arrays of endpoints, one interval per element.
+"""The package's rounded arithmetic: intervals as numpy arrays of endpoints.
 
-An interval is a pair (lo, hi) of float64 arrays, and a float stands for a
-point interval.  Each operation runs the products, min/max and nextafter
-nudges of the ``Interval`` operation it is named after, in the same order,
-so every element is bit-identical to that operation's result, and a batch of
-intervals costs one pass of numpy calls.  Domain checks are left to the
-caller: ``bounds.florian_enclosures`` makes them.
+An interval is a pair (lo, hi) of float64 arrays, one interval per
+element, or of floats, for a single or a point interval.  Every result
+contains the exact real result for all points of its operands.  Directed
+rounding is obtained portably by nudging each computed endpoint one ulp
+outward with ``nextafter``: the hardware rounds to nearest, so the rounded
+endpoint is within one ulp of the exact one and the nudge restores
+containment.  This costs up to two ulps of width per operation and needs no
+fesetround or platform-specific state, and a batch of intervals costs one
+pass of numpy calls.
+
+The reference for each operation is the interval operator of the same name
+in ``tests/interval_oracle.py``: the same products, min/max and nudges in
+the same order, so every element is ``repr``-equal to it.  The transcendental
+kernels (atan, acos) run the arctangent series with an explicit remainder
+term, never libm, on these operations.  Domain checks are left to the
+caller: ``bounds.florian_enclosures`` and ``bounds.blind_enclosures`` make
+them.
 """
 
 import math
@@ -56,8 +67,8 @@ def div_pairs(a, b):
 
 
 def square_pairs(a):
-    # Interval.square's three cases: the upper end is max(lo*lo, hi*hi) in
-    # each, and the lower end is 0 where the interval straddles 0
+    # three cases: the upper end is max(lo*lo, hi*hi) in each, and the
+    # lower end is 0 where the interval straddles 0
     lo, hi = a
     p, q = lo * lo, hi * hi
     low = np.nextafter(np.minimum(p, q), -_INF)
@@ -76,8 +87,7 @@ def atan_points(x):
     atan(t) = 2*atan(t / (1 + sqrt(1 + t^2))) three times brings x into
     |t| < tan(pi/16) < 0.2, where 14 series terms leave a tail below
     |t|^29/29, taken with Python's ``**`` one element at a time.  Each step
-    runs the ``Interval`` operations of that formula in their order, so the
-    enclosures are bit-identical to it.  A non-finite endpoint anywhere
+    runs the pair operations of that formula in their order.  A non-finite endpoint anywhere
     raises ``DomainError``; a step's upper end rises through all its
     operations (whose divisors and radicands are >= 1), so testing it once
     per step covers them.

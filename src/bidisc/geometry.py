@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidPacking, NoSolution
-from .intervals import Interval, pi_interval
 from .kernels import batch_violations
 
 # Two discs overlap when their centres are closer than the sum of their
@@ -109,18 +108,6 @@ def stick(d1: Disc, d2: Disc, radius: float) -> Disc:
 
 def density(domain: FundamentalDomain) -> float:
     return math.pi * sum(d.radius * d.radius for d in domain.discs) / domain.cell_area
-
-
-def density_interval(domain: FundamentalDomain) -> Interval:
-    """Enclosure of the cell density from exact-float inputs."""
-    area = (
-        Interval(domain.u[0], domain.u[0]) * Interval(domain.v[1], domain.v[1])
-        - Interval(domain.u[1], domain.u[1]) * Interval(domain.v[0], domain.v[0])
-    ).abs()
-    total = Interval(0.0, 0.0)
-    for d in domain.discs:
-        total = total + Interval(d.radius, d.radius).square()
-    return pi_interval() * total / area
 
 
 def validate(domain: FundamentalDomain, tol: float = OVERLAP_TOL) -> list[Violation]:

@@ -3,9 +3,9 @@
 A certifier is its bound: ``bound_many(rs)`` gives, for each ratio interval
 r of rs, an Interval whose ``hi`` is a proven upper bound on the density of
 every packing with ratio in r, or the DomainError raised where the
-certifier cannot bound r.  The florian certifier evaluates the whole batch
-at once on endpoint arrays.  Two drivers run on top, both reading one
-enclosure per interval:
+certifier cannot bound r.  The blind and florian certifiers evaluate the
+whole batch at once on endpoint arrays.  Two drivers run on top, both
+reading one enclosure per interval:
 
 * ``find_delta`` narrows the least provable delta by dichotomy against the
   ``hi`` of one enclosure, and ``sweep`` runs that dichotomy at each point
@@ -15,10 +15,11 @@ enclosure per interval:
   bisection can prove.  It builds the tree in level order, with one batch
   call for the nodes of each depth and one for their point probes.
 
-Shipped certifiers wrap the interval forms of the analytic bounds, plus a
-synthetic threshold certifier for driver tests.  The real strength of a
-certifier is whatever bound it wraps; the drivers only ever weaken claims,
-never strengthen them.
+The shipped certifiers, the ones ``make_certifier`` builds, wrap the
+interval forms of the analytic bounds; ``ThresholdCertifier``, a constant
+bound, is a driver double for tests.  The real strength of a certifier is
+whatever bound it wraps; the drivers only ever weaken claims, never
+strengthen them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import (BoundSample, blind_interval, delta1, florian_bound,
+from .bounds import (BoundSample, blind_enclosures, delta1, florian_bound,
                      florian_enclosures)
 from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from .intervals import Interval, narrow
@@ -69,12 +70,14 @@ def _each(bound, items: Sequence) -> list[Interval | DomainError]:
 
 
 class BlindCertifier(Certifier):
-    """Bounds density by the polygonal bound where it is valid."""
+    """Bounds density by the polygonal bound where it is valid, [0.6735, 1]:
+    ``bounds.blind_enclosures`` evaluates the whole batch at both ends of
+    each interval in one pass on endpoint arrays."""
 
     name = "blind"
 
     def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        return _each(blind_interval, rs)
+        return blind_enclosures(rs)
 
 
 class FlorianCertifier(Certifier):
@@ -87,7 +90,11 @@ class FlorianCertifier(Certifier):
 
 
 class ThresholdCertifier(Certifier):
-    """Synthetic driver-test certifier: the bound is t at every ratio."""
+    """Synthetic driver-test certifier: the bound is t at every ratio.
+
+    It proves nothing about packings, so ``make_certifier`` does not offer
+    it; tests build it to drive ``find_delta``, ``sweep`` and
+    ``certify_interval``."""
 
     def __init__(self, t: float):
         self.t = float(t)
@@ -105,11 +112,6 @@ def make_certifier(spec: str) -> Certifier:
         return BlindCertifier()
     if spec == "florian":
         return FlorianCertifier()
-    if spec.startswith("threshold:"):
-        try:
-            return ThresholdCertifier(float(spec.split(":", 1)[1]))
-        except ValueError as exc:
-            raise DomainError(f"bad threshold in certifier spec {spec!r}") from exc
     raise DomainError(f"unknown certifier {spec!r}")
 
 

@@ -1,17 +1,11 @@
-"""Certified interval arithmetic on IEEE double endpoints.
+"""Certified intervals on IEEE double endpoints.
 
-Every operation returns an interval that contains the exact real result for
-all points of the input intervals.  Directed rounding is obtained portably by
-nudging each computed endpoint one ulp outward with ``math.nextafter``: the
-hardware rounds to nearest, so the rounded endpoint is within one ulp of the
-exact one and the nudge restores containment.  This costs up to two ulps of
-width per operation and needs no fesetround or platform-specific state.
-
-The transcendental enclosures (atan, acos) are in ``bidisc.endpoints``: the
-arctangent series with an explicit remainder term, never libm, run with
-Interval's operations, outward rounding included, on numpy arrays of
-endpoints, one interval per element.  Results are bit-identical to the same
-formula on Interval objects, and a batch of intervals costs one pass.
+``Interval`` is a value type: a closed interval [lo, hi] with finite double
+ends, built exactly or, by ``from_fraction``, as the tightest interval
+around a rational.  It has no arithmetic.  The one rounded arithmetic is the
+pair operations of ``bidisc.endpoints``, which run on numpy arrays of
+endpoints; ``tests/interval_oracle.py`` keeps the operators this class once
+had as their reference, and every pair operation is ``repr``-equal to it.
 
 ``narrow`` is the package's one bracket-halving loop: the critical radii, the
 upper-bound dichotomy and the crossings with a density level all use it.
@@ -98,95 +92,6 @@ class Interval:
 
     def __repr__(self):
         return f"Interval({self.lo!r}, {self.hi!r})"
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Interval):
-            return x
-        if isinstance(x, (int, float)):
-            return Interval(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p1 = self.lo * o.lo
-        p2 = self.lo * o.hi
-        p3 = self.hi * o.lo
-        p4 = self.hi * o.hi
-        return Interval(_down(min(p1, p2, p3, p4)), _up(max(p1, p2, p3, p4)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
-            raise DomainError("interval division by an interval containing 0")
-        q1 = self.lo / o.lo
-        q2 = self.lo / o.hi
-        q3 = self.hi / o.lo
-        q4 = self.hi / o.hi
-        return Interval(_down(min(q1, q2, q3, q4)), _up(max(q1, q2, q3, q4)))
-
-    def square(self) -> "Interval":
-        """Tight enclosure of x**2; never dips below 0 for sign-mixed input."""
-        if self.lo >= 0.0:
-            return Interval(_down(self.lo * self.lo), _up(self.hi * self.hi))
-        if self.hi <= 0.0:
-            return Interval(_down(self.hi * self.hi), _up(self.lo * self.lo))
-        m = max(-self.lo, self.hi)
-        return Interval(0.0, _up(m * m))
-
-    def sqrt(self, clamp_tol: float | None = None) -> "Interval":
-        """Certified square root.
-
-        A slightly negative lower endpoint (roundoff from an analytically
-        nonnegative quantity) is raised to 0 only when the caller passes an
-        explicit clamp tolerance and the endpoint is within it.
-        """
-        lo = self.lo
-        if lo < 0.0:
-            if clamp_tol is not None and lo >= -clamp_tol:
-                lo = 0.0
-            else:
-                raise DomainError(f"sqrt of interval with negative lower endpoint {self.lo}")
-        if self.hi < 0.0:
-            raise DomainError("sqrt of a negative interval")
-        # math.sqrt is correctly rounded, so one nudge per endpoint suffices.
-        slo = _down(math.sqrt(lo))
-        return Interval(max(slo, 0.0), _up(math.sqrt(self.hi)))
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0.0:
-            return self
-        if self.hi <= 0.0:
-            return Interval(-self.hi, -self.lo)
-        return Interval(0.0, max(-self.lo, self.hi))
 
 
 def narrow(side, lo: float, hi: float, tol: float) -> tuple[float, float]:

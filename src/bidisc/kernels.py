@@ -90,13 +90,15 @@ def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
     size = len(radii)
     cell = np.repeat(np.arange(len(lat)), np.diff(start))
 
-    # Per-cell scalars, as the single-cell scan computed them.  The pad is
-    # _PAD times a bound on every magnitude the gap expressions below round
-    # at: |c_i - c_j| <= ext, |a| <= inv_m * ext, and a visited m has |m| <=
-    # inv_m * ext + reach_m + 1 <= inv_m * (ext + 2 * rmax + |tol|) + 2 (pad < 1).
-    inv_m, inv_n, norm_u, norm_v = np.array(
-        [[math.hypot(*row) for row in (*rows, *uv)]       # L^-1 rows, u, v
-         for rows, uv in zip(inv.tolist(), lat.transpose(0, 2, 1).tolist())]).reshape(-1, 4).T
+    # Per-cell scalars.  The norms of L^-1's rows and of u and v only size
+    # each pair's translate reach and the pad, and np.hypot is within an ulp
+    # or two of the exact norm; _PAD is 1e-9 relative, millions of ulps, so
+    # that rounding cannot skip a translate.  The pad is _PAD times a bound on
+    # every magnitude the gap expressions below round at: |c_i - c_j| <= ext,
+    # |a| <= inv_m * ext, and a visited m has |m| <= inv_m * ext + reach_m + 1
+    # <= inv_m * (ext + 2 * rmax + |tol|) + 2 (pad < 1).
+    inv_m, inv_n = np.hypot(inv[:, :, 0], inv[:, :, 1]).T    # rows of L^-1
+    norm_u, norm_v = np.hypot(lat[:, 0, :], lat[:, 1, :]).T  # columns u and v
     ext = 2.0 * math.sqrt(2.0) * np.maximum.reduceat(np.abs(xy).max(axis=1), start[:-1])
     far = ext + 2.0 * np.maximum.reduceat(radii, start[:-1]) + abs(tol)
     scale = (inv_m * far + 2.0) * norm_u + (inv_n * far + 2.0) * norm_v + far

@@ -63,11 +63,18 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def eval_interval(self, x: Interval) -> Interval:
-        acc = Interval(0.0)
+    def eval_range(self, lo, hi) -> tuple[Fraction, Fraction]:
+        """Exact interval Horner evaluation over [lo, hi]: each step takes
+        the min and max of the four products of the running range and the
+        ends, then adds the coefficient, all over Fractions.  The result
+        encloses p on [lo, hi], and lies inside the outward-rounded float
+        evaluation of the same steps."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        a = b = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * x + Interval.from_fraction(Fraction(c))
-        return acc
+            products = (a * lo, a * hi, b * lo, b * hi)
+            a, b = min(products) + c, max(products) + c
+        return a, b
 
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -77,14 +84,16 @@ def checked_root(name: str, p: Polynomial, bracket: Interval, tol: float) -> Int
     """Enclosure, width <= tol, of the one simple root of p in bracket.
 
     Two exact checks prove the bracket holds exactly one simple root: p has
-    strictly opposite signs at the endpoints (evaluated over rationals), and
-    an interval enclosure of its derivative over the bracket excludes 0.
+    strictly opposite signs at the endpoints, and an interval enclosure of
+    its derivative over the bracket excludes 0.  Both run over rationals:
+    the enclosure is ``eval_range``, so no rounding enters either check.
     Raises ValueError naming the constant if either check fails.
     """
     at_hi = p.eval_exact(bracket.hi)
     if p.eval_exact(bracket.lo) * at_hi >= 0:
         raise ValueError(f"{name} polynomial does not change sign across {bracket!r}")
-    if 0.0 in p.derivative().eval_interval(bracket):
+    low, high = p.derivative().eval_range(bracket.lo, bracket.hi)
+    if low <= 0 <= high:
         raise ValueError(f"{name} polynomial may have several roots in {bracket!r}: "
                          f"its derivative is not bounded away from 0 there")
     sign = 1 if at_hi > 0 else -1

@@ -13,7 +13,7 @@ import pytest
 
 from bidisc.bounds import (
     BoundSample,
-    blind_interval,
+    blind_enclosures,
     delta1,
     florian_angles,
     florian_bound,
@@ -103,7 +103,7 @@ def test_criterion_02():
 def test_criterion_03():
     def body():
         lo, hi = 0.70, 0.80
-        f = lambda r: blind_interval(Interval(r)).mid - delta1()
+        f = lambda r: blind_enclosures([Interval(r)])[0].mid - delta1()
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:

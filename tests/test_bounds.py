@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
@@ -14,7 +15,7 @@ from bidisc.bounds import (
     ENVELOPE_BLOCK,
     TANGENT_TABLE,
     BoundSample,
-    blind_interval,
+    blind_enclosures,
     delta1,
     delta1_interval,
     florian_angles,
@@ -29,6 +30,7 @@ from bidisc.bounds import (
 )
 from bidisc.errors import DomainError
 from bidisc.intervals import Interval
+from interval_oracle import blind_interval as ref_blind_interval
 
 DELTA1 = 0.9068996821171089
 
@@ -113,6 +115,21 @@ def mp_blind(r):
     return mpmath.pi * (1 + r * r) / (t7 + t5 * r * r)
 
 
+def blind_interval(r):
+    """The blind enclosure over r alone, or its DomainError raised."""
+    (enc,) = blind_enclosures([r])
+    if isinstance(enc, DomainError):
+        raise enc
+    return enc
+
+
+def outcome(fn, r):
+    try:
+        return repr(fn(r))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
 class TestBlind:
     @pytest.mark.parametrize("r,ref", sorted(BLIND_REFERENCE.items()))
     def test_reference_values(self, r, ref):
@@ -166,6 +183,37 @@ class TestBlind:
         enc = blind_interval(Interval(0.75))
         assert BLIND_REFERENCE[0.75] in enc
         assert enc.width <= 1e-14
+
+    def test_batch_matches_reference(self):
+        # each element of one batch is repr-equal to the oracle's formula on
+        # that interval alone, DomainError messages included: points and
+        # intervals inside [0.6735, 1], across its ends, and far outside it
+        rng = np.random.default_rng(20261021)
+        lo = rng.uniform(0.6, 1.05, size=2400)
+        lo[:300] = rng.uniform(-2.0, 3.0, size=300)
+        hi = lo + rng.choice([0.0, 1e-9, 1e-4, 0.05], size=2400)
+        rs = [Interval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        rs += [Interval(BLIND_MIN_RATIO), Interval(1.0), Interval(BLIND_MIN_RATIO, 1.0),
+               Interval(math.nextafter(BLIND_MIN_RATIO, 0.0), 1.0),
+               Interval(BLIND_MIN_RATIO, math.nextafter(1.0, 2.0)), Interval(1e300),
+               Interval(-1e300, 0.7), Interval(0.0)]
+        want = [outcome(ref_blind_interval, r) for r in rs]
+        with warnings.catch_warnings():
+            # failed elements run on a stand-in, so no end overflows
+            warnings.simplefilter("error")
+            batch = blind_enclosures(rs)
+        got = [repr(e) if isinstance(e, Interval) else f"DomainError: {e}" for e in batch]
+        assert got == want
+        assert 500 < sum(w.startswith("DomainError") for w in want) < 2000
+        assert blind_enclosures([]) == []
+
+    def test_constants_pinned(self):
+        # the certified constants, bit for bit as their scalar interval
+        # formulas gave them
+        assert repr(r_blind_interval()) == "Interval(0.7429909632663102, 0.7429909632663275)"
+        assert repr(_tangent_intervals()) == (
+            "(Interval(3.3710223316527, 3.3710223316527013), "
+            "Interval(3.632712640026803, 3.6327126400268055))")
 
 
 # tan(k*pi/n)**2 for k = 1 .. (n - 1)/2 are the roots of these, ascending

@@ -408,16 +408,6 @@ class TestUpper:
             "0.76,0.9,upper\n"
         )
 
-    def test_threshold_certifier_samples(self, capsys):
-        # the triangle bound at each grid ratio lies below t, so every
-        # sample's dichotomy starts from t itself
-        code, out, _ = run(capsys, "upper", "--certifier", "threshold:0.92",
-                           "--range", "0.5:0.6", "--format", "json")
-        assert code == 0
-        samples = json.loads(out)["samples"]
-        assert len(samples) == 101
-        assert all(0.92 <= value <= 0.92 + 1e-4 for _, value in samples)
-
     def test_sample_below_delta1_warns(self, capsys, tmp_path):
         extra = tmp_path / "samples.csv"
         extra.write_text("r,value\n0.75,0.95\n0.76,0.5\n")
@@ -439,6 +429,16 @@ class TestUpper:
             f"sweep: no bound at r={r} via blind: polygonal bound needs ratio within "
             f"[0.6735, 1], got Interval({r}, {r})" for r in ("0.5", "0.55", "0.6", "0.65")
         ] + ["samples,1"]
+
+    def test_out_file_matches_stdout_in_blocks(self, capsys, tmp_path):
+        # a table of more rows than one CSV chunk: the chunks join to the
+        # same bytes on stdout and in the --out file
+        args = ("upper", "--range", "0.5:0.6", "--step", "2e-4")
+        code, out, _ = run(capsys, *args)
+        target = tmp_path / "curve.csv"
+        assert code == 0 and run(capsys, *args, "--out", str(target))[:2] == (0, "")
+        assert len(out.splitlines()) == 5002 > cli._CSV_BLOCK
+        assert target.read_text() == out
 
     def test_fine_grid_refused_before_sweep(self, capsys, monkeypatch):
         # the envelope's tenfold finer grid is checked before any certifier
@@ -480,20 +480,15 @@ class TestCertify:
         assert obj["node_count"] <= 2 * 40
         assert "certification failed" in err
 
-    def test_threshold_above_delta_is_one_leaf(self, capsys):
-        code, out, _ = run(capsys, "certify", "--range", "0.5:0.6",
-                           "--certifier", "threshold:0.93", "--delta", "0.92",
-                           "--max-depth", "12")
-        assert code == 2
-        assert out == "lo,hi,delta,verdict\n0.5,0.6,0.92,unproven\n"
-
-    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_exit_three(self, capsys, t):
-        code, out, err = run(capsys, "certify", "--range", "0.5:0.6",
-                             "--certifier", f"threshold:{t}")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ")
+    def test_threshold_spec_exit_three(self, capsys):
+        # the threshold driver double proves nothing about packings, so the
+        # command line does not offer it
+        for command in ("upper", "certify"):
+            code, out, err = run(capsys, command, "--range", "0.5:0.6",
+                                 "--certifier", "threshold:0.93")
+            assert code == 3
+            assert out == ""
+            assert err.splitlines()[0] == "error: unknown certifier 'threshold:0.93'"
 
     def test_explicit_delta_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--range", "0.9:0.99",
@@ -556,6 +551,17 @@ def test_tiny_ratio_is_config_error(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: interstitial construction at r=1e-300 needs over 1e+07")
+
+
+def test_csv_chunks():
+    # the header alone, then at most _CSV_BLOCK rows per chunk; fields by
+    # str.format, so a float prints as its repr
+    rows = [(0.1 * k, k, "tag") for k in range(2 * cli._CSV_BLOCK + 1)]
+    chunks = list(cli._csv("a,b,c", iter(rows)))
+    assert [chunk.count("\n") for chunk in chunks] == [1, cli._CSV_BLOCK, cli._CSV_BLOCK, 1]
+    assert "".join(chunks) == "\n".join(
+        ["a,b,c", *(f"{a!r},{b},{c}" for a, b, c in rows)]) + "\n"
+    assert list(cli._csv("a,b", [])) == ["a,b\n"]
 
 
 def test_unwritable_out_is_config_error(capsys, tmp_path):

@@ -11,7 +11,6 @@ from bidisc.geometry import (
     FundamentalDomain,
     Violation,
     density,
-    density_interval,
     stick,
     validate,
     validate_many,
@@ -124,13 +123,6 @@ class TestDensity:
                               (Disc(0, 0, 1.0), Disc(2, 1, 1.0), Disc(1, 2, 0.4)))
         by_census = math.pi * sum(r * r * k for r, k in d.radius_census().items())
         assert math.isclose(density(d), by_census / d.cell_area, rel_tol=1e-15)
-
-    def test_interval_encloses_float(self):
-        d = FundamentalDomain((3.1, 0.2), (0.4, 2.9),
-                              (Disc(0.0, 0.0, 1.0), Disc(1.7, 1.1, 0.55)))
-        enc = density_interval(d)
-        assert density(d) in enc
-        assert enc.width < 1e-13
 
     def test_shrink_identity(self):
         # shrinking p discs from radius y to radius x changes the density

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bidisc import cli
-from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_interval, delta1
+from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1
 from bidisc.errors import DepthExceeded, DomainError, InitialBoundsInvalid
 from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
@@ -58,7 +58,7 @@ class TestFindDelta:
         # lower start, which is therefore provable and must be walked down
         window = Interval(0.75, 0.7501)
         got = find_delta(BlindCertifier(), window, precision=1e-4)
-        reference = blind_interval(Interval(0.7501)).mid
+        reference = blind_enclosures([Interval(0.7501)])[0].mid
         assert reference <= got <= reference + 1e-4 + 1e-9
 
     def test_rejects_bad_precision(self):
@@ -170,6 +170,13 @@ class TestCertifyInterval:
         leaves = list(trace.root.leaves())
         assert trace.leaf_count == len(leaves)
         assert trace.node_count >= 2 * trace.leaf_count - 1
+
+    def test_threshold_above_delta_is_one_leaf(self):
+        # a bound above delta at every ratio is refuted at the root
+        with pytest.raises(DepthExceeded) as err:
+            certify_interval(ThresholdCertifier(0.93), Interval(0.5, 0.6), 0.92, max_depth=12)
+        assert [(leaf.interval, leaf.delta, leaf.verdict) for leaf in err.value.trace.leaves()
+                ] == [(Interval(0.5, 0.6), 0.92, False)]
 
 
 def bound_one(c, iv):
@@ -426,17 +433,26 @@ class TestSerialization:
         assert a == b
 
 
+class TestThresholdCertifier:
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, t):
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            ThresholdCertifier(float(t))
+
+
 class TestMakeCertifier:
     def test_names(self):
         assert make_certifier("blind").name == "blind"
         assert make_certifier("florian").name == "florian"
-        t = make_certifier("threshold:0.93")
+        t = ThresholdCertifier(0.93)
         assert t.bound_many([Interval(0.5, 0.6)]) == [Interval(0.93)]
         assert make_certifier("florian").bound_many([Interval(0.5)])[0].hi <= 0.93
 
     def test_unknown_spec(self):
-        with pytest.raises(DomainError):
-            make_certifier("magic")
+        # the threshold double proves nothing, so no spec builds it
+        for spec in ("magic", "threshold:0.93"):
+            with pytest.raises(DomainError, match=f"^unknown certifier '{spec}'$"):
+                make_certifier(spec)
 
 
 def skip_lines(certifier, skipped):
@@ -451,13 +467,21 @@ class TestSweep:
         # 0.5 is outside the blind window and must be skipped with its reason
         assert [s.r for s in samples] == [0.75, 0.76]
         for s in samples:
-            reference = blind_interval(Interval(s.r)).mid
+            reference = blind_enclosures([Interval(s.r)])[0].mid
             assert reference - 1e-9 <= s.value <= reference + 1e-4 + 1e-9
         assert any(m.startswith("sweep: no bound at r=0.5 ") and "polygonal bound needs ratio" in m
                    for m in skip_lines(BlindCertifier(), skipped))
 
     def test_empty_grid(self):
         assert sweep(FlorianCertifier(), [], precision=1e-3) == ([], [])
+
+    def test_threshold_certifier_samples(self):
+        # the triangle bound at each grid ratio lies below t, so every
+        # sample's dichotomy starts from t itself
+        samples, skipped = sweep(ThresholdCertifier(0.92), cli._grid(0.5, 0.6, 1e-3))
+        assert skipped == []
+        assert len(samples) == 101
+        assert all(0.92 <= s.value <= 0.92 + 1e-4 for s in samples)
 
     # samples and warnings as the per-point sweep gave them, before the
     # batch call: each skipped point keeps its own reason, in grid order

@@ -1,10 +1,12 @@
 """Enclosure properties of the interval arithmetic.
 
-Arithmetic results are checked against exact Fraction computation, the
-transcendental functions against mpmath at 60 digits.  Every double is an
-exact rational, so "the true value lies inside the interval" is decidable.
-``narrow``, the one bracket-halving loop, is checked bit for bit against the
-three loops it replaced.
+The pair operations of ``bidisc.endpoints`` are the arithmetic.  Their
+results are checked against exact Fraction computation, the transcendental
+functions against mpmath at 60 digits.  Every double is an exact rational,
+so "the true value lies inside the interval" is decidable.  Every pair
+operation and kernel must also be ``repr``-equal to the operators of the
+oracle ``interval_oracle.Interval``.  ``narrow``, the one bracket-halving
+loop, is checked bit for bit against the three loops it replaced.
 """
 
 import math
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidisc.bounds import TANGENT_TABLE, delta1, florian_bound, florian_enclosures
-from bidisc.endpoints import (acos_pairs, add_pairs, atan_points, div_pairs, mul_pairs,
-                              sqrt_pairs, square_pairs, sub_pairs)
+from bidisc.endpoints import (ONE, TWO, acos_pairs, add_pairs, atan_points, div_pairs,
+                              mul_pairs, sqrt_pairs, square_pairs, sub_pairs)
 from bidisc.errors import DomainError, InitialBoundsInvalid
 from bidisc.flows import find_crossings
 from bidisc.harness import (_DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECISION,
@@ -28,6 +30,7 @@ from bidisc.harness import (_DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECIS
 from bidisc.intervals import Interval, narrow, pi_interval
 from bidisc.polynomials import Polynomial, checked_root
 from bidisc.ratios import RATIO_TABLE
+from interval_oracle import Interval as RefInterval, ref
 
 mpmath.mp.dps = 60
 
@@ -40,6 +43,12 @@ def rand_values(n, lo=-40.0, hi=40.0):
 
 def contains_fraction(iv: Interval, value: Fraction) -> bool:
     return Fraction(iv.lo) <= value <= Fraction(iv.hi)
+
+
+def intervals_of(pair):
+    """The Intervals of a pair of endpoint arrays, element by element."""
+    return [Interval(a, b) for a, b in zip(np.asarray(pair[0]).tolist(),
+                                           np.asarray(pair[1]).tolist())]
 
 
 def contains_mp(iv: Interval, value) -> bool:
@@ -98,69 +107,68 @@ def test_add_sub_mul_enclosure_bulk():
     xs = rand_values(25000)
     ys = rand_values(25000)
     ws = np.abs(rand_values(25000, 0.0, 1.0)) * 1e-6
-    for op, frac_op in (("add", lambda a, b: a + b),
-                        ("sub", lambda a, b: a - b),
-                        ("mul", lambda a, b: a * b)):
-        for x, y, w in zip(xs[:8000], ys[:8000], ws[:8000]):
-            a = Interval(x, x + w)
-            b = Interval(y, y + w)
-            if op == "add":
-                out = a + b
-            elif op == "sub":
-                out = a - b
-            else:
-                out = a * b
-            for fx in (Fraction(x), Fraction(x + w)):
-                for fy in (Fraction(y), Fraction(y + w)):
+    x, y, w = xs[:8000], ys[:8000], ws[:8000]
+    a, b = (x, x + w), (y, y + w)
+    for pair_op, frac_op in ((add_pairs, lambda a, b: a + b),
+                             (sub_pairs, lambda a, b: a - b),
+                             (mul_pairs, lambda a, b: a * b)):
+        for out, alo, ahi, blo, bhi in zip(intervals_of(pair_op(a, b)), *a, *b):
+            for fx in (Fraction(alo), Fraction(ahi)):
+                for fy in (Fraction(blo), Fraction(bhi)):
                     assert contains_fraction(out, frac_op(fx, fy))
 
 
 def test_div_enclosure_and_zero_rejection():
     xs = rand_values(4000)
     ys = rand_values(4000)
-    for x, y in zip(xs, ys):
-        if abs(y) < 1e-3:
-            continue
-        a = Interval(x)
-        b = Interval(y)
-        out = a / b
+    keep = np.abs(ys) >= 1e-3
+    xs, ys = xs[keep], ys[keep]
+    for out, x, y in zip(intervals_of(div_pairs((xs, xs), (ys, ys))), xs, ys):
         assert contains_fraction(out, Fraction(x) / Fraction(y))
+    # div_pairs leaves the divisor's sign to its callers; the oracle's
+    # division keeps the check, and the florian oracle's errors rest on it
     with pytest.raises(DomainError):
-        Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+        RefInterval(1.0, 2.0) / RefInterval(-1.0, 1.0)
     with pytest.raises(DomainError):
-        Interval(1.0) / Interval(0.0, 0.0)
+        RefInterval(1.0) / RefInterval(0.0, 0.0)
 
 
 def test_mixed_scalar_operands():
-    a = Interval(1.0, 2.0)
-    assert (a + 1).lo >= 2.0 - 1e-15
-    assert (3 - a).hi >= 1.0
-    assert (2 * a) == (a * 2)
-    assert contains_fraction(a / 3, Fraction(2, 3))
+    # a pair of floats is one interval, and mixes with pairs of arrays
+    a = (np.array([1.0, -1.0]), np.array([2.0, 3.0]))
+    assert add_pairs(a, ONE)[0][0] >= 2.0 - 1e-15
+    assert sub_pairs((3.0, 3.0), a)[1][0] >= 1.0
+    assert intervals_of(mul_pairs(TWO, a)) == intervals_of(mul_pairs(a, TWO))
+    assert contains_fraction(intervals_of(div_pairs(a, (3.0, 3.0)))[0], Fraction(2, 3))
+    assert Interval(*add_pairs((1.0, 2.0), ONE)) == intervals_of(add_pairs(a, ONE))[0]
+    # Interval is a value type: it has no arithmetic to mix with scalars
+    with pytest.raises(TypeError):
+        Interval(1.0) + 1.0
+    with pytest.raises(TypeError):
+        2 * Interval(1.0, 2.0)
 
 
 def test_square():
     xs = rand_values(3000, -5.0, 5.0)
-    for x in xs:
-        iv = Interval(x - 0.25, x + 0.25)
-        sq = iv.square()
+    for x, sq in zip(xs, intervals_of(square_pairs((xs - 0.25, xs + 0.25)))):
         assert sq.lo >= 0.0
         for probe in (x - 0.25, x, x + 0.25):
             assert contains_fraction(sq, Fraction(probe) ** 2)
 
 
 def test_sqrt():
-    for x in np.abs(rand_values(3000)) + 1e-12:
-        iv = Interval(x)
-        out = iv.sqrt()
+    xs = np.abs(rand_values(3000)) + 1e-12
+    for x, out in zip(xs, intervals_of(sqrt_pairs((xs, xs)))):
         assert contains_mp(out, mpmath.sqrt(mpmath.mpf(x)))
         assert out.width <= 4 * math.ulp(out.lo)
+    # sqrt_pairs leaves negative ends to its callers (acos_pairs raises them
+    # to 0 first); the oracle's square root, which _ref_acos clamps, checks
     with pytest.raises(DomainError):
-        Interval(-1.0, 2.0).sqrt()
+        RefInterval(-1.0, 2.0).sqrt()
     # negative-by-roundoff endpoints need an explicit clamp
-    assert Interval(-1e-15, 1.0).sqrt(clamp_tol=1e-12).lo == 0.0
+    assert RefInterval(-1e-15, 1.0).sqrt(clamp_tol=1e-12).lo == 0.0
     with pytest.raises(DomainError):
-        Interval(-1e-6, 1.0).sqrt(clamp_tol=1e-12)
+        RefInterval(-1e-6, 1.0).sqrt(clamp_tol=1e-12)
 
 
 def test_pi_interval():
@@ -206,14 +214,14 @@ finite = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False,
 @settings(max_examples=300, deadline=None)
 @given(finite, finite, finite)
 def test_hypothesis_sum_enclosure(x, y, z):
-    mid = (Interval(x) + Interval(y)) + Interval(z)
+    mid = Interval(*add_pairs(add_pairs((x, x), (y, y)), (z, z)))
     assert contains_fraction(mid, Fraction(x) + Fraction(y) + Fraction(z))
 
 
 @settings(max_examples=300, deadline=None)
 @given(finite, finite)
 def test_hypothesis_sub_then_add_contains_start(x, y):
-    out = (Interval(x) - Interval(y)) + Interval(y)
+    out = Interval(*add_pairs(sub_pairs((x, x), (y, y)), (y, y)))
     assert contains_fraction(out, Fraction(x))
 
 
@@ -226,19 +234,19 @@ def test_acos_accepts_one():
     assert math.acos(0.5) in enc
 
 
-def _ref_atan_point(x: float) -> Interval:
+def _ref_atan_point(x: float) -> RefInterval:
     # the arctangent series with its coefficients built on every call
     terms = 14
-    t = Interval(x)
+    t = RefInterval(x)
     for _ in range(3):
         t = t / (1.0 + (t.square() + 1.0).sqrt())
     z = t.square()
-    acc = Interval.from_fraction(Fraction((-1) ** (terms - 1), 2 * terms - 1))
+    acc = RefInterval.from_fraction(Fraction((-1) ** (terms - 1), 2 * terms - 1))
     for i in reversed(range(terms - 1)):
-        acc = acc * z + Interval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
+        acc = acc * z + RefInterval.from_fraction(Fraction((-1) ** i, 2 * i + 1))
     tmax = max(-t.lo, t.hi)
     rem = math.nextafter(tmax ** (2 * terms + 1) / (2 * terms + 1), math.inf)
-    return (t * acc + Interval(-rem, rem)) * 8
+    return (t * acc + RefInterval(-rem, rem)) * 8
 
 
 # signed zeros, the smallest subnormal, a tiny normal, the points where the
@@ -297,31 +305,33 @@ def test_atan_raises_where_reference_raises():
     assert raised[0] == math.sqrt(sys.float_info.max) and len(raised) == 8
 
 
-# The acos and florian formulas on Interval objects, one operation at a
-# time: the oracles of the endpoint-array kernels, which must reproduce
+# The acos and florian formulas on the oracle's Interval, one operation at
+# a time: the oracles of the endpoint-array kernels, which must reproduce
 # every enclosure bit for bit and every DomainError with its message.
 
-def _ref_acos(x: Interval) -> Interval:
+def _ref_acos(x: Interval) -> RefInterval:
     if x.lo <= -1.0 or x.hi > 1.0:
         raise DomainError(f"acos argument out of (-1, 1]: {x!r}")
-    num = Interval(1.0) - x
-    den = Interval(1.0) + x
+    x = ref(x)
+    num = RefInterval(1.0) - x
+    den = RefInterval(1.0) + x
     if num.lo < 0.0:
-        num = Interval(0.0, max(num.hi, 0.0))
+        num = RefInterval(0.0, max(num.hi, 0.0))
     t = (num / den).sqrt(clamp_tol=math.ulp(0.0))
-    return Interval(_ref_atan_point(t.lo).lo, _ref_atan_point(t.hi).hi) * 2
+    return RefInterval(_ref_atan_point(t.lo).lo, _ref_atan_point(t.hi).hi) * 2
 
 
-def _ref_florian(r: Interval) -> Interval:
+def _ref_florian(r: Interval) -> RefInterval:
     if not (0.0 < r.lo and r.hi <= 1.0):
         raise DomainError(f"ratio interval must lie in (0, 1], got {r}")
-    one = Interval(1.0, 1.0)
+    r = ref(r)
+    one = RefInterval(1.0, 1.0)
     b = one + r
     rsq = r.square()
-    alpha = _ref_acos(one - Interval(2.0, 2.0) * rsq / b.square())
+    alpha = _ref_acos(one - RefInterval(2.0, 2.0) * rsq / b.square())
     beta = _ref_acos(r / b)
-    area = r * (Interval(2.0, 2.0) * r + one).sqrt()
-    return (alpha / Interval(2.0, 2.0) + beta * rsq) / area
+    area = r * (RefInterval(2.0, 2.0) * r + one).sqrt()
+    return (alpha / RefInterval(2.0, 2.0) + beta * rsq) / area
 
 
 def _outcome(fn, *args):
@@ -399,7 +409,7 @@ def test_hypothesis_florian_batch_matches_reference(ends):
 
 
 def test_pair_operations_match_interval_operations():
-    # each endpoint-array operation against its Interval method, element
+    # each endpoint-array operation against the oracle's operator, element
     # by element, on intervals of either sign and straddling 0
     rng = np.random.default_rng(20261020)
     ends = np.sort(rng.uniform(-5.0, 5.0, size=(2, 400, 2)), axis=2)
@@ -419,9 +429,9 @@ def test_pair_operations_match_interval_operations():
     ]
     for (lo, hi), op in cases:
         for i in range(400):
-            x = Interval(a[0][i], a[1][i])
-            y = Interval(b[0][i], b[1][i])
-            z = Interval(pos[0][i], pos[1][i])
+            x = RefInterval(a[0][i], a[1][i])
+            y = RefInterval(b[0][i], b[1][i])
+            z = RefInterval(pos[0][i], pos[1][i])
             assert repr(Interval(lo[i], hi[i])) == repr(op(x, y, z)), i
 
 

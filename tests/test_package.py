@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import pathlib
 import re
 import shlex
@@ -44,3 +45,41 @@ def test_readme_command_line_runs(capsys):
         assert argv[0] == "bidisc"
         assert cli.main(argv[1:]) == 0, argv
         assert capsys.readouterr().out, argv
+
+
+def _uses(tree, names):
+    """(qualified enclosing definition, name) of each use of one of names."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        used = getattr(node, "attr", None) or getattr(node, "id", None)
+        if used in names and not isinstance(getattr(node, "ctx", None), ast.Store):
+            found.add((scope, used))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_one_rounded_arithmetic():
+    # outward rounding is written once: in the pair operations of
+    # endpoints, and in the two nudges that serve Interval.from_fraction
+    found = set()
+    for path in sorted((ROOT / "src" / "bidisc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem != "endpoints":
+            found |= {(path.stem, *use) for use in _uses(tree, {"nextafter", "_down", "_up"})}
+        if path.stem == "intervals":
+            (interval,) = [node for node in tree.body
+                           if isinstance(node, ast.ClassDef) and node.name == "Interval"]
+            defined = {node.name for node in interval.body if isinstance(node, ast.FunctionDef)}
+            defined |= {target.id for node in interval.body if isinstance(node, ast.Assign)
+                        for target in node.targets}
+            assert not defined & {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                                  "__rmul__", "__truediv__", "square", "sqrt", "abs"}
+    assert found == {("intervals", "_down", "nextafter"), ("intervals", "_up", "nextafter"),
+                     ("intervals", "Interval.from_fraction", "_down"),
+                     ("intervals", "Interval.from_fraction", "_up")}
