@@ -3,7 +3,8 @@
 Run from the repo root with PYTHONPATH=src.  Prints the refined unknowns at
 r0 = 0.4 for freezing into the recipe file, after checking every candidate
 hold-out equation for post-hoc residual and Jacobian conditioning, and
-cross-checks both built-in recipes against their closed forms.
+cross-checks both built-in recipes against their closed forms, the test
+oracles in `tests/closed_forms.py`.
 """
 
 import dataclasses
@@ -14,12 +15,13 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bidisc import flows
 from bidisc.errors import NoConvergence, SingularJacobian
-from bidisc.flows import (builtin_recipes, closed_form_841, closed_form_r6,
-                          eval_flow, clear_continuation_cache)
+from bidisc.flows import builtin_recipes, eval_flow, clear_continuation_cache
+from closed_forms import closed_form_841, closed_form_r6
 from bidisc.geometry import density, validate
 from bidisc.ratios import ratio
 from bidisc.solve import newton_solve

@@ -9,18 +9,15 @@ from .bounds import (BLIND_MIN_RATIO, BoundSample, delta1, delta1_interval,
                      florian_angles, florian_bound,
                      lipschitz_envelope, lipschitz_slope, r_blind_interval,
                      samples_from_csv, suspicious_samples)
-from .errors import (BidiscError, DepthExceeded, DomainError,
-                     InitialBoundsInvalid, InvalidPacking, NoConvergence,
-                     NoSolution, RecipeError, SingularJacobian)
+from .errors import (BidiscError, DepthExceeded, DomainError, InvalidPacking,
+                     NoConvergence, NoSolution, RecipeError, SingularJacobian)
 from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
-                    builtin_recipes, closed_form_841, closed_form_r6,
-                    eval_flow, find_crossings, interstitial, load_recipe,
-                    lower_bound_curve, recipe_from_dict)
+                    builtin_recipes, eval_flow, find_crossings, interstitial,
+                    load_recipe, lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density, stick,
                        validate, validate_many)
-from .harness import (BlindCertifier, Certifier, FlorianCertifier, ProofTrace,
-                      ThresholdCertifier, TraceNode, certify_interval,
-                      find_delta, make_certifier, sweep)
+from .harness import (ProofTrace, TraceNode, certify_interval, find_delta,
+                      make_certifier, sweep)
 from .intervals import Interval, pi_interval
 from .polynomials import Polynomial
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
@@ -29,15 +26,13 @@ from .solve import newton_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLIND_MIN_RATIO", "BidiscError", "BlindCertifier", "BoundSample",
-    "Certifier", "ConstrainedRecipe", "DepthExceeded",
-    "Disc", "DomainError", "FlorianCertifier", "FlowRecipe",
-    "FundamentalDomain", "InitialBoundsInvalid", "Interval", "InvalidPacking",
+    "BLIND_MIN_RATIO", "BidiscError", "BoundSample", "ConstrainedRecipe",
+    "DepthExceeded", "Disc", "DomainError", "FlowRecipe",
+    "FundamentalDomain", "Interval", "InvalidPacking",
     "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
-    "SingularJacobian", "ThresholdCertifier", "TraceNode", "Violation",
-    "builtin_recipes",
-    "certify_interval", "closed_form_841", "closed_form_r6", "delta1",
+    "SingularJacobian", "TraceNode", "Violation",
+    "builtin_recipes", "certify_interval", "delta1",
     "delta1_interval", "density",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",
     "florian_bound", "interstitial",

@@ -212,7 +212,7 @@ def cmd_upper(args) -> int:
     fine = _grid(lo, hi, args.step / 10.0)
     samples, skipped = sweep(certifier, grid, precision=args.precision)
     for r, exc in skipped:
-        print(f"sweep: no bound at r={r} via {certifier.name}: {exc}", file=sys.stderr)
+        print(f"sweep: no bound at r={r} via {args.certifier}: {exc}", file=sys.stderr)
     if args.samples is not None:
         try:
             with open(args.samples, encoding="utf-8") as fh:

@@ -25,10 +25,6 @@ class InvalidPacking(BidiscError, ValueError):
     """A built periodic configuration fails the non-overlap check."""
 
 
-class InitialBoundsInvalid(BidiscError, ValueError):
-    """The starting bracket handed to the density dichotomy is unusable."""
-
-
 class RecipeError(BidiscError, ValueError):
     """A flow recipe file is malformed or internally inconsistent."""
 

@@ -11,11 +11,12 @@ ratio r varies.  Two kinds are supported:
   floats, on which the compiled recipe code and the secant predictor do
   the same IEEE operations as on numpy arrays, at a fraction of the cost.
 
-The module also provides the two reference closed-form density curves used
-as oracles, the interstitial construction that drops small discs into the
-holes of the unit hexagonal packing, crossing detection against a level,
-and the combined lower-bound curve as plain ``(r, density)`` rows, which
-the command line writes out.
+The module also provides the interstitial construction that drops small
+discs into the holes of the unit hexagonal packing, crossing detection
+against a level, and the combined lower-bound curve as plain
+``(r, density)`` rows, which the command line writes out.  The closed-form
+density curves of the two built-in recipes, their test oracles, live in
+``tests/closed_forms.py``.
 """
 
 from __future__ import annotations
@@ -40,35 +41,6 @@ from .ratios import ratio
 from .solve import newton_solve
 
 _RANGE_SLACK = 1e-12    # allowance at the ends of every ratio range
-
-# ---------------------------------------------------------------------------
-# closed-form density curves
-
-
-def closed_form_841(r: float) -> float:
-    """Density along the sequentially built flow, valid on its whole range.
-
-    The formula itself is defined for every r > 0; outside the recipe's
-    validity range it no longer describes a packing.
-    """
-    if r <= 0.0:
-        raise DomainError("ratio must be positive")
-    return (math.pi * (r * r + 1.0) * (r + 1.0) ** 4
-            / (16.0 * (r + 2.0) * math.sqrt(r + 2.0) * r * math.sqrt(r)))
-
-
-def closed_form_r6(r: float) -> float:
-    """Density along the constrained flow, via its nested-radical form."""
-    inner = 45.0 * r * r - 6.0 * r - 3.0
-    if inner < 0.0:
-        raise DomainError(f"inner radicand negative at r={r}")
-    outer = (47.0 * r ** 4 + 84.0 * r ** 3 + 54.0 * r * r + 12.0 * r + 3.0
-             - (7.0 * r ** 3 + 13.0 * r * r + 9.0 * r + 3.0) * math.sqrt(inner))
-    if outer < 0.0:
-        raise DomainError(f"outer radicand negative at r={r}")
-    return (math.pi * (6.0 * r * r + 1.0) * math.sqrt(outer)
-            / (math.sqrt(6.0) * (r ** 4 + 12.0 * r * r + 12.0 * r + 3.0)))
-
 
 # ---------------------------------------------------------------------------
 # recipes
@@ -98,6 +70,11 @@ class FlowRecipe:
         raise NotImplementedError
 
 
+def _check_selector(name: str, sel: str) -> None:
+    if sel not in ("one", "ratio"):
+        raise RecipeError(f"{name}: bad radius selector {sel!r}")
+
+
 def _combo_center(combo: tuple[tuple[int, float], ...], discs: Sequence[Disc]):
     x = 0.0
     y = 0.0
@@ -121,8 +98,14 @@ class SequentialRecipe(FlowRecipe):
         for k, (i, j, sel) in enumerate(self.steps):
             if not (0 <= i < n + k and 0 <= j < n + k):
                 raise RecipeError(f"{self.name}: step {k} references a later disc")
-            if sel not in ("one", "ratio"):
-                raise RecipeError(f"{self.name}: bad radius selector {sel!r}")
+            _check_selector(self.name, sel)
+        n += len(self.steps)
+        for combo in (*self.lattice, *(combo for combo, _ in self.cell)):
+            for i, _ in combo:
+                if not 0 <= i < n:
+                    raise RecipeError(f"{self.name}: combo names disc {i}, not one of 0..{n - 1}")
+        for _, sel in self.cell:
+            _check_selector(self.name, sel)
 
     def build(self, r: float) -> FundamentalDomain:
         discs = list(self.seeds)
@@ -159,6 +142,8 @@ class ConstrainedRecipe(FlowRecipe):
             raise RecipeError(f"{self.name}: verify_index out of range")
         if len(self.guess) != len(self.variables):
             raise RecipeError(f"{self.name}: guess length mismatch")
+        for _, _, sel in self.cell:
+            _check_selector(self.name, sel)
 
     @cached_property
     def compiled(self) -> tuple[Callable, Callable, Callable]:
@@ -194,7 +179,8 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
     try:
         name = obj["name"]
         kind = obj["kind"]
-        valid_range = tuple(_resolve_range_endpoint(s) for s in obj["valid_range"])
+        lo, hi = (_resolve_range_endpoint(s) for s in obj["valid_range"])
+        valid_range = (lo, hi)
         census = (int(obj["census"]["unit"]), int(obj["census"]["ratio"]))
         if kind == "sequential":
             seeds = tuple(Disc(*map(float, row)) for row in obj["seeds"])
@@ -226,7 +212,7 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
                                      variables, tuple(defines), equations,
                                      int(obj["verify_index"]), float(obj["r0"]),
                                      guess, lattice, cell)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise RecipeError(f"malformed recipe: {exc}") from exc
     raise RecipeError(f"unknown recipe kind {kind!r}")
 

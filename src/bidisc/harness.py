@@ -1,11 +1,21 @@
 """Proof drivers over pluggable certifiers, with full traces.
 
-A certifier is its bound: ``bound_many(rs)`` gives, for each ratio interval
-r of rs, an Interval whose ``hi`` is a proven upper bound on the density of
-every packing with ratio in r, or the DomainError raised where the
-certifier cannot bound r.  The blind and florian certifiers evaluate the
-whole batch at once on endpoint arrays.  Two drivers run on top, both
-reading one enclosure per interval:
+A certifier is a function, its bound: ``bound(rs)`` encloses, over each
+ratio interval r of rs, a function g whose value at each ratio is a proven
+upper bound on the density there; where it cannot, the element is a
+DomainError.  So each element's ``hi`` is a proven upper bound on the
+density of every packing with ratio in r.  The blind and florian
+certifiers, ``bounds.blind_enclosures`` and ``bounds.florian_enclosures``,
+evaluate the whole batch at once on endpoint arrays.
+
+Inclusion: the enclosure over r contains g(x) for every x in r, so for any
+interval s containing a point x, the enclosure over s has ``hi`` at least
+the ``lo`` of the enclosure over x.  A point whose enclosure has
+``lo > delta`` therefore refutes delta on every interval that contains it.
+DomainError is inherited the same way: where the element for x is a
+DomainError, so is the element for every interval s that contains x.
+
+Two drivers run on top, both reading one enclosure per interval:
 
 * ``find_delta`` narrows the least provable delta by dichotomy against the
   ``hi`` of one enclosure, and ``sweep`` runs that dichotomy at each point
@@ -15,22 +25,19 @@ reading one enclosure per interval:
   bisection can prove.  It builds the tree in level order, with one batch
   call for the nodes of each depth and one for their point probes.
 
-The shipped certifiers, the ones ``make_certifier`` builds, wrap the
-interval forms of the analytic bounds; ``ThresholdCertifier``, a constant
-bound, is a driver double for tests.  The real strength of a certifier is
-whatever bound it wraps; the drivers only ever weaken claims, never
-strengthen them.
+The real strength of a certifier is whatever bound it is; the drivers only
+ever weaken claims, never strengthen them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import (BoundSample, blind_enclosures, delta1, florian_bound,
                      florian_enclosures)
-from .errors import DepthExceeded, DomainError, InitialBoundsInvalid
+from .errors import DepthExceeded, DomainError
 from .intervals import Interval, narrow
 
 DEFAULT_PRECISION = 1e-4
@@ -38,81 +45,16 @@ DEFAULT_MAX_DEPTH = 40
 _DELTA_LO_OFFSET = 1e-6
 _DELTA_HI_HEADROOM = 1e-9
 
+Bound = Callable[[Sequence[Interval]], list[Interval | DomainError]]
 
-class Certifier:
-    """``bound_many(rs)`` encloses, over each ratio interval r of rs, a
-    function g whose value at each ratio is a proven upper bound on the
-    density there; where it cannot, the element is a DomainError.
-
-    Inclusion: the enclosure over r contains g(x) for every x in r, so for
-    any interval s containing a point x, the enclosure over s has ``hi`` at
-    least the ``lo`` of the enclosure over x.  A point whose enclosure has
-    ``lo > delta`` therefore refutes delta on every interval that contains
-    it.  DomainError is inherited the same way: where the element for x is
-    a DomainError, so is the element for every interval s that contains x.
-    """
-
-    name: str
-
-    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        raise NotImplementedError
+_CERTIFIERS: dict[str, Bound] = {"blind": blind_enclosures, "florian": florian_enclosures}
 
 
-def _each(bound, items: Sequence) -> list[Interval | DomainError]:
-    """bound on each of items: its Interval, or the DomainError it raises."""
-    out: list[Interval | DomainError] = []
-    for item in items:
-        try:
-            out.append(bound(item))
-        except DomainError as exc:
-            out.append(exc)
-    return out
-
-
-class BlindCertifier(Certifier):
-    """Bounds density by the polygonal bound where it is valid, [0.6735, 1]:
-    ``bounds.blind_enclosures`` evaluates the whole batch at both ends of
-    each interval in one pass on endpoint arrays."""
-
-    name = "blind"
-
-    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        return blind_enclosures(rs)
-
-
-class FlorianCertifier(Certifier):
-    """Bounds density by the tangent-triangle bound."""
-
-    name = "florian"
-
-    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        return florian_enclosures(rs)
-
-
-class ThresholdCertifier(Certifier):
-    """Synthetic driver-test certifier: the bound is t at every ratio.
-
-    It proves nothing about packings, so ``make_certifier`` does not offer
-    it; tests build it to drive ``find_delta``, ``sweep`` and
-    ``certify_interval``."""
-
-    def __init__(self, t: float):
-        self.t = float(t)
-        if not math.isfinite(self.t):
-            raise DomainError(f"threshold must be finite, got {t!r}")
-        self.name = f"threshold:{self.t!r}"
-
-    def bound_many(self, rs: Sequence[Interval]) -> list[Interval | DomainError]:
-        return _each(lambda r: Interval(self.t), rs)
-
-
-def make_certifier(spec: str) -> Certifier:
-    """Build a certifier from its command-line name."""
-    if spec == "blind":
-        return BlindCertifier()
-    if spec == "florian":
-        return FlorianCertifier()
-    raise DomainError(f"unknown certifier {spec!r}")
+def make_certifier(spec: str) -> Bound:
+    """The certifier a command-line name stands for."""
+    if spec not in _CERTIFIERS:
+        raise DomainError(f"unknown certifier {spec!r}")
+    return _CERTIFIERS[spec]
 
 
 def _check_precision(precision: float) -> None:
@@ -122,50 +64,37 @@ def _check_precision(precision: float) -> None:
         raise DomainError(f"precision must be positive and finite, got {precision}")
 
 
-def find_delta(c: Certifier, r: Interval, precision: float = DEFAULT_PRECISION,
-               delta_lo: float | None = None, delta_hi: float | None = None) -> float:
+def find_delta(bound: Bound, r: Interval, precision: float = DEFAULT_PRECISION) -> float:
     """Least provable density bound on r, to within precision, by dichotomy.
 
     Maintains an unproven lower value and a proven upper value and returns
-    the proven one once they are within precision.  The defaults start just
+    the proven one once they are within precision.  The search starts just
     below the equal-disc density and at the triangle bound of the interval
-    midpoint.  A defaulted lower start that turns out provable is walked
-    downward (the default is a heuristic, not a claim); explicit bounds
-    that fail their role raise InitialBoundsInvalid.
+    midpoint.  A lower start that turns out provable is walked downward
+    (the start is a heuristic, not a claim).
 
     The certifier is asked once, for a batch of one, and a candidate delta
     is proven when that enclosure's ``hi`` is at most delta.  Where the
-    certifier cannot bound r, its DomainError is raised.  A defaulted upper
-    start that is not provable, as on wide intervals where the bound at the
+    certifier cannot bound r, its DomainError is raised.  An upper start
+    that is not provable, as on wide intervals where the bound at the
     midpoint lies below the bound on the whole interval, moves up to that
     ``hi``.
     """
     _check_precision(precision)
-    (enclosure,) = c.bound_many([r])
+    (enclosure,) = bound([r])
     if isinstance(enclosure, DomainError):
         raise enclosure
-    return _dichotomy(c, r, enclosure.hi, precision, delta_lo, delta_hi)
+    return _dichotomy(r, enclosure.hi, precision)
 
 
-def _dichotomy(c: Certifier, r: Interval, top: float, precision: float,
-               delta_lo: float | None = None, delta_hi: float | None = None) -> float:
-    """find_delta's search on r, given the ``hi`` of c's enclosure over r:
-    a delta is proven on r exactly when ``top <= delta``."""
-    explicit_lo = delta_lo is not None
-    explicit_hi = delta_hi is not None
-    if delta_hi is None:
-        delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
-    if delta_lo is None:
-        delta_lo = delta1() - _DELTA_LO_OFFSET
+def _dichotomy(r: Interval, top: float, precision: float) -> float:
+    """find_delta's search on r, given the ``hi`` of the certifier's
+    enclosure over r: a delta is proven on r exactly when ``top <= delta``."""
+    delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
+    delta_lo = delta1() - _DELTA_LO_OFFSET
     if not top <= delta_hi:
-        if explicit_hi:
-            raise InitialBoundsInvalid(
-                f"upper start {delta_hi} is not provable on {r} by {c.name}")
         delta_hi = top
     if top <= delta_lo:
-        if explicit_lo:
-            raise InitialBoundsInvalid(
-                f"lower start {delta_lo} is already provable on {r} by {c.name}")
         gap = max(precision, _DELTA_LO_OFFSET)
         while delta_lo > 0.0 and top <= delta_lo:
             delta_hi = delta_lo
@@ -217,7 +146,7 @@ class ProofTrace:
         return self.root.count()
 
 
-def certify_interval(c: Certifier, r: Interval, delta: float,
+def certify_interval(bound: Bound, r: Interval, delta: float,
                      max_depth: int = DEFAULT_MAX_DEPTH) -> ProofTrace:
     """Prove delta on all of r by bisection, one depth at a time.
 
@@ -226,9 +155,9 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
     bisection of it can succeed: when its enclosure has ``lo > delta``, or
     when the certifier gives DomainError for it and, at each of its ends and
     its float midpoint, DomainError or a point enclosure with ``lo > delta``
-    (see the inclusion property on Certifier).  Each node's verdict depends
-    on that node alone, so the nodes of one depth take one ``bound_many``
-    call, and their point probes one more; the tree is the one a
+    (see the inclusion property in the module docstring).  Each node's
+    verdict depends on that node alone, so the nodes of one depth take one
+    ``bound`` call, and their point probes one more; the tree is the one a
     depth-first bisection builds, children left first.
 
     Returns the trace on success; raises DepthExceeded carrying the trace
@@ -251,7 +180,7 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
     for depth in range(1, max_depth + 1):
         level: list[tuple[Interval, bool | None]] = []
         probed = []  # (position in level, interval, float midpoint)
-        for iv, enc in zip(frontier, c.bound_many(frontier)):
+        for iv, enc in zip(frontier, bound(frontier)):
             mid = 0.5 * (iv.lo + iv.hi)
             verdict = None
             if not isinstance(enc, DomainError) and enc.hi <= delta:
@@ -265,7 +194,7 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
             level.append((iv, verdict))
         if probed:
             points = [Interval(x) for _, iv, mid in probed for x in (iv.lo, mid, iv.hi)]
-            enclosures = c.bound_many(points)
+            enclosures = bound(points)
             for k, (i, iv, _) in enumerate(probed):
                 if all(refuted(p) for p in enclosures[3 * k:3 * k + 3]):
                     level[i] = (iv, False)
@@ -299,22 +228,26 @@ def certify_interval(c: Certifier, r: Interval, delta: float,
     return trace
 
 
-def sweep(c: Certifier, grid: Sequence[float], precision: float = DEFAULT_PRECISION
+def sweep(bound: Bound, grid: Sequence[float], precision: float = DEFAULT_PRECISION
           ) -> tuple[list[BoundSample], list[tuple[float, DomainError]]]:
-    """find_delta at each grid ratio, after one ``bound_many`` call for all
-    of them.  Returns the samples and, in grid order, the ``(r, error)``
-    pairs of the points that could not be bounded, non-finite ones
-    included."""
+    """find_delta at each grid ratio, after one ``bound`` call for all of
+    them.  Returns the samples and, in grid order, the ``(r, error)`` pairs
+    of the points that could not be bounded, non-finite ones included."""
     _check_precision(precision)
-    points = _each(lambda r: Interval(float(r)), grid)
-    enclosures = iter(c.bound_many([p for p in points if isinstance(p, Interval)]))
+    points: list[Interval | DomainError] = []
+    for r in grid:
+        try:
+            points.append(Interval(float(r)))
+        except DomainError as exc:
+            points.append(exc)
+    enclosures = iter(bound([p for p in points if isinstance(p, Interval)]))
     samples, skipped = [], []
     for r, point in zip(grid, points):
         enclosure = next(enclosures) if isinstance(point, Interval) else point
         try:
             if isinstance(enclosure, DomainError):
                 raise enclosure
-            samples.append(BoundSample(float(r), _dichotomy(c, point, enclosure.hi, precision)))
+            samples.append(BoundSample(float(r), _dichotomy(point, enclosure.hi, precision)))
         except DomainError as exc:
             skipped.append((r, exc))
     return samples, skipped

@@ -25,16 +25,15 @@ from bidisc.errors import DepthExceeded
 from bidisc.flows import (
     builtin_recipes,
     clear_continuation_cache,
-    closed_form_841,
-    closed_form_r6,
     eval_flow,
     find_crossings,
     interstitial,
 )
 from bidisc.geometry import Disc, FundamentalDomain, density, validate
-from bidisc.harness import BlindCertifier, ThresholdCertifier, certify_interval, find_delta
+from bidisc.harness import certify_interval, find_delta
 from bidisc.intervals import Interval
 from bidisc.ratios import RATIO_TABLE, ratio
+from closed_forms import closed_form_841, closed_form_r6
 
 DELTA1 = 0.9068996821171089
 
@@ -194,16 +193,21 @@ def test_criterion_08():
     _report(8, ok, elapsed, 1.0, detail)
 
 
+def threshold(t):
+    """Driver double: the bound is t at every ratio."""
+    return lambda rs: [Interval(t) for _ in rs]
+
+
 def test_criterion_09():
     def body():
         window = Interval(0.5, 0.6)
-        got = find_delta(ThresholdCertifier(0.92), window, precision=1e-4, delta_hi=1.0)
+        got = find_delta(threshold(0.92), window, precision=1e-4)
         if not 0.92 <= got <= 0.9201:
             return False, f"t=0.92 -> {got!r}"
         rng = np.random.default_rng(92)
         for t in rng.uniform(0.91, 0.99, size=20):
             t = float(t)
-            got = find_delta(ThresholdCertifier(t), window, precision=1e-4, delta_hi=1.0)
+            got = find_delta(threshold(t), window, precision=1e-4)
             if not t <= got <= t + 1e-4 + 1e-12:
                 return False, f"t={t} -> {got!r}"
         return True, "21 thresholds bracketed"
@@ -214,7 +218,7 @@ def test_criterion_09():
 
 def test_criterion_10():
     def body():
-        proven = certify_interval(BlindCertifier(), Interval(0.743, 0.99), delta1())
+        proven = certify_interval(blind_enclosures, Interval(0.743, 0.99), delta1())
         if not proven.success:
             return False, "clean window did not certify"
         leaves = sorted(proven.root.leaves(), key=lambda n: n.interval.lo)
@@ -223,7 +227,7 @@ def test_criterion_10():
         if not tiles:
             return False, "proven leaves do not tile"
         try:
-            certify_interval(BlindCertifier(), Interval(0.70, 0.99), delta1(), max_depth=12)
+            certify_interval(blind_enclosures, Interval(0.70, 0.99), delta1(), max_depth=12)
             return False, "extended window certified unexpectedly"
         except DepthExceeded as exc:
             trace = exc.trace

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,8 +15,8 @@ import pytest
 from bidisc import cli, flows, geometry
 from bidisc.bounds import samples_from_csv
 from bidisc.cli import main
-from bidisc.flows import closed_form_841
 from bidisc.ratios import RATIO_TABLE
+from closed_forms import closed_form_841
 
 DELTA1 = 0.9068996821171089
 
@@ -551,6 +554,43 @@ def test_tiny_ratio_is_config_error(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: interstitial construction at r=1e-300 needs over 1e+07")
+
+
+# (built-in recipe file, key, how its value is broken)
+MALFORMED_RECIPES = {
+    "constrained-cell-row-short": ("flow_r6_1.json", "cell",
+                                   lambda cell: [["0", "0"], *cell[1:]]),
+    "constrained-cell-selector": ("flow_r6_1.json", "cell",
+                                  lambda cell: [["0", "0", "big"], *cell[1:]]),
+    "lattice-index-99": ("flow_841_mid.json", "lattice",
+                         lambda lattice: {**lattice, "u": [[99, 1]]}),
+    "cell-combo-disc-7": ("flow_841_mid.json", "cell",
+                          lambda cell: [*cell[:3], {"combo": [[7, 1]], "radius": "ratio"}]),
+    "cell-combo-negative": ("flow_841_mid.json", "cell",
+                            lambda cell: [{"combo": [[-1, 1]], "radius": "one"}, *cell[1:]]),
+    "sequential-cell-selector": ("flow_841_mid.json", "cell",
+                                 lambda cell: [*cell[:3], {**cell[3], "radius": "Ratio"}]),
+    "valid-range-one-end": ("flow_841_mid.json", "valid_range", lambda ends: ends[:1]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_RECIPES)
+def test_malformed_recipe_is_config_error(tmp_path, case):
+    # refused when the file is loaded, in a new process as a user runs it:
+    # exit 3 and one error line, never a traceback or a silent default
+    source, key, breaks = MALFORMED_RECIPES[case]
+    with open(f"src/bidisc/data/{source}") as fh:
+        obj = json.load(fh)
+    obj[key] = breaks(obj[key])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run([sys.executable, "-m", "bidisc.cli", "lower", "--range", "0.45:0.46",
+                           "--step", "0.01", "--recipe", str(path)],
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot load recipe {path}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_csv_chunks():

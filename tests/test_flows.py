@@ -21,8 +21,6 @@ from bidisc.errors import (DomainError, InvalidPacking, NoConvergence,
 from bidisc.flows import (
     builtin_recipes,
     clear_continuation_cache,
-    closed_form_841,
-    closed_form_r6,
     eval_flow,
     find_crossings,
     interstitial,
@@ -33,6 +31,7 @@ from bidisc.bounds import delta1
 from bidisc.geometry import Violation, density, validate, validate_many
 from bidisc.intervals import Interval
 from bidisc.ratios import ratio
+from closed_forms import closed_form_841, closed_form_r6
 
 DELTA1 = 0.9068996821171089
 

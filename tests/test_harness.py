@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 
 from bidisc import cli
-from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1
-from bidisc.errors import DepthExceeded, DomainError, InitialBoundsInvalid
+from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1, florian_enclosures
+from bidisc.errors import DepthExceeded, DomainError
 from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PRECISION,
-    BlindCertifier,
-    Certifier,
-    FlorianCertifier,
     ProofTrace,
-    ThresholdCertifier,
     TraceNode,
     certify_interval,
     find_delta,
@@ -27,6 +23,50 @@ from bidisc.intervals import Interval
 
 R_BLIND = 0.7429909632663198
 
+BLIND = make_certifier("blind")
+FLORIAN = make_certifier("florian")
+
+
+def threshold(t):
+    """Driver double: the bound is t at every ratio.  It proves nothing
+    about packings; it drives find_delta, sweep and certify_interval."""
+
+    def bound(rs):
+        return [Interval(t) for _ in rs]
+
+    bound.__name__ = f"threshold:{t!r}"
+    return bound
+
+
+def vee(rs):
+    """Driver double with a domain edge and a minimum inside its domain:
+    bound 0.85 + |x - 0.5| for x >= 0.2.  Rounding to nearest is monotone,
+    so the float enclosures keep the inclusion property exactly."""
+    out = []
+    for r in rs:
+        if r.lo < 0.2:
+            out.append(DomainError(f"vee needs r >= 0.2, got {r}"))
+            continue
+        ends = sorted(abs(x - 0.5) for x in (r.lo, r.hi))
+        low = 0.0 if r.lo <= 0.5 <= r.hi else ends[0]
+        out.append(Interval(0.85 + low, 0.85 + ends[1]))
+    return out
+
+
+def name(bound):
+    """The name a certifier goes by on the command line, or a double's."""
+    return {BLIND: "blind", FLORIAN: "florian"}.get(bound, bound.__name__)
+
+
+def counting(bound, calls):
+    """bound, appending the batch of each call to calls."""
+
+    def counted(rs):
+        calls.append(list(rs))
+        return bound(rs)
+
+    return counted
+
 
 class TestFindDelta:
     def test_threshold_dichotomy(self):
@@ -34,90 +74,67 @@ class TestFindDelta:
         window = Interval(0.5, 0.6)
         for t in [0.92, *rng.uniform(0.91, 0.99, size=20)]:
             t = float(t)
-            got = find_delta(ThresholdCertifier(t), window, precision=1e-4,
-                             delta_lo=0.5, delta_hi=1.0)
+            got = find_delta(threshold(t), window, precision=1e-4)
             assert t <= got <= t + 1e-4 + 1e-12
 
     def test_precision_scales(self):
-        got = find_delta(ThresholdCertifier(0.93), Interval(0.5, 0.6),
-                         precision=1e-7, delta_lo=0.5, delta_hi=1.0)
+        got = find_delta(threshold(0.93), Interval(0.5, 0.6), precision=1e-7)
         assert 0.93 <= got <= 0.93 + 1e-7 + 1e-12
-
-    def test_explicit_provable_lower_start_rejected(self):
-        with pytest.raises(InitialBoundsInvalid):
-            find_delta(ThresholdCertifier(0.7), Interval(0.5, 0.6),
-                       delta_lo=0.8, delta_hi=1.0)
-
-    def test_unprovable_upper_start_rejected(self):
-        with pytest.raises(InitialBoundsInvalid):
-            find_delta(ThresholdCertifier(0.95), Interval(0.5, 0.6),
-                       delta_lo=0.5, delta_hi=0.9)
 
     def test_defaulted_lower_start_walks_down(self):
         # near r = 0.75 the heptagon+pentagon bound sits below the default
         # lower start, which is therefore provable and must be walked down
         window = Interval(0.75, 0.7501)
-        got = find_delta(BlindCertifier(), window, precision=1e-4)
+        got = find_delta(BLIND, window, precision=1e-4)
         reference = blind_enclosures([Interval(0.7501)])[0].mid
         assert reference <= got <= reference + 1e-4 + 1e-9
 
     def test_rejects_bad_precision(self):
         with pytest.raises(DomainError):
-            find_delta(ThresholdCertifier(0.92), Interval(0.5), precision=0.0)
+            find_delta(threshold(0.92), Interval(0.5), precision=0.0)
 
     @pytest.mark.parametrize("precision", [math.nan, math.inf])
     def test_rejects_non_finite_precision(self, precision):
         # nan passes a "<= 0" test and would skip the dichotomy
         with pytest.raises(DomainError, match="precision must be positive and finite"):
-            find_delta(ThresholdCertifier(0.92), Interval(0.5), precision=precision)
+            find_delta(threshold(0.92), Interval(0.5), precision=precision)
         with pytest.raises(DomainError, match="precision must be positive and finite"):
-            sweep(ThresholdCertifier(0.92), [0.5], precision=precision)
+            sweep(threshold(0.92), [0.5], precision=precision)
 
-    @pytest.mark.parametrize("certifier", [FlorianCertifier(), BlindCertifier()],
-                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("certifier", [FLORIAN, BLIND], ids=name)
     def test_upper_start_at_bound_proven(self, certifier):
         for r in (0.3, 0.7, 0.8):
-            (enc,) = certifier.bound_many([Interval(r)])
+            (enc,) = certifier([Interval(r)])
             if isinstance(enc, DomainError):
                 continue
             top = enc.hi
-            got = find_delta(certifier, Interval(r), delta_hi=top)
+            got = find_delta(certifier, Interval(r))
             assert top <= got <= top + DEFAULT_PRECISION
 
     def test_certifier_domain_error_propagates(self):
         # the polygonal bound needs r >= 0.6735; its own reason reaches the
         # caller, not a complaint about the upper start
         with pytest.raises(DomainError, match="polygonal bound needs ratio"):
-            find_delta(BlindCertifier(), Interval(0.5))
+            find_delta(BLIND, Interval(0.5))
 
     def test_bound_evaluated_once(self):
         calls = []
-
-        class Counting(FlorianCertifier):
-            def bound_many(self, rs):
-                calls.append(list(rs))
-                return super().bound_many(rs)
-
-        find_delta(Counting(), Interval(0.5))
+        find_delta(counting(FLORIAN, calls), Interval(0.5))
         assert calls == [[Interval(0.5)]]
 
     def test_wide_interval_default_upper_start(self):
         # the triangle bound at the midpoint is not provable on the whole
         # interval; the defaulted upper start moves to the certified bound
         r = Interval(0.3, 0.5)
-        (enc,) = FlorianCertifier().bound_many([r])
+        (enc,) = FLORIAN([r])
         top = enc.hi
-        got = find_delta(FlorianCertifier(), r, precision=1e-4)
+        got = find_delta(FLORIAN, r, precision=1e-4)
         assert top <= got <= top + 1e-4
-
-    def test_explicit_unprovable_upper_start_still_rejected(self):
-        with pytest.raises(InitialBoundsInvalid):
-            find_delta(FlorianCertifier(), Interval(0.3, 0.5), delta_hi=0.95)
 
 
 class TestCertifyInterval:
     def test_single_leaf_success(self):
-        trace = certify_interval(BlindCertifier(), Interval(0.743, 0.99), delta1())
+        trace = certify_interval(BLIND, Interval(0.743, 0.99), delta1())
         assert trace.success
         assert trace.leaf_count == 1
         assert trace.root.verdict
@@ -136,7 +153,7 @@ class TestCertifyInterval:
             assert left.interval.hi == right.interval.lo
 
     def test_depth_exceeded_carries_trace(self):
-        c = BlindCertifier()
+        c = BLIND
         with pytest.raises(DepthExceeded) as err:
             certify_interval(c, Interval(0.70, 0.99), delta1(), max_depth=12)
         trace = err.value.trace
@@ -151,17 +168,17 @@ class TestCertifyInterval:
 
     def test_max_depth_validated(self):
         with pytest.raises(DomainError):
-            certify_interval(BlindCertifier(), Interval(0.8, 0.9), delta1(), max_depth=0)
+            certify_interval(BLIND, Interval(0.8, 0.9), delta1(), max_depth=0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_delta(self, delta):
         # a nan delta is never proven nor refuted: the tree would grow to
         # 2**max_depth - 1 nodes
         with pytest.raises(DomainError, match="delta must be finite"):
-            certify_interval(ThresholdCertifier(0.9), Interval(0.5, 0.6), delta, max_depth=10)
+            certify_interval(threshold(0.9), Interval(0.5, 0.6), delta, max_depth=10)
 
     def test_degenerate_interval(self):
-        trace = certify_interval(FlorianCertifier(), Interval(0.5), 0.92)
+        trace = certify_interval(FLORIAN, Interval(0.5), 0.92)
         assert trace.success
         assert trace.leaf_count == 1
 
@@ -174,7 +191,7 @@ class TestCertifyInterval:
     def test_threshold_above_delta_is_one_leaf(self):
         # a bound above delta at every ratio is refuted at the root
         with pytest.raises(DepthExceeded) as err:
-            certify_interval(ThresholdCertifier(0.93), Interval(0.5, 0.6), 0.92, max_depth=12)
+            certify_interval(threshold(0.93), Interval(0.5, 0.6), 0.92, max_depth=12)
         assert [(leaf.interval, leaf.delta, leaf.verdict) for leaf in err.value.trace.leaves()
                 ] == [(Interval(0.5, 0.6), 0.92, False)]
 
@@ -182,7 +199,7 @@ class TestCertifyInterval:
 def bound_one(c, iv):
     """c's enclosure over iv from a batch of one, or None where it is a
     DomainError."""
-    (enc,) = c.bound_many([iv])
+    (enc,) = c([iv])
     return None if isinstance(enc, DomainError) else enc
 
 
@@ -191,8 +208,6 @@ def full_bisection(c, r, delta, max_depth):
     max_depth: the bisection before refuted nodes became leaves."""
 
     def check(iv):
-        if isinstance(c, ThresholdCertifier):
-            return delta >= c.t
         enc = bound_one(c, iv)
         return enc is not None and enc.hi <= delta
 
@@ -241,25 +256,6 @@ def certified(c, r, delta, max_depth=DEFAULT_MAX_DEPTH):
         return exc.trace
 
 
-class VeeCertifier(Certifier):
-    """Test certifier with a domain edge and a minimum inside its domain:
-    bound 0.85 + |x - 0.5| for x >= 0.2.  Rounding to nearest is monotone,
-    so the float enclosures keep the inclusion property exactly."""
-
-    name = "vee"
-
-    def bound_many(self, rs):
-        out = []
-        for r in rs:
-            if r.lo < 0.2:
-                out.append(DomainError(f"vee needs r >= 0.2, got {r}"))
-                continue
-            ends = sorted(abs(x - 0.5) for x in (r.lo, r.hi))
-            low = 0.0 if r.lo <= 0.5 <= r.hi else ends[0]
-            out.append(Interval(0.85 + low, 0.85 + ends[1]))
-        return out
-
-
 def refuted(c, iv, delta):
     """The rule under which certify_interval stops splitting a node."""
 
@@ -279,16 +275,14 @@ class TestRefutation:
         # blind cannot bound r < BLIND_MIN_RATIO: the failing leaves
         # localise that edge in O(max_depth) nodes, not 2**max_depth
         with pytest.raises(DepthExceeded) as err:
-            certify_interval(BlindCertifier(), Interval(0.3, 0.99), 0.931)
+            certify_interval(BLIND, Interval(0.3, 0.99), 0.931)
         trace = err.value.trace
         assert trace.node_count <= 2 * DEFAULT_MAX_DEPTH
         for leaf in trace.root.leaves():
             assert leaf.verdict == (leaf.interval.lo >= BLIND_MIN_RATIO)
 
     @pytest.mark.parametrize("certifier",
-                             [FlorianCertifier(), BlindCertifier(),
-                              ThresholdCertifier(0.92), VeeCertifier()],
-                             ids=lambda c: c.name)
+                             [FLORIAN, BLIND, threshold(0.92), vee], ids=name)
     def test_matches_full_bisection(self, certifier):
         # same verdict as splitting every unproven node; on success the same
         # trace, on failure the same tree cut at refuted nodes
@@ -327,21 +321,21 @@ class TestLevelOrder:
     # (certifier, lo, hi, delta, max_depth, success, failing leaves refuted
     # through DomainError on the node)
     CASES = [
-        (FlorianCertifier(), 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, True, 0),
-        (FlorianCertifier(), 0.9, 0.99, 0.9075, DEFAULT_MAX_DEPTH, True, 0),
-        (FlorianCertifier(), 0.3, 0.99, 0.915, 9, False, 0),
-        (FlorianCertifier(), 1e-12, 0.5, 0.95, 12, False, 1),
-        (BlindCertifier(), 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, False, 22),
-        (BlindCertifier(), 0.5, 0.8, delta1(), 20, False, 2),
-        (BlindCertifier(), 0.70, 0.99, delta1(), 12, False, 0),
-        (ThresholdCertifier(0.92), 0.3, 0.99, 0.93, DEFAULT_MAX_DEPTH, True, 0),
-        (ThresholdCertifier(0.94), 0.3, 0.99, 0.93, 8, False, 0),
-        (VeeCertifier(), 0.05, 0.9, 0.99, 12, False, 1),
-        (VeeCertifier(), 0.1, 0.95, 0.9, 10, False, 1),
+        (FLORIAN, 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, True, 0),
+        (FLORIAN, 0.9, 0.99, 0.9075, DEFAULT_MAX_DEPTH, True, 0),
+        (FLORIAN, 0.3, 0.99, 0.915, 9, False, 0),
+        (FLORIAN, 1e-12, 0.5, 0.95, 12, False, 1),
+        (BLIND, 0.3, 0.99, 0.931, DEFAULT_MAX_DEPTH, False, 22),
+        (BLIND, 0.5, 0.8, delta1(), 20, False, 2),
+        (BLIND, 0.70, 0.99, delta1(), 12, False, 0),
+        (threshold(0.92), 0.3, 0.99, 0.93, DEFAULT_MAX_DEPTH, True, 0),
+        (threshold(0.94), 0.3, 0.99, 0.93, 8, False, 0),
+        (vee, 0.05, 0.9, 0.99, 12, False, 1),
+        (vee, 0.1, 0.95, 0.9, 10, False, 1),
     ]
 
     @pytest.mark.parametrize("case", CASES,
-                             ids=lambda case: f"{case[0].name}-{case[1]}:{case[2]}@{case[3]}")
+                             ids=lambda case: f"{name(case[0])}-{case[1]}:{case[2]}@{case[3]}")
     def test_matches_depth_first(self, case):
         # byte-identical trace, leaf order included, to the recursive
         # bisection with one bound call per node
@@ -354,34 +348,24 @@ class TestLevelOrder:
                    if bound_one(c, leaf.interval) is None) == domain_leaves
 
     def test_913_nodes_at_931(self):
-        trace = certify_interval(FlorianCertifier(), Interval(0.3, 0.99), 0.931)
+        trace = certify_interval(FLORIAN, Interval(0.3, 0.99), 0.931)
         assert (trace.node_count, trace.leaf_count) == (913, 457)
 
     @pytest.mark.parametrize("certifier, lo, delta, probes",
-                             [(FlorianCertifier(), 0.3, 0.931, 0),
-                              (VeeCertifier(), 0.05, 0.99, 3)],
+                             [(FLORIAN, 0.3, 0.931, 0), (vee, 0.05, 0.99, 3)],
                              ids=["florian", "vee"])
     def test_one_batch_per_depth(self, certifier, lo, delta, probes):
-        # one bound_many call for each depth's nodes, one more for the
-        # point probes of a depth that has any, and no scalar bound call
+        # one bound call for each depth's nodes, and one more for the point
+        # probes of a depth that has any
         calls = []
-
-        class Counting(type(certifier)):
-            def bound(self, r):
-                raise AssertionError("scalar bound called")
-
-            def bound_many(self, rs):
-                calls.append(len(rs))
-                return certifier.bound_many(rs)
-
-        trace = certified(Counting(), Interval(lo, 0.99), delta, 12)
+        trace = certified(counting(certifier, calls), Interval(lo, 0.99), delta, 12)
         depth = 0
         level = [trace.root]
         while level:
             depth += 1
             level = [child for node in level for child in node.children]
         assert depth <= len(calls) <= 2 * depth
-        assert sum(calls) == trace.node_count + 3 * probes
+        assert sum(map(len, calls)) == trace.node_count + 3 * probes
 
 
 def json_leaves(node):
@@ -433,20 +417,12 @@ class TestSerialization:
         assert a == b
 
 
-class TestThresholdCertifier:
-    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_rejected(self, t):
-        with pytest.raises(DomainError, match="threshold must be finite"):
-            ThresholdCertifier(float(t))
-
-
 class TestMakeCertifier:
     def test_names(self):
-        assert make_certifier("blind").name == "blind"
-        assert make_certifier("florian").name == "florian"
-        t = ThresholdCertifier(0.93)
-        assert t.bound_many([Interval(0.5, 0.6)]) == [Interval(0.93)]
-        assert make_certifier("florian").bound_many([Interval(0.5)])[0].hi <= 0.93
+        assert make_certifier("blind") is blind_enclosures
+        assert make_certifier("florian") is florian_enclosures
+        assert threshold(0.93)([Interval(0.5, 0.6)]) == [Interval(0.93)]
+        assert make_certifier("florian")([Interval(0.5)])[0].hi <= 0.93
 
     def test_unknown_spec(self):
         # the threshold double proves nothing, so no spec builds it
@@ -457,28 +433,28 @@ class TestMakeCertifier:
 
 def skip_lines(certifier, skipped):
     """The stderr lines the command line writes for sweep's skipped points."""
-    return [f"sweep: no bound at r={r} via {certifier.name}: {exc}" for r, exc in skipped]
+    return [f"sweep: no bound at r={r} via {name(certifier)}: {exc}" for r, exc in skipped]
 
 
 class TestSweep:
     def test_values_and_skips(self):
         grid = [0.75, 0.76, 0.5]
-        samples, skipped = sweep(BlindCertifier(), grid, precision=1e-4)
+        samples, skipped = sweep(BLIND, grid, precision=1e-4)
         # 0.5 is outside the blind window and must be skipped with its reason
         assert [s.r for s in samples] == [0.75, 0.76]
         for s in samples:
             reference = blind_enclosures([Interval(s.r)])[0].mid
             assert reference - 1e-9 <= s.value <= reference + 1e-4 + 1e-9
         assert any(m.startswith("sweep: no bound at r=0.5 ") and "polygonal bound needs ratio" in m
-                   for m in skip_lines(BlindCertifier(), skipped))
+                   for m in skip_lines(BLIND, skipped))
 
     def test_empty_grid(self):
-        assert sweep(FlorianCertifier(), [], precision=1e-3) == ([], [])
+        assert sweep(FLORIAN, [], precision=1e-3) == ([], [])
 
     def test_threshold_certifier_samples(self):
         # the triangle bound at each grid ratio lies below t, so every
         # sample's dichotomy starts from t itself
-        samples, skipped = sweep(ThresholdCertifier(0.92), cli._grid(0.5, 0.6, 1e-3))
+        samples, skipped = sweep(threshold(0.92), cli._grid(0.5, 0.6, 1e-3))
         assert skipped == []
         assert len(samples) == 101
         assert all(0.92 <= s.value <= 0.92 + 1e-4 for s in samples)
@@ -486,13 +462,13 @@ class TestSweep:
     # samples and warnings as the per-point sweep gave them, before the
     # batch call: each skipped point keeps its own reason, in grid order
     PINNED = [
-        (BlindCertifier(), [0.5, 0.75, 0.6, 0.76],
+        (BLIND, [0.5, 0.75, 0.6, 0.76],
          [(0.75, 0.9066986821171089), (0.76, 0.906198682117109)],
          ["sweep: no bound at r=0.5 via blind: polygonal bound needs ratio within "
           "[0.6735, 1], got Interval(0.5, 0.5)",
           "sweep: no bound at r=0.6 via blind: polygonal bound needs ratio within "
           "[0.6735, 1], got Interval(0.6, 0.6)"]),
-        (FlorianCertifier(), [1e-10, 0.0, 0.5, 1.0, 1.5, -0.1, 5e-324],
+        (FLORIAN, [1e-10, 0.0, 0.5, 1.0, 1.5, -0.1, 5e-324],
          [(0.5, 0.9158118430285282), (1.0, 0.906899683117109)],
          ["sweep: no bound at r=1e-10 via florian: acos argument out of (-1, 1]: "
           "Interval(0.9999999999999999, 1.0000000000000002)",
@@ -504,12 +480,12 @@ class TestSweep:
           "got Interval(-0.1, -0.1)",
           "sweep: no bound at r=5e-324 via florian: acos argument out of (-1, 1]: "
           "Interval(0.9999999999999999, 1.0000000000000002)"]),
-        (ThresholdCertifier(0.93), [0.5, 1.5], [(0.5, 0.93)],
+        (threshold(0.93), [0.5, 1.5], [(0.5, 0.93)],
          ["sweep: no bound at r=1.5 via threshold:0.93: ratio must lie in (0, 1], got 1.5"]),
     ]
 
     @pytest.mark.parametrize("certifier, grid, values, warnings", PINNED,
-                             ids=[case[0].name for case in PINNED])
+                             ids=[name(case[0]) for case in PINNED])
     def test_warnings_pinned(self, certifier, grid, values, warnings):
         samples, skipped = sweep(certifier, grid)
         assert [(s.r, s.value) for s in samples] == values
@@ -517,41 +493,24 @@ class TestSweep:
 
     def test_one_batch_call(self):
         calls = []
-
-        class Counting(FlorianCertifier):
-            def bound(self, r):
-                raise AssertionError("scalar bound called")
-
-            def bound_many(self, rs):
-                calls.append(list(rs))
-                return super().bound_many(rs)
-
         grid = [0.3, 0.5, 0.7, 1.5]
-        assert len(sweep(Counting(), grid)[0]) == 3
+        assert len(sweep(counting(FLORIAN, calls), grid)[0]) == 3
         assert calls == [[Interval(r) for r in grid]]
 
     NON_FINITE = [
-        (FlorianCertifier(), [(0.5, 0.9158118430285282), (0.6, 0.9118560041524228)], []),
-        (BlindCertifier(), [], [0.5, 0.6]),
-        (ThresholdCertifier(0.93), [(0.5, 0.93), (0.6, 0.93)], []),
+        (FLORIAN, [(0.5, 0.9158118430285282), (0.6, 0.9118560041524228)], []),
+        (BLIND, [], [0.5, 0.6]),
+        (threshold(0.93), [(0.5, 0.93), (0.6, 0.93)], []),
     ]
 
     @pytest.mark.parametrize("certifier, values, unbounded", NON_FINITE,
-                             ids=[case[0].name for case in NON_FINITE])
+                             ids=[name(case[0]) for case in NON_FINITE])
     def test_non_finite_points_skipped(self, certifier, values, unbounded):
         # nan and inf are skipped with their reason, in grid order, like any
         # point the certifier cannot bound; the finite points still take
         # one batch call
         calls = []
-
-        class Counting(Certifier):
-            name = certifier.name
-
-            def bound_many(self, rs):
-                calls.append(list(rs))
-                return certifier.bound_many(rs)
-
-        samples, skipped = sweep(Counting(), [0.5, math.nan, math.inf, 0.6])
+        samples, skipped = sweep(counting(certifier, calls), [0.5, math.nan, math.inf, 0.6])
         assert [(s.r, s.value) for s in samples] == values
         assert calls == [[Interval(0.5), Interval(0.6)]]
         messages = skip_lines(certifier, skipped)
@@ -560,5 +519,5 @@ class TestSweep:
         assert [m.split(" via ")[0] for m in messages] == [
             f"sweep: no bound at r={r}" for r in skipped]
         assert [m for m in messages if "must be finite" in m] == [
-            f"sweep: no bound at r={r} via {certifier.name}: interval endpoints must be finite"
+            f"sweep: no bound at r={r} via {name(certifier)}: interval endpoints must be finite"
             for r in ("nan", "inf")]

@@ -10,7 +10,6 @@ loop, is checked bit for bit against the three loops it replaced.
 """
 
 import math
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -23,10 +22,9 @@ from hypothesis import given, settings, strategies as st
 from bidisc.bounds import TANGENT_TABLE, delta1, florian_bound, florian_enclosures
 from bidisc.endpoints import (ONE, TWO, acos_pairs, add_pairs, atan_points, div_pairs,
                               mul_pairs, sqrt_pairs, square_pairs, sub_pairs)
-from bidisc.errors import DomainError, InitialBoundsInvalid
+from bidisc.errors import DomainError
 from bidisc.flows import find_crossings
-from bidisc.harness import (_DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECISION,
-                            ThresholdCertifier, _dichotomy)
+from bidisc.harness import _DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECISION, _dichotomy
 from bidisc.intervals import Interval, narrow, pi_interval
 from bidisc.polynomials import Polynomial, checked_root
 from bidisc.ratios import RATIO_TABLE
@@ -439,8 +437,9 @@ def test_pair_operations_match_interval_operations():
 #
 # The three reference functions below are the bracket-halving loops that
 # ``narrow`` replaced, copied verbatim: ``polynomials.refine_root``,
-# ``harness._dichotomy`` and ``flows.find_crossings``.  Wherever a reference
-# terminates, ``narrow`` and its callers must return the same floats.
+# ``harness._dichotomy`` (less its explicit starts, which are gone) and
+# ``flows.find_crossings``.  Wherever a reference terminates, ``narrow`` and
+# its callers must return the same floats.
 
 
 def _sign(x: Fraction) -> int:
@@ -469,27 +468,16 @@ def ref_refine_root(p: Polynomial, bracket: Interval, tol: float) -> Interval:
     return Interval(lo, hi)
 
 
-def ref_dichotomy(c, r: Interval, top: float, precision: float,
-                  delta_lo: float | None = None, delta_hi: float | None = None) -> float:
+def ref_dichotomy(r: Interval, top: float, precision: float) -> float:
 
     def proven(delta: float) -> bool:
         return top <= delta
 
-    explicit_lo = delta_lo is not None
-    explicit_hi = delta_hi is not None
-    if delta_hi is None:
-        delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
-    if delta_lo is None:
-        delta_lo = delta1() - _DELTA_LO_OFFSET
+    delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
+    delta_lo = delta1() - _DELTA_LO_OFFSET
     if not proven(delta_hi):
-        if explicit_hi:
-            raise InitialBoundsInvalid(
-                f"upper start {delta_hi} is not provable on {r} by {c.name}")
         delta_hi = top
     if proven(delta_lo):
-        if explicit_lo:
-            raise InitialBoundsInvalid(
-                f"lower start {delta_lo} is already provable on {r} by {c.name}")
         gap = max(precision, _DELTA_LO_OFFSET)
         while delta_lo > 0.0 and proven(delta_lo):
             delta_hi = delta_lo
@@ -580,32 +568,29 @@ def test_narrow_matches_refine_root():
 
 def test_narrow_matches_dichotomy():
     rng = np.random.default_rng(2027)
-    c = ThresholdCertifier(0.92)
     precisions = (0.0, 1e-300, 1e-15, 1e-12, DEFAULT_PRECISION, 1e-4, 0.05)
     for k in range(400):
         r = Interval(float(rng.uniform(0.3, 0.99)))
         top = float(rng.uniform(0.0, 1.0)) if k % 4 else float(rng.uniform(0.9, 0.95))
         precision = float(rng.choice(precisions))
-        starts = [(None, None), (None, math.inf), (0.5, 1.0), (None, 0.95), (0.91, None)]
-        if k % 10 == 0:  # a top at a float midpoint of the bracket
-            top = 0.5 + 0.5 * float(rng.integers(1, 2**20)) / 2**20
-            starts = [(0.5, 1.0)]
-        for delta_lo, delta_hi in starts:
-            try:
-                want = ref_dichotomy(c, r, top, precision, delta_lo, delta_hi)
-            except InitialBoundsInvalid as exc:
-                with pytest.raises(InitialBoundsInvalid, match=re.escape(str(exc))):
-                    _dichotomy(c, r, top, precision, delta_lo, delta_hi)
-                continue
-            assert _dichotomy(c, r, top, precision, delta_lo, delta_hi) == want
-            if delta_lo is not None and delta_hi is not None:
-                got = narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)
-                assert got[1] == want
+        delta_lo = delta1() - _DELTA_LO_OFFSET
+        delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
+        if k % 10 == 0:  # a top at a float midpoint of the default bracket
+            a, b = delta_lo, delta_hi
+            for _ in range(int(rng.integers(1, 40))):
+                m = 0.5 * (a + b)
+                a, b = (m, b) if rng.random() < 0.5 else (a, m)
+            top = 0.5 * (a + b)
+        want = ref_dichotomy(r, top, precision)
+        assert _dichotomy(r, top, precision) == want
+        if delta_lo < top <= delta_hi:
+            got = narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)
+            assert got[1] == want
 
 
 def test_narrow_stops_without_a_float_midpoint_inside():
-    # an infinite end, as find_delta's delta_hi may be, and adjacent floats
-    # both stop the loop before side is called
+    # an infinite end and adjacent floats both stop the loop before side is
+    # called
     lo = 0.7071067811865476
     hi = math.nextafter(lo, 1.0)
     for tol in (0.0, 1e-300, 1e-9):

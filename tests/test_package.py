@@ -83,3 +83,19 @@ def test_one_rounded_arithmetic():
     assert found == {("intervals", "_down", "nextafter"), ("intervals", "_up", "nextafter"),
                      ("intervals", "Interval.from_fraction", "_down"),
                      ("intervals", "Interval.from_fraction", "_up")}
+
+
+def test_only_tests_use_the_doubles_and_oracles():
+    # the certifier classes, the dichotomy's start error and the closed-form
+    # densities are gone from the package: a certifier is its bound
+    # function, and the test doubles and oracles live under tests/
+    gone = {"Certifier", "BlindCertifier", "FlorianCertifier", "ThresholdCertifier",
+            "_each", "InitialBoundsInvalid", "closed_form_841", "closed_form_r6"}
+    for path in sorted((ROOT / "src" / "bidisc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        assert not defined & gone, path.name
+    assert not set(bidisc.__all__) & gone
