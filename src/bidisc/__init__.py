@@ -16,8 +16,7 @@ from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
                     load_recipe, lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density, stick,
                        validate, validate_many)
-from .harness import (ProofTrace, TraceNode, certify_interval, find_delta,
-                      make_certifier, sweep)
+from .harness import TraceNode, certify_interval, find_delta, make_certifier, sweep
 from .intervals import Interval, pi_interval
 from .polynomials import Polynomial
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
@@ -29,7 +28,7 @@ __all__ = [
     "BLIND_MIN_RATIO", "BidiscError", "BoundSample", "ConstrainedRecipe",
     "DepthExceeded", "Disc", "DomainError", "FlowRecipe",
     "FundamentalDomain", "Interval", "InvalidPacking",
-    "NoConvergence", "NoSolution", "Polynomial", "ProofTrace",
+    "NoConvergence", "NoSolution", "Polynomial",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
     "SingularJacobian", "TraceNode", "Violation",
     "builtin_recipes", "certify_interval", "delta1",

@@ -26,8 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from . import geometry
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
 from .errors import BidiscError, DepthExceeded, DomainError
-from .flows import (build_checked, builtin_recipes, find_crossings, load_recipe,
-                    lower_bound_curve)
+from .flows import builtin_recipes, find_crossings, load_recipe, lower_bound_curve
 from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, TraceNode,
                       certify_interval, make_certifier, sweep)
 from .intervals import Interval
@@ -85,7 +84,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         raise DomainError(f"cannot write {out}: {exc}")
 
 
-# rows per chunk of CSV text: a table's text is never held whole
+# rows per chunk of CSV or JSON text: a table's text is never held whole
 _CSV_BLOCK = 4096
 
 
@@ -105,6 +104,25 @@ def _csv(header: str, rows: Iterable) -> Iterator[str]:
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _json_lists(fields: dict[str, Iterable]) -> Iterator[str]:
+    r"""``_json`` of a non-empty dict of lists, in chunks of at most
+    _CSV_BLOCK rows.  There a row is ``json.dumps(row, indent=2)`` indented
+    four spaces, rows joined by ``",\n"``; ``json.dumps(block, indent=2)``
+    holds the block's rows so indented two spaces, after ``"["`` and before
+    ``"\n]"``."""
+    opener = "{"
+    for key, rows in fields.items():
+        yield f"{opener}\n  {json.dumps(key)}: "
+        opener = ","
+        rows = iter(rows)
+        sep = "["
+        while block := list(islice(rows, _CSV_BLOCK)):
+            yield sep + json.dumps(block, indent=2)[1:-2].replace("\n", "\n  ")
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"
+    yield "\n}\n"
 
 
 def _verdict(node: TraceNode) -> str:
@@ -176,7 +194,7 @@ def cmd_lower(args) -> int:
         built = []
 
         def fn(r, _recipe=recipe, _built=built):
-            domain = build_checked(_recipe, r)
+            domain = _recipe.build(r)
             _built.append(domain)
             return geometry.density(domain)
 
@@ -195,9 +213,8 @@ def cmd_lower(args) -> int:
     crossings.sort(key=lambda iv: iv.lo)
 
     if args.format == "json":
-        payload = {"curve": list(curve),
-                   "crossings": [[iv.lo, iv.hi] for iv in crossings]}
-        _emit([_json(payload)], args.out)
+        _emit(_json_lists({"curve": curve,
+                           "crossings": ([iv.lo, iv.hi] for iv in crossings)}), args.out)
     else:
         _emit(_csv("r,density,tag", curve), args.out)
         for iv in crossings:
@@ -230,9 +247,8 @@ def cmd_upper(args) -> int:
 
     curve = ((r, value, "upper") for r, value in zip(fine, lipschitz_envelope(samples, fine)))
     if args.format == "json":
-        payload = {"samples": [[s.r, s.value] for s in samples],
-                   "curve": list(curve)}
-        _emit([_json(payload)], args.out)
+        _emit(_json_lists({"samples": ([s.r, s.value] for s in samples),
+                           "curve": curve}), args.out)
     else:
         _emit(_csv("r,density,tag", curve), args.out)
         print(f"samples,{len(samples)}", file=sys.stderr)
@@ -244,25 +260,23 @@ def cmd_certify(args) -> int:
     certifier = make_certifier(args.certifier)
     delta = delta1() if args.delta is None else args.delta
     try:
-        trace = certify_interval(certifier, Interval(lo, hi), delta,
-                                 max_depth=args.max_depth)
-        failed = None
+        root = certify_interval(certifier, Interval(lo, hi), delta,
+                                max_depth=args.max_depth)
     except DepthExceeded as exc:
-        trace = exc.trace
-        failed = exc
+        root = exc.trace
 
     if args.format == "json":
         # wall time stays out, so the document is byte-stable across runs
-        _emit([_json({"leaf_count": trace.leaf_count, "node_count": trace.node_count,
-                     "success": trace.success, "root": _node_json(trace.root)})], args.out)
+        _emit([_json({"leaf_count": root.leaf_count, "node_count": root.node_count,
+                     "success": root.verdict, "root": _node_json(root)})], args.out)
     else:
         _emit(_csv("lo,hi,delta,verdict",
                    ((leaf.interval.lo, leaf.interval.hi, leaf.delta, _verdict(leaf))
-                    for leaf in trace.leaves())), args.out)
-    print(f"leaves,{trace.leaf_count}", file=sys.stderr)
+                    for leaf in root.leaves())), args.out)
+    print(f"leaves,{root.leaf_count}", file=sys.stderr)
 
-    if failed is not None:
-        bad = list(trace.failing_leaves())
+    if not root.verdict:
+        bad = [leaf for leaf in root.leaves() if not leaf.verdict]
         print(f"certification failed on {len(bad)} leaves", file=sys.stderr)
         for node in bad[:5]:
             print(f"  [{node.interval.lo!r}, {node.interval.hi!r}]",

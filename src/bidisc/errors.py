@@ -32,7 +32,8 @@ class RecipeError(BidiscError, ValueError):
 class DepthExceeded(BidiscError, RuntimeError):
     """Interval certification hit its depth cap with unproven leaves.
 
-    Carries the full proof trace (failing leaves marked) as ``trace``.
+    Carries the root ``TraceNode`` of the bisection tree (failing leaves
+    marked) as ``trace``.
     """
 
     def __init__(self, message, trace=None):

@@ -11,6 +11,9 @@ ratio r varies.  Two kinds are supported:
   floats, on which the compiled recipe code and the secant predictor do
   the same IEEE operations as on numpy arrays, at a fraction of the cost.
 
+A recipe is checked once, when it is read, its file's ``census`` against
+its cell's radius selectors included, so no built cell is recounted.
+
 The module also provides the interstitial construction that drops small
 discs into the holes of the unit hexagonal packing, crossing detection
 against a level, and the combined lower-bound curve as plain
@@ -58,9 +61,17 @@ class FlowRecipe:
 
     name: str
     valid_range: tuple[float, float]
-    census: tuple[int, int]            # (unit discs, ratio discs) per cell
 
     kind = "abstract"
+
+    def __post_init__(self):
+        lo, hi = self.valid_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi <= 1.0):
+            raise RecipeError(f"{self.name}: valid_range [{lo}, {hi}] does not satisfy "
+                              f"0 < lo <= hi <= 1")
+        # each kind's cell entries end in their radius selector
+        for *_, sel in self.cell:
+            _check_selector(self.name, sel)
 
     def contains(self, r: float) -> bool:
         lo, hi = self.valid_range
@@ -94,6 +105,7 @@ class SequentialRecipe(FlowRecipe):
     kind = "sequential"
 
     def __post_init__(self):
+        super().__post_init__()
         n = len(self.seeds)
         for k, (i, j, sel) in enumerate(self.steps):
             if not (0 <= i < n + k and 0 <= j < n + k):
@@ -104,8 +116,6 @@ class SequentialRecipe(FlowRecipe):
             for i, _ in combo:
                 if not 0 <= i < n:
                     raise RecipeError(f"{self.name}: combo names disc {i}, not one of 0..{n - 1}")
-        for _, sel in self.cell:
-            _check_selector(self.name, sel)
 
     def build(self, r: float) -> FundamentalDomain:
         discs = list(self.seeds)
@@ -134,6 +144,7 @@ class ConstrainedRecipe(FlowRecipe):
     kind = "constrained"
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.equations) != len(self.variables) + 1:
             raise RecipeError(
                 f"{self.name}: {len(self.equations)} equations cannot leave a "
@@ -142,8 +153,6 @@ class ConstrainedRecipe(FlowRecipe):
             raise RecipeError(f"{self.name}: verify_index out of range")
         if len(self.guess) != len(self.variables):
             raise RecipeError(f"{self.name}: guess length mismatch")
-        for _, _, sel in self.cell:
-            _check_selector(self.name, sel)
 
     @cached_property
     def compiled(self) -> tuple[Callable, Callable, Callable]:
@@ -175,7 +184,16 @@ class ConstrainedRecipe(FlowRecipe):
         return self.build_from(solve_constrained(self, r).tolist(), r)
 
 
+def _counted(recipe: FlowRecipe, census: tuple[int, int]) -> FlowRecipe:
+    """The recipe, once the census (unit discs, ratio discs) counts its cell."""
+    counts = tuple(sum(sel == which for *_, sel in recipe.cell) for which in ("one", "ratio"))
+    if census != counts:
+        raise RecipeError(f"{recipe.name}: census {census} but the cell holds {counts}")
+    return recipe
+
+
 def recipe_from_dict(obj: dict) -> FlowRecipe:
+    """The recipe a file's object describes, or RecipeError if it is not one."""
     try:
         name = obj["name"]
         kind = obj["kind"]
@@ -191,7 +209,8 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
             cell = tuple(
                 (tuple((int(i), float(c)) for i, c in entry["combo"]), str(entry["radius"]))
                 for entry in obj["cell"])
-            return SequentialRecipe(name, valid_range, census, seeds, steps, lattice, cell)
+            return _counted(SequentialRecipe(name, valid_range, seeds, steps, lattice, cell),
+                            census)
         if kind == "constrained":
             variables = tuple(obj["variables"])
             scope = list(variables) + ["r"]
@@ -208,10 +227,10 @@ def recipe_from_dict(obj: dict) -> FlowRecipe:
                 for row in obj["cell"])
             guess_map = obj["guess"]
             guess = tuple(float(guess_map[v]) for v in variables)
-            return ConstrainedRecipe(name, valid_range, census,
-                                     variables, tuple(defines), equations,
-                                     int(obj["verify_index"]), float(obj["r0"]),
-                                     guess, lattice, cell)
+            return _counted(ConstrainedRecipe(name, valid_range,
+                                              variables, tuple(defines), equations,
+                                              int(obj["verify_index"]), float(obj["r0"]),
+                                              guess, lattice, cell), census)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise RecipeError(f"malformed recipe: {exc}") from exc
     raise RecipeError(f"unknown recipe kind {kind!r}")
@@ -363,30 +382,13 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
 # evaluation
 
 
-def build_checked(recipe: FlowRecipe, r: float) -> FundamentalDomain:
-    """The recipe's packing at ratio r, range and disc census checked."""
+def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
+    """Build the recipe's packing at ratio r and return it with its density."""
     if not recipe.contains(r):
         raise DomainError(
             f"r={r} outside valid range [{recipe.valid_range[0]}, {recipe.valid_range[1]}] "
             f"of recipe {recipe.name}")
     domain = recipe.build(r)
-    n_unit, n_ratio = recipe.census
-    census = domain.radius_census()
-    if r == 1.0:
-        # the two radius classes merge into one bucket
-        ok = census == {1.0: n_unit + n_ratio}
-    else:
-        ok = census.get(1.0, 0) == n_unit
-        if n_ratio:
-            ok = ok and census.get(r, 0) == n_ratio
-    if not ok:
-        raise InvalidPacking(f"{recipe.name}: census {census} != {recipe.census} at r={r}")
-    return domain
-
-
-def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
-    """Build the recipe's packing at ratio r and return it with its density."""
-    domain = build_checked(recipe, r)
     bad = validate(domain)
     if bad:
         worst = min(bad, key=lambda row: row.gap)
@@ -510,7 +512,7 @@ def lower_bound_curve(grid: Sequence[float],
                 samples = per_recipe[name]
                 samples.append((r, None))
                 try:
-                    pending.append((k, name, len(samples) - 1, build_checked(recipe, r)))
+                    pending.append((k, name, len(samples) - 1, recipe.build(r)))
                 except (NoSolution, InvalidPacking, DomainError):
                     continue
                 if len(pending) == _SCAN_CELLS:

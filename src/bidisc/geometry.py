@@ -73,13 +73,6 @@ class FundamentalDomain:
     def cell_area(self) -> float:
         return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
 
-    def radius_census(self) -> dict[float, int]:
-        """Count of discs per distinct radius."""
-        census: dict[float, int] = {}
-        for d in self.discs:
-            census[d.radius] = census.get(d.radius, 0) + 1
-        return census
-
 
 def stick(d1: Disc, d2: Disc, radius: float) -> Disc:
     """New disc of given radius tangent to d1 and d2, on the left of d1->d2.

@@ -21,9 +21,10 @@ Two drivers run on top, both reading one enclosure per interval:
   ``hi`` of one enclosure, and ``sweep`` runs that dichotomy at each point
   of a grid after one batch call;
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
-  recording the whole bisection tree, and stops early on nodes that no
-  bisection can prove.  It builds the tree in level order, with one batch
-  call for the nodes of each depth and one for their point probes.
+  and stops early on nodes that no bisection can prove.  It builds the tree
+  in level order, with one batch call for the nodes of each depth and one
+  for their point probes, and the proof is the tree's root ``TraceNode``:
+  its verdict is the run's, and its leaves tile the interval.
 
 The real strength of a certifier is whatever bound it is; the drivers only
 ever weaken claims, never strengthen them.
@@ -105,6 +106,10 @@ def _dichotomy(r: Interval, top: float, precision: float) -> float:
 
 @dataclass(frozen=True)
 class TraceNode:
+    """One node of a bisection tree, and with its children the tree below
+    it.  A split node's verdict is the AND of its children's, so the root's
+    verdict says whether the whole run succeeded."""
+
     interval: Interval
     delta: float
     verdict: bool
@@ -117,37 +122,17 @@ class TraceNode:
             for child in self.children:
                 yield from child.leaves()
 
-    def count(self) -> int:
-        return 1 + sum(child.count() for child in self.children)
-
-
-@dataclass(frozen=True)
-class ProofTrace:
-    """Bisection tree of one certification run."""
-
-    root: TraceNode
-
     @property
-    def success(self) -> bool:
-        return all(leaf.verdict for leaf in self.root.leaves())
-
-    def leaves(self) -> list[TraceNode]:
-        return list(self.root.leaves())
-
-    def failing_leaves(self) -> list[TraceNode]:
-        return [leaf for leaf in self.root.leaves() if not leaf.verdict]
+    def node_count(self) -> int:
+        return 1 + sum(child.node_count for child in self.children)
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for _ in self.root.leaves())
-
-    @property
-    def node_count(self) -> int:
-        return self.root.count()
+        return sum(1 for _ in self.leaves())
 
 
 def certify_interval(bound: Bound, r: Interval, delta: float,
-                     max_depth: int = DEFAULT_MAX_DEPTH) -> ProofTrace:
+                     max_depth: int = DEFAULT_MAX_DEPTH) -> TraceNode:
     """Prove delta on all of r by bisection, one depth at a time.
 
     A node is proven when its enclosure's ``hi`` is at most delta.  An
@@ -160,9 +145,9 @@ def certify_interval(bound: Bound, r: Interval, delta: float,
     ``bound`` call, and their point probes one more; the tree is the one a
     depth-first bisection builds, children left first.
 
-    Returns the trace on success; raises DepthExceeded carrying the trace
-    (failing leaves marked) when the depth cap or a refutation stops the
-    bisection on any subinterval.  Children share their parent's float
+    Returns the root of the tree on success; raises DepthExceeded carrying
+    that root (failing leaves marked) when the depth cap or a refutation
+    stops the bisection on any subinterval.  Children share their parent's float
     midpoint, so the leaves of any trace tile the root interval exactly.
     A non-finite delta raises DomainError: nan is never proven nor refuted.
     """
@@ -220,12 +205,12 @@ def certify_interval(bound: Bound, r: Interval, delta: float,
                 nodes.append(TraceNode(iv, delta, verdict, children))
             else:
                 nodes.append(TraceNode(iv, delta, verdict))
-    trace = ProofTrace(nodes[0])
-    if not trace.success:
-        raise DepthExceeded(
-            f"{len(trace.failing_leaves())} leaf interval(s) unproven at depth {max_depth}",
-            trace=trace)
-    return trace
+    root = nodes[0]
+    if not root.verdict:
+        failing = sum(not leaf.verdict for leaf in root.leaves())
+        raise DepthExceeded(f"{failing} leaf interval(s) unproven at depth {max_depth}",
+                            trace=root)
+    return root
 
 
 def sweep(bound: Bound, grid: Sequence[float], precision: float = DEFAULT_PRECISION

@@ -219,9 +219,9 @@ def test_criterion_09():
 def test_criterion_10():
     def body():
         proven = certify_interval(blind_enclosures, Interval(0.743, 0.99), delta1())
-        if not proven.success:
+        if not proven.verdict:
             return False, "clean window did not certify"
-        leaves = sorted(proven.root.leaves(), key=lambda n: n.interval.lo)
+        leaves = sorted(proven.leaves(), key=lambda n: n.interval.lo)
         tiles = (leaves[0].interval.lo == 0.743 and leaves[-1].interval.hi == 0.99
                  and all(a.interval.hi == b.interval.lo for a, b in zip(leaves, leaves[1:])))
         if not tiles:
@@ -233,8 +233,8 @@ def test_criterion_10():
             trace = exc.trace
         rb = r_blind_interval().lo
         split = all(bool(leaf.verdict) == (leaf.interval.lo >= rb - 1e-12)
-                    for leaf in trace.root.leaves())
-        failing = len(trace.failing_leaves())
+                    for leaf in trace.leaves())
+        failing = sum(not leaf.verdict for leaf in trace.leaves())
         return split and failing > 0, \
             f"proven_leaves={proven.leaf_count} failing={failing} split_at_rB={split}"
 

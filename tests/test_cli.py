@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -571,6 +572,14 @@ MALFORMED_RECIPES = {
     "sequential-cell-selector": ("flow_841_mid.json", "cell",
                                  lambda cell: [*cell[:3], {**cell[3], "radius": "Ratio"}]),
     "valid-range-one-end": ("flow_841_mid.json", "valid_range", lambda ends: ends[:1]),
+    # a census that is not the cell's (2, 2) selector count
+    "census-disagrees": ("flow_841_mid.json", "census", lambda census: {**census, "unit": 3}),
+    "valid-range-reversed": ("flow_841_mid.json", "valid_range", lambda ends: ends[::-1]),
+    "valid-range-zero": ("flow_841_mid.json", "valid_range", lambda ends: [0, ends[1]]),
+    "valid-range-negative": ("flow_841_mid.json", "valid_range", lambda ends: [-0.5, ends[1]]),
+    "valid-range-above-one": ("flow_r6_1.json", "valid_range", lambda ends: [ends[0], 1.5]),
+    "valid-range-nan": ("flow_r6_1.json", "valid_range", lambda ends: [math.nan, ends[1]]),
+    "valid-range-infinite": ("flow_r6_1.json", "valid_range", lambda ends: [ends[0], math.inf]),
 }
 
 
@@ -602,6 +611,28 @@ def test_csv_chunks():
     assert "".join(chunks) == "\n".join(
         ["a,b,c", *(f"{a!r},{b},{c}" for a, b, c in rows)]) + "\n"
     assert list(cli._csv("a,b", [])) == ["a,b\n"]
+
+
+@pytest.mark.parametrize("sizes", [(0, 0), (1, 0), (0, 1), (3, 1), (5, 4096), (2, 4097),
+                                   (0, 8192), (1, 8193)])
+def test_json_chunks(sizes):
+    # the pieces of a document of lists are json.dumps's bytes, wherever
+    # the blocks end, on seeded rows that hold extreme floats
+    rng = random.Random(sum(sizes))
+    extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16, 1e-7]
+
+    def row(width):
+        return tuple(rng.choice(extremes) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+                     for _ in range(width))
+
+    payload = {"samples": [list(row(2)) for _ in range(sizes[0])],
+               "curve": [(*row(2), "upper") for _ in range(sizes[1])]}
+    chunks = list(cli._json_lists({key: iter(rows) for key, rows in payload.items()}))
+    assert "".join(chunks) == json.dumps(payload, indent=2) + "\n"
+    rows = [chunk.count("\n    [") for chunk in chunks]
+    assert max(rows) <= cli._CSV_BLOCK
+    assert sum(rows) == sum(sizes)
 
 
 def test_unwritable_out_is_config_error(capsys, tmp_path):

@@ -224,10 +224,10 @@ def assert_geometry_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
 
 
 def constrained(variables, defines, equations, verify_index,
-                lattice=(("1", "0"), ("0", "1")), cell=(("0", "0", "one"),)):
+                lattice=(("1", "0"), ("0", "1")), cell=(("0", "0", "one"),), census=(1, 0)):
     return recipe_from_dict({
         "name": "test", "kind": "constrained", "valid_range": [0.1, 1.0],
-        "census": {"unit": 1, "ratio": 0}, "variables": list(variables),
+        "census": {"unit": census[0], "ratio": census[1]}, "variables": list(variables),
         "defines": defines, "equations": equations, "verify_index": verify_index,
         "r0": 0.5, "guess": {v: 1.0 for v in variables},
         "lattice": {"u": list(lattice[0]), "v": list(lattice[1])},
@@ -258,7 +258,8 @@ def every_operator_recipe():
         verify_index=4,
         lattice=(("k*u - 3", "y1 + r"), ("s**2 + 1/p", "-(w*r)**-2")),
         cell=(("0", "0", "one"), ("u/k - p", "-s + r**3", "ratio"),
-              ("2.5*p*w", "k**0 - z/3", "ratio")))
+              ("2.5*p*w", "k**0 - z/3", "ratio")),
+        census=(1, 2))
 
 
 def test_every_operator_matches_duals():

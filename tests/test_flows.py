@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -95,8 +96,9 @@ class TestSequentialFlow:
             domain, value = eval_flow(recipe, float(r))
             assert abs(value - closed_form_841(float(r))) <= 1e-12
             assert validate(domain, tol=1e-9) == []
-            assert domain.radius_census()[1.0] == 2
-            assert domain.radius_census()[float(r)] == 2
+            census = Counter(d.radius for d in domain.discs)
+            assert census[1.0] == 2
+            assert census[float(r)] == 2
 
     def test_rejects_radius_outside_range(self):
         recipe = builtin_recipes()["flow-841-mid"]
@@ -106,12 +108,11 @@ class TestSequentialFlow:
             eval_flow(recipe, 0.7)
 
     def test_census_mismatch_raises(self):
-        recipe = builtin_recipes()["flow-841-mid"]
+        # refused when read: the cell holds (2, 2)
         obj = recipe_to_dict_841()
         obj["census"] = {"unit": 3, "ratio": 2}
-        bad = recipe_from_dict(obj)
-        with pytest.raises(InvalidPacking):
-            eval_flow(bad, 0.5)
+        with pytest.raises(RecipeError, match=r"census \(3, 2\) but the cell holds \(2, 2\)"):
+            recipe_from_dict(obj)
 
     def test_overlap_message_names_least_gap(self, monkeypatch):
         # validate lists rows in (i, j, m, n) order, not by gap
@@ -134,7 +135,7 @@ class TestConstrainedFlow:
     def test_census(self):
         recipe = builtin_recipes()["flow-r6-1"]
         domain, _ = eval_flow(recipe, 0.5)
-        assert domain.radius_census() == {1.0: 1, 0.5: 6}
+        assert Counter(d.radius for d in domain.discs) == {1.0: 1, 0.5: 6}
 
     def test_continuation_is_deterministic(self):
         recipe = builtin_recipes()["flow-r6-1"]
@@ -679,7 +680,7 @@ def one_scan_curve(grid, recipes):
         for name, recipe in recipes.items():
             if recipe.contains(r):
                 try:
-                    cells.append((k, name, flows.build_checked(recipe, r)))
+                    cells.append((k, name, recipe.build(r)))
                 except (NoSolution, InvalidPacking, DomainError):
                     cells.append((k, name, None))
     scans = iter(validate_many([domain for *_, domain in cells if domain is not None]))

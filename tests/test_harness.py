@@ -12,7 +12,6 @@ from bidisc.errors import DepthExceeded, DomainError
 from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PRECISION,
-    ProofTrace,
     TraceNode,
     certify_interval,
     find_delta,
@@ -135,9 +134,9 @@ class TestFindDelta:
 class TestCertifyInterval:
     def test_single_leaf_success(self):
         trace = certify_interval(BLIND, Interval(0.743, 0.99), delta1())
-        assert trace.success
+        assert trace.verdict
         assert trace.leaf_count == 1
-        assert trace.root.verdict
+        assert not trace.children
 
     def test_split_leaves_tile_exactly(self):
         # the bound on the whole range lies above delta, which forces
@@ -145,8 +144,8 @@ class TestCertifyInterval:
         # overlaps
         c = make_certifier("florian")
         trace = certify_interval(c, Interval(0.9, 0.99), 0.9075)
-        assert trace.success
-        leaves = sorted(trace.root.leaves(), key=lambda n: n.interval.lo)
+        assert trace.verdict
+        leaves = sorted(trace.leaves(), key=lambda n: n.interval.lo)
         assert leaves[0].interval.lo == 0.9
         assert leaves[-1].interval.hi == 0.99
         for left, right in zip(leaves, leaves[1:]):
@@ -157,13 +156,13 @@ class TestCertifyInterval:
         with pytest.raises(DepthExceeded) as err:
             certify_interval(c, Interval(0.70, 0.99), delta1(), max_depth=12)
         trace = err.value.trace
-        assert isinstance(trace, ProofTrace)
-        assert not trace.success
-        failing = trace.failing_leaves()
+        assert isinstance(trace, TraceNode)
+        assert not trace.verdict
+        failing = [leaf for leaf in trace.leaves() if not leaf.verdict]
         assert failing
         # every failing leaf sits below the crossing radius, every passing
         # one above: the failure localizes the obstruction
-        for leaf in trace.root.leaves():
+        for leaf in trace.leaves():
             assert bool(leaf.verdict) == (leaf.interval.lo >= R_BLIND - 1e-12)
 
     def test_max_depth_validated(self):
@@ -179,12 +178,12 @@ class TestCertifyInterval:
 
     def test_degenerate_interval(self):
         trace = certify_interval(FLORIAN, Interval(0.5), 0.92)
-        assert trace.success
+        assert trace.verdict
         assert trace.leaf_count == 1
 
     def test_node_count_consistent(self):
         trace = certify_interval(make_certifier("florian"), Interval(0.9, 0.99), 0.9075)
-        leaves = list(trace.root.leaves())
+        leaves = list(trace.leaves())
         assert trace.leaf_count == len(leaves)
         assert trace.node_count >= 2 * trace.leaf_count - 1
 
@@ -221,7 +220,7 @@ def full_bisection(c, r, delta, max_depth):
         right = descend(Interval(mid, iv.hi), depth + 1)
         return TraceNode(iv, delta, left.verdict and right.verdict, (left, right))
 
-    return ProofTrace(descend(r, 1))
+    return descend(r, 1)
 
 
 def depth_first(c, r, delta, max_depth):
@@ -245,7 +244,7 @@ def depth_first(c, r, delta, max_depth):
         right = descend(Interval(mid, iv.hi), depth + 1)
         return TraceNode(iv, delta, left.verdict and right.verdict, (left, right))
 
-    return ProofTrace(descend(r, 1))
+    return descend(r, 1)
 
 
 def certified(c, r, delta, max_depth=DEFAULT_MAX_DEPTH):
@@ -278,7 +277,7 @@ class TestRefutation:
             certify_interval(BLIND, Interval(0.3, 0.99), 0.931)
         trace = err.value.trace
         assert trace.node_count <= 2 * DEFAULT_MAX_DEPTH
-        for leaf in trace.root.leaves():
+        for leaf in trace.leaves():
             assert leaf.verdict == (leaf.interval.lo >= BLIND_MIN_RATIO)
 
     @pytest.mark.parametrize("certifier",
@@ -308,12 +307,12 @@ class TestRefutation:
                 new = certify_interval(certifier, Interval(lo, hi), delta, max_depth)
             except DepthExceeded as exc:
                 new = exc.trace
-            assert new.success == old.success
-            if new.success:
-                assert new.root == old.root
+            assert new.verdict == old.verdict
+            if new.verdict:
+                assert new == old
             else:
                 failures += 1
-                compare(new.root, old.root, 1, max_depth)
+                compare(new, old, 1, max_depth)
         assert 0 < failures < 12
 
 
@@ -342,10 +341,11 @@ class TestLevelOrder:
         c, lo, hi, delta, max_depth, success, domain_leaves = case
         old = depth_first(c, Interval(lo, hi), delta, max_depth)
         new = certified(c, Interval(lo, hi), delta, max_depth)
-        assert new.root == old.root
-        assert new.success == success
-        assert sum(1 for leaf in new.failing_leaves()
-                   if bound_one(c, leaf.interval) is None) == domain_leaves
+        assert new == old
+        assert new.verdict == success
+        assert all(leaf.verdict for leaf in new.leaves()) == success
+        assert sum(1 for leaf in new.leaves() if not leaf.verdict
+                   and bound_one(c, leaf.interval) is None) == domain_leaves
 
     def test_913_nodes_at_931(self):
         trace = certify_interval(FLORIAN, Interval(0.3, 0.99), 0.931)
@@ -360,7 +360,7 @@ class TestLevelOrder:
         calls = []
         trace = certified(counting(certifier, calls), Interval(lo, 0.99), delta, 12)
         depth = 0
-        level = [trace.root]
+        level = [trace]
         while level:
             depth += 1
             level = [child for node in level for child in node.children]

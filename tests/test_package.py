@@ -85,17 +85,33 @@ def test_one_rounded_arithmetic():
                      ("intervals", "Interval.from_fraction", "_up")}
 
 
+def _defined_in_src():
+    """(module, name) of each function, class and assigned name in src,
+    methods and nested definitions included."""
+    found = set()
+    for path in sorted((ROOT / "src" / "bidisc").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        found |= {(path.name, target.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+    return found
+
+
 def test_only_tests_use_the_doubles_and_oracles():
     # the certifier classes, the dichotomy's start error and the closed-form
     # densities are gone from the package: a certifier is its bound
     # function, and the test doubles and oracles live under tests/
     gone = {"Certifier", "BlindCertifier", "FlorianCertifier", "ThresholdCertifier",
             "_each", "InitialBoundsInvalid", "closed_form_841", "closed_form_r6"}
-    for path in sorted((ROOT / "src" / "bidisc").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined = {node.name for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                    for target in node.targets if isinstance(target, ast.Name)}
-        assert not defined & gone, path.name
+    assert not {(module, name) for module, name in _defined_in_src() if name in gone}
+    assert not set(bidisc.__all__) & gone
+
+
+def test_no_layer_restates_what_it_wraps():
+    # a recipe's census is checked when the file is read, so no built cell
+    # is recounted; a proof is the root TraceNode of its bisection tree
+    gone = {"build_checked", "radius_census", "ProofTrace"}
+    assert not {(module, name) for module, name in _defined_in_src() if name in gone}
     assert not set(bidisc.__all__) & gone
