@@ -262,6 +262,10 @@ def builtin_recipes() -> dict[str, FlowRecipe]:
 
 _MAX_STEP = 1e-3
 _MIN_STEP = 1e-9
+# Relative length by which the last step may exceed the step size: grid
+# ratios ``lo + k*step`` one _MAX_STEP apart can differ by a rounding error
+# more than _MAX_STEP, and would otherwise take a second, ulp-short step.
+_STEP_SLACK = 1e-9
 _VERIFY_TOL = 1e-8
 
 # Per-recipe solution paths: name -> sorted list of (r, values), values a
@@ -338,8 +342,14 @@ def _predict(path: list[tuple[float, list[float]]], rs: list[float],
 def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     """Unknown values at ratio r, walked from the recipe's seed point.
 
-    The walk keeps its points as lists of floats, and only the result
-    becomes an ndarray.
+    The walk starts at the path point nearest r and steps toward r, each
+    step corrected by Newton from a secant prediction.  A step is at most
+    ``_MAX_STEP`` long, halved on each failed correction and doubled back
+    on each success; when r lies within the step size, up to a relative
+    ``_STEP_SLACK``, the step goes to r itself, so a query a rounding error
+    more than one step from the path takes one correction, not two.  The
+    walk keeps its points as lists of floats, and only the result becomes
+    an ndarray.
     """
     path = _paths.get(recipe.name)
     if path is None or _path_owners[recipe.name] is not recipe:
@@ -360,8 +370,10 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     step = _MAX_STEP
     while current != r:
         remaining = r - current
-        move = math.copysign(min(step, abs(remaining)), remaining)
-        target = r if abs(remaining) <= step else current + move
+        if abs(remaining) <= step * (1.0 + _STEP_SLACK):
+            target = r
+        else:
+            target = current + math.copysign(step, remaining)
         try:
             sol = _correct(recipe, target, _predict(path, rs, target))
         except (NoConvergence, SingularJacobian) as exc:

@@ -9,12 +9,21 @@ finite-difference step tuning is involved.
 The systems are small (six unknowns for the densest recipe), so a numpy
 call costs more than the arithmetic it does.  The point, the residuals,
 their max-norm and the damped updates are Python floats, and each iteration
-makes one numpy call: the linear solve for the Newton step.
+makes one numpy call: the linear solve for the Newton step.  That call is
+``solve1``, the LAPACK gufunc that ``np.linalg.solve`` itself calls for a
+one-dimensional right side, from numpy's private ``_umath_linalg`` module
+(the same name in numpy 1.24 through 2.4).  Called directly it gives the same bits in
+about half the time on a 6×6 system, whose solve costs less than the
+wrapper's shape checks, type promotion and error-state setup;
+``tests/test_solve.py`` pins it to ``np.linalg.solve``.  The gufunc returns
+nan for a singular matrix where the wrapper raises, and the iteration's
+finiteness check turns that into SingularJacobian.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from .errors import NoConvergence, SingularJacobian
 
@@ -55,35 +64,40 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
     raised.  A singular Jacobian raises SingularJacobian.  A point where
     the residuals divide by zero or overflow (ZeroDivisionError or
     OverflowError) has an infinite norm: a trial step there is rejected, and
-    a guess there leaves no finite Newton step.
+    a guess there leaves no finite Newton step, so SingularJacobian is
+    raised without evaluating the Jacobian.  A Jacobian that is not n×n
+    raises ValueError.
 
-    The only numpy call of an iteration is the ``np.linalg.solve`` of the
-    step; the rest is the same IEEE arithmetic on Python floats that numpy
-    would do element by element, so every iterate has numpy's bits.
+    The only numpy call of an iteration is the ``solve1`` gufunc for the
+    step, the one behind ``np.linalg.solve``, under one ``np.errstate`` for
+    the whole solve, so a singular matrix's nan step warns nowhere; the rest
+    is the same IEEE arithmetic on Python floats that numpy would do element
+    by element, so every iterate has numpy's bits.
     """
     x = [float(v) for v in guess]
     fx, norm = _trial(residuals, x)
     if len(fx) != len(x):
         raise ValueError(f"system of {len(fx)} equations with {len(x)} unknowns is not square")
-    for _ in range(max_iter):
-        if norm <= tol:
-            return np.array(x)
-        try:
-            step = np.linalg.solve(jacobian(x), [-v for v in fx]).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not all(map(math.isfinite, step)):
-            raise SingularJacobian("Newton step is not finite")
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            x_new = [a + scale * d for a, d in zip(x, step)]
-            f_new, n_new = _trial(residuals, x_new)
-            if n_new < norm or n_new <= tol:
-                x, fx, norm = x_new, f_new, n_new
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
+    if not math.isfinite(norm):
+        # a non-finite residual gives a non-finite step whatever the Jacobian
+        raise SingularJacobian("Newton step is not finite")
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            if norm <= tol:
+                return np.array(x)
+            step = solve1(jacobian(x), [-v for v in fx], signature="dd->d").tolist()
+            if not all(map(math.isfinite, step)):
+                raise SingularJacobian("Newton step is not finite")
+            scale = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                x_new = [a + scale * d for a, d in zip(x, step)]
+                f_new, n_new = _trial(residuals, x_new)
+                if n_new < norm or n_new <= tol:
+                    x, fx, norm = x_new, f_new, n_new
+                    break
+                scale *= 0.5
+            else:
+                raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
     if norm <= tol:
         return np.array(x)
     raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")

@@ -602,6 +602,28 @@ def test_malformed_recipe_is_config_error(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+def test_recipe_seed_on_a_pole_warns(tmp_path):
+    # flow-r6-1 with a pole at its seed's x1: the residuals at the seed
+    # divide by zero, so there is no Newton step and the recipe fails at
+    # every grid point, in a new process as a user runs it
+    with open("src/bidisc/data/flow_r6_1.json") as fh:
+        obj = json.load(fh)
+    obj["name"] = "pole"
+    obj["equations"][0] += f" + 1/(x1 - {obj['guess']['x1']!r})"
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(obj))
+    argv = [sys.executable, "-m", "bidisc.cli", "lower", "--range", "0.39:0.41",
+            "--step", "0.01"]
+    env = dict(os.environ, PYTHONPATH="src")
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True)
+    proc = subprocess.run([*argv, "--recipe", str(path)], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == plain.returncode == 0
+    assert proc.stdout == plain.stdout
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0] == "warning: recipe pole failed at 3 of 3 grid points"
+
+
 def test_csv_chunks():
     # the header alone, then at most _CSV_BLOCK rows per chunk; fields by
     # str.format, so a float prints as its repr

@@ -286,8 +286,10 @@ def _linear_solve_constrained(paths, recipe, r):
     step = flows._MAX_STEP
     while current != r:
         remaining = r - current
-        move = math.copysign(min(step, abs(remaining)), remaining)
-        target = r if abs(remaining) <= step else current + move
+        if abs(remaining) <= step * (1.0 + flows._STEP_SLACK):
+            target = r
+        else:
+            target = current + math.copysign(step, remaining)
         try:
             sol = np.array(flows._correct(recipe, target, _linear_predict(path, target)))
         except (NoConvergence, SingularJacobian) as exc:
@@ -333,9 +335,35 @@ class TestContinuationLookup:
             assert all(type(v) is float for v in got)
             assert repr(got) == repr(expect.tolist())
 
+    def test_grid_neighbour_a_rounding_error_past_the_step(self, monkeypatch):
+        # neighbouring grid ratios lo + k*step can lie a rounding error more
+        # than _MAX_STEP apart (here the grid of 0.3605:0.99 at step 0.001),
+        # where a full step lands an ulp short; the walk reaches the second
+        # ratio in one correction
+        a, b = 0.3605 + 352 * 0.001, 0.3605 + 353 * 0.001
+        assert (a, b) == (0.7124999999999999, 0.7135)
+        assert b - a > flows._MAX_STEP and a + flows._MAX_STEP < b
+        recipe = builtin_recipes()["flow-r6-1"]
+        clear_continuation_cache()
+        flows.solve_constrained(recipe, a)
+        targets = []
+        real = flows._correct
+
+        def counting(recipe, r, guess):
+            targets.append(r)
+            return real(recipe, r, guess)
+
+        monkeypatch.setattr(flows, "_correct", counting)
+        flows.solve_constrained(recipe, b)
+        assert targets == [b]
+        clear_continuation_cache()
+
     def test_matches_linear_scan_bit_for_bit(self):
         recipe = builtin_recipes()["flow-r6-1"]
-        queries = (0.5, 0.45, 0.7, 0.44999, 0.9, 0.6, 0.7, 0.3999)
+        # 0.9025000000000001 lies a rounding error more than _MAX_STEP
+        # above the path point 0.9015, and a full step lands an ulp short
+        queries = (0.5, 0.45, 0.7, 0.44999, 0.9, 0.6, 0.7, 0.3999, 0.9015,
+                   0.9025000000000001)
         clear_continuation_cache()
         new = [repr(flows.solve_constrained(recipe, r).tolist()) for r in queries]
         paths = {}
