@@ -19,7 +19,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bidisc import flows
-from bidisc.errors import NoConvergence, SingularJacobian
+from bidisc.errors import NoConvergence
 from bidisc.flows import builtin_recipes, eval_flow, clear_continuation_cache
 from closed_forms import closed_form_841, closed_form_r6
 from bidisc.geometry import density, validate
@@ -47,9 +47,9 @@ def main():
         trial = dataclasses.replace(rec, verify_index=held, guess=tuple(guess))
         try:
             residuals, jacobian, values = trial.compiled
-            sol = newton_solve(lambda q: residuals(q, R0), lambda q: jacobian(q, R0),
-                               guess, tol=1e-13)
-        except (NoConvergence, SingularJacobian) as exc:
+            sol = np.array(newton_solve(lambda q: residuals(q, R0),
+                                        lambda q: jacobian(q, R0), guess, tol=1e-13))
+        except NoConvergence as exc:
             print(f"  held={held}: solver failed: {exc}")
             continue
         resid = abs(values(sol, R0)[0])

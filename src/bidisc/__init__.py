@@ -10,7 +10,7 @@ from .bounds import (BLIND_MIN_RATIO, BoundSample, delta1, delta1_interval,
                      lipschitz_envelope, lipschitz_slope, r_blind_interval,
                      samples_from_csv, suspicious_samples)
 from .errors import (BidiscError, DepthExceeded, DomainError, InvalidPacking,
-                     NoConvergence, NoSolution, RecipeError, SingularJacobian)
+                     NoConvergence, NoSolution, RecipeError)
 from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
                     builtin_recipes, eval_flow, find_crossings, interstitial,
                     load_recipe, lower_bound_curve, recipe_from_dict)
@@ -30,7 +30,7 @@ __all__ = [
     "FundamentalDomain", "Interval", "InvalidPacking",
     "NoConvergence", "NoSolution", "Polynomial",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",
-    "SingularJacobian", "TraceNode", "Violation",
+    "TraceNode", "Violation",
     "builtin_recipes", "certify_interval", "delta1",
     "delta1_interval", "density",
     "eval_flow", "find_crossings", "find_delta", "florian_angles",

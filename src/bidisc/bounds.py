@@ -202,8 +202,10 @@ class BoundSample:
 
 
 def suspicious_samples(samples: Sequence[BoundSample]) -> list[BoundSample]:
-    """Samples claiming an upper bound below delta1, which cannot be correct
-    (the hexagonal packing of equal discs exists at every ratio)."""
+    """Samples claiming an upper bound below delta1.  A certifier bounds
+    packings that mix both disc sizes, so its value below delta1, as the
+    blind bound's on [r_blind, 1], proves that none beats the hexagonal
+    packing; a sample read from a file makes that claim unproven."""
     base = delta1()
     return [s for s in samples if s.value < base]
 

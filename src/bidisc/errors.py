@@ -10,11 +10,7 @@ class DomainError(BidiscError, ValueError):
 
 
 class NoConvergence(BidiscError, RuntimeError):
-    """Newton iteration failed to reach the requested residual tolerance."""
-
-
-class SingularJacobian(BidiscError, RuntimeError):
-    """The Jacobian of a square system was singular at the current iterate."""
+    """Newton iteration stalled, ran out of iterations or took a non-finite step."""
 
 
 class NoSolution(BidiscError, ValueError):

@@ -52,6 +52,10 @@ def _check(node: ast.AST, names: set[str], src: str) -> None:
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise RecipeError(f"non-numeric constant in {src!r}")
+        try:
+            float(node.value)
+        except OverflowError:
+            raise RecipeError(f"constant too large for a float in {src!r}") from None
     else:
         raise RecipeError(f"syntax not allowed in {src!r}: {type(node).__name__}")
 
@@ -89,10 +93,10 @@ def _tree(expr: Expr) -> ast.AST:
 
 
 def _literal(value) -> str:
-    # a source literal is never negative or nan; 1e999 parses as inf
-    if isinstance(value, float) and not math.isfinite(value):
-        return "1e999"
-    return repr(value)
+    # every constant a float, so no integer power runs unbounded (3 ** 3000000
+    # takes half a second); a literal is never negative or nan, 1e999 is inf
+    value = float(value)
+    return repr(value) if math.isfinite(value) else "1e999"
 
 
 def _plain(node: ast.AST, local: dict[str, str]) -> str:
@@ -132,7 +136,7 @@ class _Forward:
 
     def lift(self, node: ast.AST, value: str) -> tuple[str, list[str]]:
         if isinstance(node, ast.Constant):
-            value = _literal(float(node.value))
+            value = _literal(node.value)
         else:
             value = self.bind(f"float({value})")
         return value, ["0.0"] * self.n
@@ -204,12 +208,12 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
     ``q`` holds the values of ``unknowns`` in order and ``r`` the value of
     the name ``r``.  Each function evaluates the defines in order first.
     ``residuals`` returns the values of ``equations`` and ``values`` those
-    of ``outputs``, each the source's operations done on the scalar types
-    it is given: a numpy ``q`` gives numpy floats, an integer constant stays
-    an int.  ``jacobian`` returns one row of partial derivatives per
-    equation, in Python floats; the row of an equation free of the unknowns
-    is zero.  Every recipe name becomes a generated local, so none can
-    shadow a temporary, a parameter or a builtin.
+    of ``outputs``, each the source's operations, every constant a float,
+    done on the scalar types it is given: a numpy ``q`` gives numpy floats.
+    ``jacobian`` returns one row of partial derivatives per equation, in
+    Python floats; the row of an equation free of the unknowns is zero.
+    Every recipe name becomes a generated local, so none can shadow a
+    temporary, a parameter or a builtin.
     """
     n = len(unknowns)
     names = {"r": "r"}

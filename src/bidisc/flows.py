@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -35,8 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import SQRT3, delta1
-from .errors import (DomainError, InvalidPacking, NoConvergence, NoSolution,
-                     RecipeError, SingularJacobian)
+from .errors import DomainError, InvalidPacking, NoConvergence, NoSolution, RecipeError
 from .expressions import Expr, compile_system
 from .geometry import Disc, FundamentalDomain, density, stick, validate, validate_many
 from .intervals import Interval, narrow
@@ -173,15 +173,13 @@ class ConstrainedRecipe(FlowRecipe):
             _, ux, uy, vx, vy, *xy = self.compiled[2](values, r)
         except (ZeroDivisionError, OverflowError) as exc:
             raise InvalidPacking(f"{self.name}: {exc} at r={r}") from exc
-        # float() turns integer constants such as a centre at "0" into the
-        # floats that FundamentalDomain keeps without a copy
-        r = float(r)
-        cell = tuple(Disc(float(x), float(y), 1.0 if sel == "one" else r)
+        # float values and a float r give floats, kept by FundamentalDomain as they are
+        cell = tuple(Disc(x, y, 1.0 if sel == "one" else r)
                      for x, y, (_, _, sel) in zip(xy[::2], xy[1::2], self.cell))
         return FundamentalDomain((ux, uy), (vx, vy), cell)
 
     def build(self, r: float) -> FundamentalDomain:
-        return self.build_from(solve_constrained(self, r).tolist(), r)
+        return self.build_from(solve_constrained(self, r), r)
 
 
 def _counted(recipe: FlowRecipe, census: tuple[int, int]) -> FlowRecipe:
@@ -268,18 +266,17 @@ _MIN_STEP = 1e-9
 _STEP_SLACK = 1e-9
 _VERIFY_TOL = 1e-8
 
-# Per-recipe solution paths: name -> sorted list of (r, values), values a
-# list of floats, with _path_keys[name] the same r values as a plain list for
-# bisect and _path_owners[name] the recipe that walked them, the only one to
-# read them.  Correct for single-writer access; concurrent sweeps must
-# partition r ranges.
+# Per-recipe solution paths: name -> list of (r, values) sorted by r, values
+# a list of floats, with _path_owners[name] the recipe that walked them, the
+# only one to read them.  Correct for single-writer access; concurrent sweeps
+# must partition r ranges.
 _paths: dict[str, list[tuple[float, list[float]]]] = {}
-_path_keys: dict[str, list[float]] = {}
 _path_owners: dict[str, ConstrainedRecipe] = {}
+_ratio_of = operator.itemgetter(0)
 
 
 def clear_continuation_cache(name: str | None = None) -> None:
-    for cache in (_paths, _path_keys, _path_owners):
+    for cache in (_paths, _path_owners):
         if name is None:
             cache.clear()
         else:
@@ -291,7 +288,7 @@ def _correct(recipe: ConstrainedRecipe, r: float, guess) -> list[float]:
     the held-out equation holds there too."""
     residuals, jacobian, values = recipe.compiled
     sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess,
-                       tol=1e-12).tolist()
+                       tol=1e-12)
     try:
         resid = values(sol, r)[0]
     except (ZeroDivisionError, OverflowError):
@@ -302,36 +299,37 @@ def _correct(recipe: ConstrainedRecipe, r: float, guess) -> list[float]:
     return sol
 
 
-def _nearest(rs: list[float], target: float) -> int:
-    """First index of the least abs(rs[i] - target) in the sorted list rs.
+def _nearest(path: list[tuple[float, list[float]]], target: float) -> int:
+    """First index of the least abs(path[i][0] - target) in a path sorted
+    by r.
 
-    The same index as ``min(range(len(rs)), key=...)``.  The rounded
+    The same index as ``min(range(len(path)), key=...)``.  The rounded
     distance does not increase up to the insertion point and does not
     decrease from it, so the least one is at one of its two neighbours, and
     equal distances before it can only sit directly to its left.
     """
-    pos = bisect.bisect_left(rs, target)
-    if pos == len(rs) or (pos > 0 and abs(rs[pos - 1] - target) <= abs(rs[pos] - target)):
+    pos = bisect.bisect_left(path, target, key=_ratio_of)
+    if pos == len(path) or (pos > 0 and
+                            abs(path[pos - 1][0] - target) <= abs(path[pos][0] - target)):
         pos -= 1
-    best = abs(rs[pos] - target)
-    while pos > 0 and abs(rs[pos - 1] - target) == best:
+    best = abs(path[pos][0] - target)
+    while pos > 0 and abs(path[pos - 1][0] - target) == best:
         pos -= 1
     return pos
 
 
-def _predict(path: list[tuple[float, list[float]]], rs: list[float],
-             target: float) -> list[float]:
+def _predict(path: list[tuple[float, list[float]]], target: float) -> list[float]:
     """Secant extrapolation from the two nearest path points, else nearest.
 
     The secant is ``qa[i] + (qb[i] - qa[i]) * t`` with ``t = (target - ra)
     / (rb - ra)`` computed once, element by element on floats: the
     operations, and so the bits, of the same expression broadcast in numpy.
     """
-    k = _nearest(rs, target)
+    k = _nearest(path, target)
     if len(path) == 1:
         return list(path[k][1])
-    k2 = k - 1 if (k == len(path) - 1 or
-                   (k > 0 and abs(rs[k - 1] - target) <= abs(rs[k + 1] - target))) else k + 1
+    k2 = k - 1 if k == len(path) - 1 or (k > 0 and abs(path[k - 1][0] - target)
+                                         <= abs(path[k + 1][0] - target)) else k + 1
     (ra, qa), (rb, qb) = path[k], path[k2]
     if ra == rb:
         return list(qa)
@@ -339,7 +337,7 @@ def _predict(path: list[tuple[float, list[float]]], rs: list[float],
     return [a + (b - a) * t for a, b in zip(qa, qb)]
 
 
-def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
+def solve_constrained(recipe: ConstrainedRecipe, r: float) -> list[float]:
     """Unknown values at ratio r, walked from the recipe's seed point.
 
     The walk starts at the path point nearest r and steps toward r, each
@@ -348,25 +346,23 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
     on each success; when r lies within the step size, up to a relative
     ``_STEP_SLACK``, the step goes to r itself, so a query a rounding error
     more than one step from the path takes one correction, not two.  The
-    walk keeps its points as lists of floats, and only the result becomes
-    an ndarray.
+    result is a new list of floats, which the caller may change without
+    changing the path.
     """
     path = _paths.get(recipe.name)
     if path is None or _path_owners[recipe.name] is not recipe:
         try:
             seed = _correct(recipe, recipe.r0, recipe.guess)
-        except (NoConvergence, SingularJacobian) as exc:
+        except NoConvergence as exc:
             raise NoSolution(f"{recipe.name}: no solution at r0={recipe.r0}: {exc}") from exc
         path = [(recipe.r0, seed)]
         _paths[recipe.name] = path
-        _path_keys[recipe.name] = [recipe.r0]
         _path_owners[recipe.name] = recipe
-    rs = _path_keys[recipe.name]
-    pos = bisect.bisect_left(rs, r)
-    if pos < len(rs) and rs[pos] == r:
-        return np.array(path[pos][1])
+    pos = bisect.bisect_left(path, r, key=_ratio_of)
+    if pos < len(path) and path[pos][0] == r:
+        return list(path[pos][1])
 
-    current, sol = path[_nearest(rs, r)]
+    current, sol = path[_nearest(path, r)]
     step = _MAX_STEP
     while current != r:
         remaining = r - current
@@ -375,19 +371,17 @@ def solve_constrained(recipe: ConstrainedRecipe, r: float) -> np.ndarray:
         else:
             target = current + math.copysign(step, remaining)
         try:
-            sol = _correct(recipe, target, _predict(path, rs, target))
-        except (NoConvergence, SingularJacobian) as exc:
+            sol = _correct(recipe, target, _predict(path, target))
+        except NoConvergence as exc:
             step *= 0.5
             if step < _MIN_STEP:
                 raise NoSolution(
                     f"{recipe.name}: continuation stalled near r={current}: {exc}") from exc
             continue
-        pos = bisect.bisect_right(rs, target)
-        rs.insert(pos, target)
-        path.insert(pos, (target, sol))
+        bisect.insort_right(path, (target, sol), key=_ratio_of)
         current = target
         step = min(step * 2.0, _MAX_STEP)
-    return np.array(sol)
+    return list(sol)
 
 
 # ---------------------------------------------------------------------------

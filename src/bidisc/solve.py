@@ -17,7 +17,7 @@ about half the time on a 6×6 system, whose solve costs less than the
 wrapper's shape checks, type promotion and error-state setup;
 ``tests/test_solve.py`` pins it to ``np.linalg.solve``.  The gufunc returns
 nan for a singular matrix where the wrapper raises, and the iteration's
-finiteness check turns that into SingularJacobian.
+finiteness check turns that into NoConvergence.
 """
 
 import math
@@ -25,8 +25,9 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import solve1
 
-from .errors import NoConvergence, SingularJacobian
+from .errors import NoConvergence
 
+_MAX_ITER = 60
 _MAX_HALVINGS = 40
 
 
@@ -47,26 +48,25 @@ def _trial(residuals, x: list[float]) -> tuple[list[float], float]:
     return f, _norm(f)
 
 
-def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
-                 max_iter: int = 60) -> np.ndarray:
+def newton_solve(residuals, jacobian, guess, tol: float = 1e-12) -> list[float]:
     """Solve the square system F(x) = 0 to max-norm residual <= tol.
 
     ``residuals`` maps a point, a list of floats, to the list of its
     residuals, one per unknown; a system whose residual count differs from
     the unknown count raises ValueError on its first evaluation.
     ``jacobian`` maps a point to the rows of the residuals' partial
-    derivatives, one row per residual.  The solution is returned as an
-    ndarray.
+    derivatives, one row per residual.  The solution is returned as a new
+    list of floats.
 
-    Each iteration takes the full Newton step and halves it (up to
-    ``_MAX_HALVINGS`` times) until the residual max-norm decreases; if no
-    damped step improves, or the iteration budget runs out, NoConvergence is
-    raised.  A singular Jacobian raises SingularJacobian.  A point where
-    the residuals divide by zero or overflow (ZeroDivisionError or
-    OverflowError) has an infinite norm: a trial step there is rejected, and
-    a guess there leaves no finite Newton step, so SingularJacobian is
-    raised without evaluating the Jacobian.  A Jacobian that is not n×n
-    raises ValueError.
+    Each of at most ``_MAX_ITER`` iterations takes the full Newton step and
+    halves it (up to ``_MAX_HALVINGS`` times) until the residual max-norm
+    decreases.  NoConvergence is raised if no damped step improves, if the
+    iteration budget runs out, or if the Newton step is not finite, as at a
+    singular Jacobian.  A point where the residuals divide by zero or
+    overflow (ZeroDivisionError or OverflowError) has an infinite norm: a
+    trial step there is rejected, and a guess there leaves no finite Newton
+    step, so NoConvergence is raised without evaluating the Jacobian.  A
+    Jacobian that is not n×n raises ValueError.
 
     The only numpy call of an iteration is the ``solve1`` gufunc for the
     step, the one behind ``np.linalg.solve``, under one ``np.errstate`` for
@@ -80,14 +80,14 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
         raise ValueError(f"system of {len(fx)} equations with {len(x)} unknowns is not square")
     if not math.isfinite(norm):
         # a non-finite residual gives a non-finite step whatever the Jacobian
-        raise SingularJacobian("Newton step is not finite")
+        raise NoConvergence("Newton step is not finite")
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             if norm <= tol:
-                return np.array(x)
+                return x
             step = solve1(jacobian(x), [-v for v in fx], signature="dd->d").tolist()
             if not all(map(math.isfinite, step)):
-                raise SingularJacobian("Newton step is not finite")
+                raise NoConvergence("Newton step is not finite")
             scale = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 x_new = [a + scale * d for a, d in zip(x, step)]
@@ -99,5 +99,5 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12, *,
             else:
                 raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
     if norm <= tol:
-        return np.array(x)
-    raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")
+        return x
+    raise NoConvergence(f"residual {norm:.3e} after {_MAX_ITER} iterations (tol {tol:.1e})")

@@ -359,9 +359,7 @@ class TestUpper:
         assert any(line.startswith("samples,") for line in err.splitlines())
 
     # an unclosed file warns from a finalizer, which pytest reports as an
-    # unraisable-exception warning; both are errors here
-    @pytest.mark.filterwarnings("error::ResourceWarning")
-    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    # unraisable-exception warning; pyproject.toml makes both errors
     def test_merged_external_samples(self, capsys, tmp_path):
         extra = tmp_path / "samples.csv"
         extra.write_text("r,value\n0.75,0.89\n")
@@ -580,6 +578,9 @@ MALFORMED_RECIPES = {
     "valid-range-above-one": ("flow_r6_1.json", "valid_range", lambda ends: [ends[0], 1.5]),
     "valid-range-nan": ("flow_r6_1.json", "valid_range", lambda ends: [math.nan, ends[1]]),
     "valid-range-infinite": ("flow_r6_1.json", "valid_range", lambda ends: [ends[0], math.inf]),
+    # a constant too large for a float, which every recipe constant becomes
+    "constant-too-large": ("flow_r6_1.json", "equations",
+                           lambda eqs: [eqs[0] + " + 0*1" + "0" * 400, *eqs[1:]]),
 }
 
 
@@ -622,6 +623,24 @@ def test_recipe_seed_on_a_pole_warns(tmp_path):
     assert proc.stdout == plain.stdout
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[0] == "warning: recipe pole failed at 3 of 3 grid points"
+
+
+def test_recipe_with_a_huge_power_fails_fast(tmp_path):
+    # 3**3000000 takes half a second in integer arithmetic, on every
+    # evaluation; as a float it overflows at once, and the seed solve fails
+    with open("src/bidisc/data/flow_r6_1.json") as fh:
+        obj = json.load(fh)
+    obj["name"] = "bigpow"
+    obj["equations"][0] += " + 0*3**3000000"
+    path = tmp_path / "bigpow.json"
+    path.write_text(json.dumps(obj))
+    proc = subprocess.run([sys.executable, "-m", "bidisc.cli", "lower", "--range", "0.5:0.5",
+                           "--step", "0.001", "--recipe", str(path)],
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                          text=True, timeout=5)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0] == "warning: recipe bigpow failed at 1 of 1 grid points"
 
 
 def test_csv_chunks():

@@ -1,6 +1,7 @@
 """Whitelisted arithmetic expressions used by recipe files, and the
 Newton code compiled from them."""
 
+import ast
 import random
 
 import numpy as np
@@ -63,6 +64,21 @@ def test_non_numeric_constant_rejected():
         Expr("x1 + 'a'", ("x1",))
 
 
+def test_constants_are_floats():
+    # integer constants compile as the floats they round to, so a huge
+    # power overflows at once instead of running in integer arithmetic
+    assert repr(value_of("2**3 - 7", (), ())) == "1.0"
+    assert repr(value_of("(2**53 + 1) - 2**53", (), ())) == "0.0"
+    with pytest.raises(OverflowError):
+        value_of("0*3**3000000", (), ())
+    with pytest.raises(OverflowError):
+        compile_system(("a",), (), [Expr("a + 0*3**3000000", ("a",))], ())[1]([1.0], 0.0)
+    with pytest.raises(RecipeError, match="constant too large for a float"):
+        Expr("x1 + 1" + "0" * 400, ("x1",))
+    with pytest.raises(RecipeError, match="constant too large for a float"):
+        Expr("x1**1" + "0" * 400, ("x1",))
+
+
 def test_syntax_error_rejected():
     with pytest.raises(RecipeError):
         Expr("x1 +", ("x1",))
@@ -86,8 +102,16 @@ def test_statements_rejected():
 # operations in the same order, so both agree by repr, signed zeros included.
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Every constant a float, as the compiled code has it."""
+
+    def visit_Constant(self, node):
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+
+
 def oracle(expr, env):
-    return eval(compile(expr.source, "<recipe>", "eval"), {"__builtins__": {}}, env)
+    tree = _FloatConstants().visit(ast.parse(expr.source, mode="eval"))
+    return eval(compile(tree, "<recipe>", "eval"), {"__builtins__": {}}, env)
 
 
 def environment(recipe, q, r):
@@ -166,6 +190,9 @@ class Dual:
         return o / self
 
     def __pow__(self, n):
+        # the source's integer exponents reach the oracle as floats
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:

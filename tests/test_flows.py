@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bidisc import flows
-from bidisc.errors import (DomainError, InvalidPacking, NoConvergence,
-                           NoSolution, RecipeError, SingularJacobian)
+from bidisc.errors import DomainError, InvalidPacking, NoConvergence, NoSolution, RecipeError
 from bidisc.flows import (
     builtin_recipes,
     clear_continuation_cache,
@@ -252,8 +251,8 @@ class TestConstrainedFlow:
         clear_continuation_cache()
 
 
-# Order-of-visit oracle: the path lookup as it was before the key list, one
-# linear scan of the whole path per query, with the path's points and the
+# Order-of-visit oracle: the path lookup as it was before it was bisected,
+# one linear scan of the whole path per query, with the path's points and the
 # secant prediction as ndarrays, as they were before the continuation moved
 # to lists of floats.
 
@@ -292,7 +291,7 @@ def _linear_solve_constrained(paths, recipe, r):
             target = current + math.copysign(step, remaining)
         try:
             sol = np.array(flows._correct(recipe, target, _linear_predict(path, target)))
-        except (NoConvergence, SingularJacobian) as exc:
+        except NoConvergence as exc:
             step *= 0.5
             if step < flows._MIN_STEP:
                 raise NoSolution(str(exc)) from exc
@@ -312,14 +311,14 @@ class TestContinuationLookup:
         rs = sorted(v / 8.0 for v in values)
         target = target / 16.0
         expect = min(range(len(rs)), key=lambda i: abs(rs[i] - target))
-        assert flows._nearest(rs, target) == expect
+        assert flows._nearest([(r, []) for r in rs], target) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.floats(-0.5, 1.5))
     def test_nearest_on_arbitrary_floats(self, values, target):
         rs = sorted(values)
         expect = min(range(len(rs)), key=lambda i: abs(rs[i] - target))
-        assert flows._nearest(rs, target) == expect
+        assert flows._nearest([(r, []) for r in rs], target) == expect
 
     def test_predict_on_lists_matches_numpy_form(self):
         # the secant on lists of floats gives the bits of the ndarray
@@ -330,7 +329,7 @@ class TestContinuationLookup:
                 rng.uniform(0.36, 0.99, size=6), size=int(rng.integers(1, 8))))
             path = [(r, rng.normal(scale=2.0, size=6).tolist()) for r in rs]
             target = float(rng.choice([*rs, *rng.uniform(0.3, 1.05, size=3)]))
-            got = flows._predict(path, rs, target)
+            got = flows._predict(path, target)
             expect = _linear_predict([(r, np.array(q)) for r, q in path], target)
             assert all(type(v) is float for v in got)
             assert repr(got) == repr(expect.tolist())
@@ -365,16 +364,29 @@ class TestContinuationLookup:
         queries = (0.5, 0.45, 0.7, 0.44999, 0.9, 0.6, 0.7, 0.3999, 0.9015,
                    0.9025000000000001)
         clear_continuation_cache()
-        new = [repr(flows.solve_constrained(recipe, r).tolist()) for r in queries]
+        new = [repr(flows.solve_constrained(recipe, r)) for r in queries]
         paths = {}
         old = [repr(_linear_solve_constrained(paths, recipe, r).tolist()) for r in queries]
         assert new == old
         # the path holds lists of floats, the oracle's ndarrays
         assert (repr(flows._paths[recipe.name])
                 == repr([(r, q.tolist()) for r, q in paths[recipe.name]]))
-        assert flows._path_keys[recipe.name] == [r for r, _ in flows._paths[recipe.name]]
         clear_continuation_cache()
-        assert flows._paths == {} and flows._path_keys == {}
+        assert flows._paths == {} and flows._path_owners == {}
+
+    def test_result_is_not_the_path(self):
+        # the caller owns the list solve_constrained returns, both for a
+        # walked ratio and for one already on the path
+        recipe = builtin_recipes()["flow-r6-1"]
+        clear_continuation_cache()
+        for r in (0.5, 0.5, 0.45):
+            sol = flows.solve_constrained(recipe, r)
+            assert type(sol) is list and all(type(v) is float for v in sol)
+            before = repr(flows._paths)
+            sol[0] = math.nan
+            sol.append(1.0)
+            assert repr(flows._paths) == before
+        clear_continuation_cache()
 
 
 def recipe_to_dict_841():

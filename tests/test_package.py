@@ -1,12 +1,13 @@
 """The package's public surface."""
 
 import ast
+import inspect
 import pathlib
 import re
 import shlex
 
 import bidisc
-from bidisc import cli
+from bidisc import cli, solve
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -96,6 +97,8 @@ def _defined_in_src():
         found |= {(path.name, target.id) for node in ast.walk(tree)
                   if isinstance(node, ast.Assign)
                   for target in node.targets if isinstance(target, ast.Name)}
+        found |= {(path.name, node.target.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
     return found
 
 
@@ -111,7 +114,10 @@ def test_only_tests_use_the_doubles_and_oracles():
 
 def test_no_layer_restates_what_it_wraps():
     # a recipe's census is checked when the file is read, so no built cell
-    # is recounted; a proof is the root TraceNode of its bisection tree
-    gone = {"build_checked", "radius_census", "ProofTrace"}
+    # is recounted; a proof is the root TraceNode of its bisection tree; a
+    # singular Jacobian is a NoConvergence; a continuation path is searched
+    # by its own ratios; Newton's iteration budget is a module constant
+    gone = {"build_checked", "radius_census", "ProofTrace", "SingularJacobian", "_path_keys"}
     assert not {(module, name) for module, name in _defined_in_src() if name in gone}
     assert not set(bidisc.__all__) & gone
+    assert "max_iter" not in inspect.signature(solve.newton_solve).parameters

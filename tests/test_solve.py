@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bidisc.errors import NoConvergence, SingularJacobian
+from bidisc import solve
+from bidisc.errors import NoConvergence
 from bidisc.expressions import Expr, compile_system
 from bidisc.solve import newton_solve
 
@@ -80,23 +81,31 @@ def test_newton_singular_jacobian():
 
     def jacobian(q):
         return [[2.0 * q[0], 1.0], [4.0 * q[0], 2.0]]
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(NoConvergence, match="^Newton step is not finite$"):
         newton_solve(system, jacobian, [3.0, 3.0])
 
 
 def test_newton_plain_number_residual_has_zero_gradient():
     # the second residual does not depend on q, so its Jacobian row is
     # zero and the linear solve fails
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(NoConvergence, match="^Newton step is not finite$"):
         newton_solve(lambda q: [q[0] - 1.0, 0.5], lambda q: [[1.0, 0.0], [0.0, 0.0]],
                      [0.0, 0.0])
 
 
-def test_newton_no_convergence():
+def test_newton_no_convergence(monkeypatch):
     # residual 1 everywhere but nonzero slope: every step fails to improve
+    monkeypatch.setattr(solve, "_MAX_ITER", 5)
     system = lambda q: [1.0 + 0.0 * q[0]]
-    with pytest.raises((NoConvergence, SingularJacobian)):
-        newton_solve(system, lambda q: [[0.0]], [0.0], max_iter=5)
+    with pytest.raises(NoConvergence):
+        newton_solve(system, lambda q: [[0.0]], [0.0])
+
+
+def test_newton_budget_runs_out(monkeypatch):
+    # x^5 = 32 from 40 needs more than two iterations
+    monkeypatch.setattr(solve, "_MAX_ITER", 2)
+    with pytest.raises(NoConvergence, match=r"after 2 iterations \(tol 1\.0e-12\)$"):
+        newton_solve(lambda q: [q[0] ** 5 - 32.0], lambda q: [[5.0 * q[0] ** 4]], [40.0])
 
 
 def test_newton_damping_reaches_distant_root():
@@ -108,15 +117,17 @@ def test_newton_damping_reaches_distant_root():
 
 def test_newton_immediate_return_at_root():
     system = lambda q: [q[0] - 1.0, q[1] + 2.0]
-    sol = newton_solve(system, lambda q: [[1.0, 0.0], [0.0, 1.0]], [1.0, -2.0])
-    assert sol.tolist() == [1.0, -2.0]
+    guess = [1.0, -2.0]
+    sol = newton_solve(system, lambda q: [[1.0, 0.0], [0.0, 1.0]], guess)
+    assert sol == [1.0, -2.0] and sol is not guess
 
 
 # The numpy form of newton_solve, as it was before the iteration moved to
 # Python floats: the point and the residuals are ndarrays, and the callbacks
-# see an ndarray point.
+# see an ndarray point.  A singular matrix, where np.linalg.solve raises, is
+# a NoConvergence as in newton_solve, and the solution is returned as a list.
 
-def _numpy_newton(residuals, jacobian, guess, tol=1e-12, *, max_iter=60):
+def _numpy_newton(residuals, jacobian, guess, tol=1e-12):
     def evaluate(x):
         return np.array([float(v) for v in residuals(x)], dtype=float)
 
@@ -125,16 +136,16 @@ def _numpy_newton(residuals, jacobian, guess, tol=1e-12, *, max_iter=60):
     if fx.size != x.size:
         raise ValueError(f"system of {fx.size} equations with {x.size} unknowns is not square")
     norm = np.max(np.abs(fx))
-    for _ in range(max_iter):
+    for _ in range(solve._MAX_ITER):
         if norm <= tol:
-            return x
+            return x.tolist()
         jac = np.array(jacobian(x), dtype=float)
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+            raise NoConvergence(str(exc)) from exc
         if not np.all(np.isfinite(step)):
-            raise SingularJacobian("Newton step is not finite")
+            raise NoConvergence("Newton step is not finite")
         scale = 1.0
         for _ in range(41):
             x_new = x + scale * step
@@ -147,8 +158,9 @@ def _numpy_newton(residuals, jacobian, guess, tol=1e-12, *, max_iter=60):
         else:
             raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
     if norm <= tol:
-        return x
-    raise NoConvergence(f"residual {norm:.3e} after {max_iter} iterations (tol {tol:.1e})")
+        return x.tolist()
+    raise NoConvergence(f"residual {norm:.3e} after {solve._MAX_ITER} iterations "
+                        f"(tol {tol:.1e})")
 
 
 def _outcome(solver, residuals, jacobian, guess, log):
@@ -163,10 +175,10 @@ def _outcome(solver, residuals, jacobian, guess, log):
     try:
         with np.errstate(all="ignore"):
             sol = solver(traced("F", residuals), traced("J", jacobian), guess)
-    except (ValueError, NoConvergence, SingularJacobian) as exc:
+    except (ValueError, NoConvergence) as exc:
         return type(exc).__name__, str(exc)
-    assert isinstance(sol, np.ndarray)
-    return repr(sol.tolist())
+    assert type(sol) is list and all(type(v) is float for v in sol)
+    return repr(sol)
 
 
 def test_replays_lower_sweep_as_numpy_form(monkeypatch):
@@ -181,9 +193,9 @@ def test_replays_lower_sweep_as_numpy_form(monkeypatch):
     recorded = []
     real = flows.newton_solve
 
-    def recording(residuals, jacobian, guess, tol=1e-12, **kwargs):
+    def recording(residuals, jacobian, guess, tol=1e-12):
         recorded.append((residuals, jacobian, [float(v) for v in guess]))
-        return real(residuals, jacobian, guess, tol, **kwargs)
+        return real(residuals, jacobian, guess, tol)
 
     flows.clear_continuation_cache()
     with monkeypatch.context() as mp:
@@ -268,7 +280,7 @@ def test_compiled_guess_at_a_pole_has_no_step():
         ("q0",), (), [Expr("q0 - 1 + q0 / q0 - 1", ("q0",))], ())[:2]
     with pytest.raises(ZeroDivisionError):
         jacobian([0.0], 0.0)
-    with pytest.raises(SingularJacobian, match="^Newton step is not finite$"):
+    with pytest.raises(NoConvergence, match="^Newton step is not finite$"):
         newton_solve(lambda q: residuals(q, 0.0), lambda q: jacobian(q, 0.0), [0.0])
 
 
@@ -281,10 +293,12 @@ def _first_step(jacobian, b):
         points.append(list(q))
         return [sum(a * v for a, v in zip(row, q)) - c for row, c in zip(jacobian, b)]
 
-    try:
-        newton_solve(residuals, lambda q: jacobian, [0.0] * len(b), max_iter=1)
-    except NoConvergence:
-        pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solve, "_MAX_ITER", 1)
+        try:
+            newton_solve(residuals, lambda q: jacobian, [0.0] * len(b))
+        except NoConvergence:
+            pass
     return points[1]
 
 
@@ -306,7 +320,7 @@ def test_step_bits_equal_numpy_solve(n, condition):
 
 
 def test_singular_jacobian_does_not_warn():
-    # a singular matrix is a nan step from the gufunc, a SingularJacobian
+    # a singular matrix is a nan step from the gufunc, a NoConvergence
     # from newton_solve, and no RuntimeWarning on the way
     jacobian = [[1.0, 2.0], [2.0, 4.0]]
     with pytest.raises(np.linalg.LinAlgError):
@@ -314,7 +328,7 @@ def test_singular_jacobian_does_not_warn():
     before = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularJacobian, match="Newton step is not finite"):
+        with pytest.raises(NoConvergence, match="Newton step is not finite"):
             newton_solve(lambda q: [q[0] - 1.0, q[1]], lambda q: jacobian, [0.0, 0.0])
     assert np.geterr() == before
 
