@@ -66,7 +66,7 @@ def main():
     print("\nchosen hold-out:", held)
     print("refined unknowns at r0:")
     for name, value in zip(rec.variables, sol):
-        print(f"  {name} = {value!r}")
+        print(f"  {name} = {float(value)!r}")
     print("density at r0:", repr(dens))
     print("closed form  :", repr(closed_form_r6(R0)))
     print("|diff|       :", abs(dens - closed_form_r6(R0)))

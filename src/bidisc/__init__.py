@@ -9,8 +9,8 @@ from .bounds import (BLIND_MIN_RATIO, BoundSample, delta1, delta1_interval,
                      florian_angles, florian_bound,
                      lipschitz_envelope, lipschitz_slope, r_blind_interval,
                      samples_from_csv, suspicious_samples)
-from .errors import (BidiscError, DepthExceeded, DomainError, InvalidPacking,
-                     NoConvergence, NoSolution, RecipeError)
+from .errors import (BidiscError, DomainError, InvalidPacking, NoConvergence,
+                     NoSolution, RecipeError)
 from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
                     builtin_recipes, eval_flow, find_crossings, interstitial,
                     load_recipe, lower_bound_curve, recipe_from_dict)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLIND_MIN_RATIO", "BidiscError", "BoundSample", "ConstrainedRecipe",
-    "DepthExceeded", "Disc", "DomainError", "FlowRecipe",
+    "Disc", "DomainError", "FlowRecipe",
     "FundamentalDomain", "Interval", "InvalidPacking",
     "NoConvergence", "NoSolution", "Polynomial",
     "RATIO_TABLE", "RecipeError", "SequentialRecipe",

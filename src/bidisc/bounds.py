@@ -24,6 +24,7 @@ from .endpoints import (ONE, TWO, acos_pairs, add_pairs, div_pairs, mul_pairs,
                         sqrt_pairs, square_pairs, sub_pairs)
 from .errors import DomainError
 from .intervals import Interval, pi_interval
+from .kernels import row_blocks
 from .polynomials import Polynomial, checked_root
 
 SQRT3 = math.sqrt(3.0)
@@ -312,16 +313,7 @@ def lipschitz_envelope(samples: Sequence[BoundSample],
             k, width = k[hi[k] < n], 2 * width
 
         # the windows' caps as flat rows, ENVELOPE_BLOCK at a time
-        count = hi - lo
-        ends = np.cumsum(count)
-        a = 0
-        while a < len(x):
-            b = max(int(np.searchsorted(ends, (ends[a - 1] if a else 0) + ENVELOPE_BLOCK,
-                                        "right")), a + 1)
-            cnt = count[a:b]
-            first = np.cumsum(cnt) - cnt
-            pt = np.repeat(np.arange(a, b), cnt)
-            cap = caps(x[pt], lo[pt] + np.arange(pt.size) - np.repeat(first, cnt))
+        for pt, k, first in row_blocks(hi - lo, ENVELOPE_BLOCK):
+            cap = caps(x[pt], lo[pt] + k)
             out += np.fmin(np.fmin.reduceat(cap, first), math.inf).tolist()
-            a = b
     return out if np.ndim(r) else out[0]

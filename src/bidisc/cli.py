@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import geometry
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
-from .errors import BidiscError, DepthExceeded, DomainError
+from .errors import BidiscError, DomainError
 from .flows import builtin_recipes, find_crossings, load_recipe, lower_bound_curve
 from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, TraceNode,
                       certify_interval, make_certifier, sweep)
@@ -259,11 +259,7 @@ def cmd_certify(args) -> int:
     lo, hi = _parse_range(args.range)
     certifier = make_certifier(args.certifier)
     delta = delta1() if args.delta is None else args.delta
-    try:
-        root = certify_interval(certifier, Interval(lo, hi), delta,
-                                max_depth=args.max_depth)
-    except DepthExceeded as exc:
-        root = exc.trace
+    root = certify_interval(certifier, Interval(lo, hi), delta, max_depth=args.max_depth)
 
     if args.format == "json":
         # wall time stays out, so the document is byte-stable across runs

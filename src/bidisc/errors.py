@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a failed certification is not one."""
 
 
 class BidiscError(Exception):
@@ -23,15 +23,3 @@ class InvalidPacking(BidiscError, ValueError):
 
 class RecipeError(BidiscError, ValueError):
     """A flow recipe file is malformed or internally inconsistent."""
-
-
-class DepthExceeded(BidiscError, RuntimeError):
-    """Interval certification hit its depth cap with unproven leaves.
-
-    Carries the root ``TraceNode`` of the bisection tree (failing leaves
-    marked) as ``trace``.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace

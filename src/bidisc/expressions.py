@@ -50,7 +50,8 @@ def _check(node: ast.AST, names: set[str], src: str) -> None:
         if node.id not in names:
             raise RecipeError(f"unknown name {node.id!r} in {src!r}")
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        # bool subclasses int, but True and False are not numbers here
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise RecipeError(f"non-numeric constant in {src!r}")
         try:
             float(node.value)

@@ -23,8 +23,9 @@ Two drivers run on top, both reading one enclosure per interval:
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
   and stops early on nodes that no bisection can prove.  It builds the tree
   in level order, with one batch call for the nodes of each depth and one
-  for their point probes, and the proof is the tree's root ``TraceNode``:
-  its verdict is the run's, and its leaves tile the interval.
+  for their point probes.  The proof is the tree's root ``TraceNode``,
+  returned whether or not it proves: its verdict is the run's, and its
+  leaves tile the interval.
 
 The real strength of a certifier is whatever bound it is; the drivers only
 ever weaken claims, never strengthen them.
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 
 from .bounds import (BoundSample, blind_enclosures, delta1, florian_bound,
                      florian_enclosures)
-from .errors import DepthExceeded, DomainError
+from .errors import DomainError
 from .intervals import Interval, narrow
 
 DEFAULT_PRECISION = 1e-4
@@ -145,10 +146,11 @@ def certify_interval(bound: Bound, r: Interval, delta: float,
     ``bound`` call, and their point probes one more; the tree is the one a
     depth-first bisection builds, children left first.
 
-    Returns the root of the tree on success; raises DepthExceeded carrying
-    that root (failing leaves marked) when the depth cap or a refutation
-    stops the bisection on any subinterval.  Children share their parent's float
-    midpoint, so the leaves of any trace tile the root interval exactly.
+    Returns the root of the tree whether or not it proves: its verdict is
+    the run's, False when the depth cap or a refutation stops the bisection
+    on any subinterval, and its failing leaves mark where.  Children share
+    their parent's float midpoint, so the leaves of any trace tile the root
+    interval exactly.
     A non-finite delta raises DomainError: nan is never proven nor refuted.
     """
     if max_depth < 1:
@@ -205,12 +207,7 @@ def certify_interval(bound: Bound, r: Interval, delta: float,
                 nodes.append(TraceNode(iv, delta, verdict, children))
             else:
                 nodes.append(TraceNode(iv, delta, verdict))
-    root = nodes[0]
-    if not root.verdict:
-        failing = sum(not leaf.verdict for leaf in root.leaves())
-        raise DepthExceeded(f"{failing} leaf interval(s) unproven at depth {max_depth}",
-                            trace=root)
-    return root
+    return nodes[0]
 
 
 def sweep(bound: Bound, grid: Sequence[float], precision: float = DEFAULT_PRECISION

@@ -13,10 +13,11 @@ fundamental cell need no wrapping.
 Both stages work in blocks of at most ``BLOCK_ROWS`` candidate rows: the
 pruning forms (disc, neighbour) candidates for a block of discs at a time,
 and the scan forms (pair, translate) candidates for a block of kept pairs.
-Each stage counts every item's candidates before it forms any, and cuts
-its blocks where those counts add up to the budget.  Only arrays with one
-entry per disc or per kept pair grow with the input, and a batch that fits
-in one block runs each loop once.
+Each stage counts every item's candidates before it forms any, and
+``row_blocks`` cuts its blocks where those counts add up to the budget;
+``bounds.lipschitz_envelope`` walks its caps the same way.  Only arrays
+with one entry per disc or per kept pair grow with the input, and a batch
+that fits in one block runs each loop once.
 """
 
 import math
@@ -38,19 +39,19 @@ _PAD = 1e-9
 BLOCK_ROWS = 1 << 13
 
 
-def _blocks(count):
-    """Item ranges (a, b) that cover count in order, each holding at most
-    BLOCK_ROWS rows in all or else a single item; (0, len(count)) alone
-    when everything fits."""
-    cum = np.cumsum(count)
-    if not cum.size or cum[-1] <= BLOCK_ROWS:
-        return [(0, cum.size)]
-    cuts = [0]
-    while cuts[-1] < cum.size:
-        a = cuts[-1]
-        limit = (cum[a - 1] if a else 0) + BLOCK_ROWS
-        cuts.append(max(int(np.searchsorted(cum, limit, "right")), a + 1))
-    return list(zip(cuts, cuts[1:]))
+def row_blocks(count, budget):
+    """The rows of items in blocks, item i owning count[i] rows: each block
+    takes the next items while their rows add up to at most budget, else the
+    next item alone.  Yields, per block, each row's item and its index within
+    the item, and the offset of each of the block's items' first row."""
+    ends, a = np.cumsum(count), 0
+    while a < ends.size:
+        b = max(int(np.searchsorted(ends, (ends[a - 1] if a else 0) + budget, "right")), a + 1)
+        cnt = count[a:b]
+        first = np.cumsum(cnt) - cnt
+        item = np.repeat(np.arange(a, b), cnt)
+        yield item, np.arange(item.size) - np.repeat(first, cnt), first
+        a = b
 
 
 def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
@@ -118,11 +119,9 @@ def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
     half = np.minimum(inv_m[cell] * (2.0 * radii - tol) + 2.0 * pad[cell] + slack, 0.5 + slack)
     lo = np.searchsorted(keys, home - half, "left")
     count = np.maximum(np.searchsorted(keys, home + half, "right") - lo, 0)
-    codes = []
-    for d0, d1 in _blocks(count):
-        cnt = count[d0:d1]
-        ci = np.repeat(np.arange(d0, d1), cnt)
-        cj = owner[np.arange(ci.size) - np.repeat(np.cumsum(cnt) - cnt - lo[d0:d1], cnt)]
+    codes = [np.empty(0, dtype=np.int64)]
+    for ci, k, _ in row_blocks(count, BLOCK_ROWS):
+        cj = owner[lo[ci] + k]
         keep = (radii[cj] < radii[ci]) | ((radii[cj] == radii[ci]) & (cj <= ci))
         ci, cj = ci[keep], cj[keep]
         da, db, rc, cc = A[ci] - A[cj], B[ci] - B[cj], radii[ci] + radii[cj] - tol, cell[ci]
@@ -160,10 +159,7 @@ def batch_violations(xy, radii, start, lattices, tol: float) -> np.ndarray:
 
         # one flat row per (pair, translate) candidate; pairs in (i, j) order
         # and each pair's translates in (m, n) order, so the rows come out sorted
-        for q0, q1 in _blocks(count):
-            cnt = count[q0:q1]
-            pair = np.repeat(np.arange(q0, q1), cnt)
-            k = np.arange(pair.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        for pair, k, _ in row_blocks(count, BLOCK_ROWS):
             mm = lo_m[pair] + k // span_n[pair]
             nn = lo_n[pair] + k % span_n[pair]
             lp = lat[c[pair]]

@@ -21,7 +21,6 @@ from bidisc.bounds import (
     lipschitz_slope,
     r_blind_interval,
 )
-from bidisc.errors import DepthExceeded
 from bidisc.flows import (
     builtin_recipes,
     clear_continuation_cache,
@@ -226,11 +225,9 @@ def test_criterion_10():
                  and all(a.interval.hi == b.interval.lo for a, b in zip(leaves, leaves[1:])))
         if not tiles:
             return False, "proven leaves do not tile"
-        try:
-            certify_interval(blind_enclosures, Interval(0.70, 0.99), delta1(), max_depth=12)
+        trace = certify_interval(blind_enclosures, Interval(0.70, 0.99), delta1(), max_depth=12)
+        if trace.verdict:
             return False, "extended window certified unexpectedly"
-        except DepthExceeded as exc:
-            trace = exc.trace
         rb = r_blind_interval().lo
         split = all(bool(leaf.verdict) == (leaf.interval.lo >= rb - 1e-12)
                     for leaf in trace.leaves())

@@ -581,6 +581,9 @@ MALFORMED_RECIPES = {
     # a constant too large for a float, which every recipe constant becomes
     "constant-too-large": ("flow_r6_1.json", "equations",
                            lambda eqs: [eqs[0] + " + 0*1" + "0" * 400, *eqs[1:]]),
+    # a boolean, which Python counts as an integer, is not a constant
+    "bool-constant": ("flow_r6_1.json", "equations",
+                      lambda eqs: [eqs[0] + " + True", *eqs[1:]]),
 }
 
 

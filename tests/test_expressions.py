@@ -60,8 +60,11 @@ def test_negated_integer_exponent_accepted():
 
 
 def test_non_numeric_constant_rejected():
-    with pytest.raises(RecipeError):
-        Expr("x1 + 'a'", ("x1",))
+    # bool subclasses int, but True and False are not numeric constants,
+    # nor exponents
+    for source in ("x1 + 'a'", "x1 + True", "x1 ** True", "-True"):
+        with pytest.raises(RecipeError, match="non-numeric constant"):
+            Expr(source, ("x1",))
 
 
 def test_constants_are_floats():

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -38,9 +39,8 @@ DELTA1 = 0.9068996821171089
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # sha256 of the whole stdout of `PYTHONPATH=src python dev/refine_r6_seed.py`,
-# recorded while the held-out residual and the cell were evaluated with
-# ``eval`` on a name map
-REFINE_R6_SEED_SHA256 = "c6d3a329e8d760a2dac9749caf45d2d8da1988b3d19aeda812339386712c2b20"
+# recorded with the refined unknowns printed as JSON numbers
+REFINE_R6_SEED_SHA256 = "143b3daa6821b888832e819e3de2ab0a4056f4e711fb52044a74cd6bae33cea6"
 
 # Frozen against a 50 digit mpmath evaluation of the same formulas.
 CF841_REFERENCE = {
@@ -171,6 +171,14 @@ class TestConstrainedFlow:
         out = subprocess.run([sys.executable, "dev/refine_r6_seed.py"], cwd=REPO, env=env,
                              capture_output=True, check=True).stdout
         assert hashlib.sha256(out).hexdigest() == REFINE_R6_SEED_SHA256
+        # the refined unknowns paste into the recipe file as they stand
+        lines = out.decode().splitlines()
+        start = lines.index("refined unknowns at r0:") + 1
+        refined = dict(line.strip().split(" = ") for line in
+                       takewhile(lambda line: line.startswith("  "), lines[start:]))
+        with open(REPO / "src" / "bidisc" / "data" / "flow_r6_1.json") as fh:
+            guess = json.load(fh)["guess"]
+        assert {name: json.loads(value) for name, value in refined.items()} == guess
 
     def test_newton_system_compiled_lazily_without_expr_calls(self, monkeypatch):
         compiled = []

@@ -8,7 +8,7 @@ import pytest
 
 from bidisc import cli
 from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1, florian_enclosures
-from bidisc.errors import DepthExceeded, DomainError
+from bidisc.errors import DomainError
 from bidisc.harness import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PRECISION,
@@ -153,9 +153,7 @@ class TestCertifyInterval:
 
     def test_depth_exceeded_carries_trace(self):
         c = BLIND
-        with pytest.raises(DepthExceeded) as err:
-            certify_interval(c, Interval(0.70, 0.99), delta1(), max_depth=12)
-        trace = err.value.trace
+        trace = certify_interval(c, Interval(0.70, 0.99), delta1(), max_depth=12)
         assert isinstance(trace, TraceNode)
         assert not trace.verdict
         failing = [leaf for leaf in trace.leaves() if not leaf.verdict]
@@ -189,9 +187,9 @@ class TestCertifyInterval:
 
     def test_threshold_above_delta_is_one_leaf(self):
         # a bound above delta at every ratio is refuted at the root
-        with pytest.raises(DepthExceeded) as err:
-            certify_interval(threshold(0.93), Interval(0.5, 0.6), 0.92, max_depth=12)
-        assert [(leaf.interval, leaf.delta, leaf.verdict) for leaf in err.value.trace.leaves()
+        root = certify_interval(threshold(0.93), Interval(0.5, 0.6), 0.92, max_depth=12)
+        assert not root.verdict
+        assert [(leaf.interval, leaf.delta, leaf.verdict) for leaf in root.leaves()
                 ] == [(Interval(0.5, 0.6), 0.92, False)]
 
 
@@ -247,14 +245,6 @@ def depth_first(c, r, delta, max_depth):
     return descend(r, 1)
 
 
-def certified(c, r, delta, max_depth=DEFAULT_MAX_DEPTH):
-    """certify_interval's trace, whether or not it succeeds."""
-    try:
-        return certify_interval(c, r, delta, max_depth)
-    except DepthExceeded as exc:
-        return exc.trace
-
-
 def refuted(c, iv, delta):
     """The rule under which certify_interval stops splitting a node."""
 
@@ -273,9 +263,8 @@ class TestRefutation:
     def test_blind_outside_its_domain_stops_early(self):
         # blind cannot bound r < BLIND_MIN_RATIO: the failing leaves
         # localise that edge in O(max_depth) nodes, not 2**max_depth
-        with pytest.raises(DepthExceeded) as err:
-            certify_interval(BLIND, Interval(0.3, 0.99), 0.931)
-        trace = err.value.trace
+        trace = certify_interval(BLIND, Interval(0.3, 0.99), 0.931)
+        assert not trace.verdict
         assert trace.node_count <= 2 * DEFAULT_MAX_DEPTH
         for leaf in trace.leaves():
             assert leaf.verdict == (leaf.interval.lo >= BLIND_MIN_RATIO)
@@ -303,10 +292,7 @@ class TestRefutation:
             delta = float(rng.uniform(0.88, 0.96))
             max_depth = int(rng.integers(8, 11))
             old = full_bisection(certifier, Interval(lo, hi), delta, max_depth)
-            try:
-                new = certify_interval(certifier, Interval(lo, hi), delta, max_depth)
-            except DepthExceeded as exc:
-                new = exc.trace
+            new = certify_interval(certifier, Interval(lo, hi), delta, max_depth)
             assert new.verdict == old.verdict
             if new.verdict:
                 assert new == old
@@ -340,7 +326,7 @@ class TestLevelOrder:
         # bisection with one bound call per node
         c, lo, hi, delta, max_depth, success, domain_leaves = case
         old = depth_first(c, Interval(lo, hi), delta, max_depth)
-        new = certified(c, Interval(lo, hi), delta, max_depth)
+        new = certify_interval(c, Interval(lo, hi), delta, max_depth)
         assert new == old
         assert new.verdict == success
         assert all(leaf.verdict for leaf in new.leaves()) == success
@@ -358,7 +344,7 @@ class TestLevelOrder:
         # one bound call for each depth's nodes, and one more for the point
         # probes of a depth that has any
         calls = []
-        trace = certified(counting(certifier, calls), Interval(lo, 0.99), delta, 12)
+        trace = certify_interval(counting(certifier, calls), Interval(lo, 0.99), delta, 12)
         depth = 0
         level = [trace]
         while level:

@@ -333,18 +333,26 @@ def test_benchmark_cells_batch_equals_per_cell(benchmark_cells, tol, flagged):
     assert (sum(map(len, got[:len(lower)])), sum(map(len, got[len(lower):]))) == flagged
 
 
-def test_blocks_cover_items_greedily(monkeypatch):
-    # each block holds at most BLOCK_ROWS rows or else one item, and takes
-    # every item that still fits
-    monkeypatch.setattr(kernels, "BLOCK_ROWS", 10)
+def test_blocks_cover_items_greedily():
+    # each block holds at most the budget of rows or else one item, and
+    # takes every item that still fits; its rows are its items' rows in order
     rng = np.random.default_rng(3)
     for _ in range(300):
         size = int(rng.integers(0, 30))
         count = rng.integers(0, 25, size=size) * (rng.random(size) < 0.7)
-        blocks = kernels._blocks(count)
-        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
-        assert blocks[-1][1] == size
+        blocks, a = [], 0
+        for item, k, first in kernels.row_blocks(count, 10):
+            b = a + len(first)
+            cnt = count[a:b]
+            assert np.array_equal(item, np.repeat(np.arange(a, b), cnt))
+            assert np.array_equal(first, np.cumsum(cnt) - cnt)
+            assert np.array_equal(k, np.concatenate([np.arange(n) for n in cnt] + [[]]))
+            blocks.append((a, b))
+            a = b
+        # each block starts where the last ended, and they end at the last item
+        assert a == size
         for a, b in blocks:
+            assert a < b
             assert b - a == 1 or count[a:b].sum() <= 10
             assert b == size or count[a:b + 1].sum() > 10
 

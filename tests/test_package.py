@@ -116,8 +116,11 @@ def test_no_layer_restates_what_it_wraps():
     # a recipe's census is checked when the file is read, so no built cell
     # is recounted; a proof is the root TraceNode of its bisection tree; a
     # singular Jacobian is a NoConvergence; a continuation path is searched
-    # by its own ratios; Newton's iteration budget is a module constant
-    gone = {"build_checked", "radius_census", "ProofTrace", "SingularJacobian", "_path_keys"}
+    # by its own ratios; Newton's iteration budget is a module constant; a
+    # failed certification returns its root, not an error that wraps it;
+    # the overlap scan and the envelope share one blocked row walk
+    gone = {"build_checked", "radius_census", "ProofTrace", "SingularJacobian", "_path_keys",
+            "DepthExceeded", "_blocks"}
     assert not {(module, name) for module, name in _defined_in_src() if name in gone}
     assert not set(bidisc.__all__) & gone
     assert "max_iter" not in inspect.signature(solve.newton_solve).parameters

@@ -9,7 +9,7 @@ import importlib.util
 import pathlib
 
 from bidisc import flows
-from bidisc.bounds import florian_enclosures
+from bidisc.bounds import blind_enclosures, florian_enclosures
 from bidisc.harness import certify_interval
 from bidisc.intervals import Interval
 
@@ -48,6 +48,10 @@ def test_certify_result_counts():
     # the harness.certify.nodes and .leaves metrics
     trace = certify_interval(florian_enclosures, Interval(0.9, 0.99), 0.9075)
     assert trace.node_count > trace.leaf_count > 1
+    # a failing run returns its root too, and the hook counts it the same way
+    failed = certify_interval(blind_enclosures, Interval(0.3, 0.99), 0.931)
+    assert not failed.verdict
+    assert failed.node_count > failed.leaf_count > 1
 
 
 def test_continuation_paths_have_lengths():
