@@ -18,7 +18,7 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from bidisc import flows
+from bidisc import flows, solve
 from bidisc.errors import NoConvergence
 from bidisc.flows import builtin_recipes, eval_flow, clear_continuation_cache
 from closed_forms import closed_form_841, closed_form_r6
@@ -42,13 +42,15 @@ def main():
     guess = np.array([HAND_SEED[v] for v in rec.variables])
 
     print("== hold-out candidates at r0 =", R0)
+    # the frozen seed is solved a decade tighter than the sweep's Newton
+    sweep_tol, solve._TOL = solve._TOL, 1e-13
     results = []
     for held in range(len(rec.equations)):
         trial = dataclasses.replace(rec, verify_index=held, guess=tuple(guess))
         try:
             residuals, jacobian, values = trial.compiled
             sol = np.array(newton_solve(lambda q: residuals(q, R0),
-                                        lambda q: jacobian(q, R0), guess, tol=1e-13))
+                                        lambda q: jacobian(q, R0), guess))
         except NoConvergence as exc:
             print(f"  held={held}: solver failed: {exc}")
             continue
@@ -60,6 +62,7 @@ def main():
         print(f"  held={held}: post-hoc residual {resid:.3e}  cond {cond:.3e}  "
               f"density {dens:.15f}  valid={ok}")
         results.append((resid, cond, held, sol, dens))
+    solve._TOL = sweep_tol
 
     results.sort(key=lambda t: (t[0], t[1]))
     resid, cond, held, sol, dens = results[0]

@@ -16,7 +16,7 @@ from .flows import (ConstrainedRecipe, FlowRecipe, SequentialRecipe,
                     load_recipe, lower_bound_curve, recipe_from_dict)
 from .geometry import (Disc, FundamentalDomain, Violation, density, stick,
                        validate, validate_many)
-from .harness import TraceNode, certify_interval, find_delta, make_certifier, sweep
+from .harness import TraceNode, certify_interval, make_certifier, sweep
 from .intervals import Interval, pi_interval
 from .polynomials import Polynomial
 from .ratios import RATIO_TABLE, ratio, ratio_interval, ratio_polynomial
@@ -33,7 +33,7 @@ __all__ = [
     "TraceNode", "Violation",
     "builtin_recipes", "certify_interval", "delta1",
     "delta1_interval", "density",
-    "eval_flow", "find_crossings", "find_delta", "florian_angles",
+    "eval_flow", "find_crossings", "florian_angles",
     "florian_bound", "interstitial",
     "lipschitz_envelope", "lipschitz_slope", "load_recipe",
     "lower_bound_curve", "make_certifier", "newton_solve", "pi_interval",

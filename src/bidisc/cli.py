@@ -27,8 +27,7 @@ from . import geometry
 from .bounds import delta1, lipschitz_envelope, samples_from_csv, suspicious_samples
 from .errors import BidiscError, DomainError
 from .flows import builtin_recipes, find_crossings, load_recipe, lower_bound_curve
-from .harness import (DEFAULT_MAX_DEPTH, DEFAULT_PRECISION, TraceNode,
-                      certify_interval, make_certifier, sweep)
+from .harness import DEFAULT_MAX_DEPTH, TraceNode, certify_interval, make_certifier, sweep
 from .intervals import Interval
 from .ratios import RATIO_TABLE, ratio_interval, ratio_polynomial
 
@@ -227,7 +226,7 @@ def cmd_upper(args) -> int:
     certifier = make_certifier(args.certifier)
     grid = _grid(lo, hi, args.step)
     fine = _grid(lo, hi, args.step / 10.0)
-    samples, skipped = sweep(certifier, grid, precision=args.precision)
+    samples, skipped = sweep(certifier, grid)
     for r, exc in skipped:
         print(f"sweep: no bound at r={r} via {args.certifier}: {exc}", file=sys.stderr)
     if args.samples is not None:
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upper", help="sweep a certifier, report the envelope")
     p.add_argument("--range", required=True, metavar="LO:HI")
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--precision", type=float, default=DEFAULT_PRECISION)
     p.add_argument("--certifier", default="florian", help="blind or florian")
     p.add_argument("--samples", default=None,
                    help="merge extra bound samples from a CSV file")

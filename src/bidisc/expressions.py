@@ -20,6 +20,9 @@ from .errors import RecipeError
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
+# the most operators from an expression's root to a leaf: Python stops at 200
+# nested parentheses, and a negative power's inline partials nest three
+_MAX_DEPTH = 64
 
 
 def _exponent(node: ast.AST):
@@ -32,7 +35,9 @@ def _exponent(node: ast.AST):
     return None
 
 
-def _check(node: ast.AST, names: set[str], src: str) -> None:
+def _check(node: ast.AST, names: set[str], src: str, depth: int = 0) -> None:
+    if depth > _MAX_DEPTH:
+        raise RecipeError(f"more than {_MAX_DEPTH} nested operators in {src!r}")
     if isinstance(node, ast.Expression):
         _check(node.body, names, src)
     elif isinstance(node, ast.BinOp):
@@ -40,12 +45,12 @@ def _check(node: ast.AST, names: set[str], src: str) -> None:
             raise RecipeError(f"operator not allowed in {src!r}")
         if isinstance(node.op, ast.Pow) and _exponent(node.right) is None:
             raise RecipeError(f"only integer constant exponents allowed in {src!r}")
-        _check(node.left, names, src)
-        _check(node.right, names, src)
+        _check(node.left, names, src, depth + 1)
+        _check(node.right, names, src, depth + 1)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, _ALLOWED_UNARY):
             raise RecipeError(f"operator not allowed in {src!r}")
-        _check(node.operand, names, src)
+        _check(node.operand, names, src, depth + 1)
     elif isinstance(node, ast.Name):
         if node.id not in names:
             raise RecipeError(f"unknown name {node.id!r} in {src!r}")
@@ -87,7 +92,7 @@ def _tree(expr: Expr) -> ast.AST:
     call: code is only ever generated from whitelisted nodes."""
     try:
         tree = ast.parse(expr.source, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, RecursionError) as exc:
         raise RecipeError(f"cannot parse expression {expr.source!r}: {exc}") from exc
     _check(tree, set(expr.names), expr.source)
     return tree.body

@@ -287,8 +287,7 @@ def _correct(recipe: ConstrainedRecipe, r: float, guess) -> list[float]:
     """Newton's solution at ratio r from guess, as a list of floats, once
     the held-out equation holds there too."""
     residuals, jacobian, values = recipe.compiled
-    sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess,
-                       tol=1e-12)
+    sol = newton_solve(lambda q: residuals(q, r), lambda q: jacobian(q, r), guess)
     try:
         resid = values(sol, r)[0]
     except (ZeroDivisionError, OverflowError):

@@ -17,9 +17,8 @@ DomainError, so is the element for every interval s that contains x.
 
 Two drivers run on top, both reading one enclosure per interval:
 
-* ``find_delta`` narrows the least provable delta by dichotomy against the
-  ``hi`` of one enclosure, and ``sweep`` runs that dichotomy at each point
-  of a grid after one batch call;
+* ``sweep`` narrows the least provable delta at each point of a grid, by
+  dichotomy against the ``hi`` of its enclosure, after one batch call;
 * ``certify_interval`` bisects a ratio interval until every leaf is proven,
   and stops early on nodes that no bisection can prove.  It builds the tree
   in level order, with one batch call for the nodes of each depth and one
@@ -42,8 +41,8 @@ from .bounds import (BoundSample, blind_enclosures, delta1, florian_bound,
 from .errors import DomainError
 from .intervals import Interval, narrow
 
-DEFAULT_PRECISION = 1e-4
 DEFAULT_MAX_DEPTH = 40
+_PRECISION = 1e-4
 _DELTA_LO_OFFSET = 1e-6
 _DELTA_HI_HEADROOM = 1e-9
 
@@ -59,50 +58,25 @@ def make_certifier(spec: str) -> Bound:
     return _CERTIFIERS[spec]
 
 
-def _check_precision(precision: float) -> None:
-    # isfinite also turns away nan, which passes "precision <= 0" and would
-    # skip the dichotomy
-    if not (math.isfinite(precision) and precision > 0.0):
-        raise DomainError(f"precision must be positive and finite, got {precision}")
-
-
-def find_delta(bound: Bound, r: Interval, precision: float = DEFAULT_PRECISION) -> float:
-    """Least provable density bound on r, to within precision, by dichotomy.
-
-    Maintains an unproven lower value and a proven upper value and returns
-    the proven one once they are within precision.  The search starts just
-    below the equal-disc density and at the triangle bound of the interval
-    midpoint.  A lower start that turns out provable is walked downward
-    (the start is a heuristic, not a claim).
-
-    The certifier is asked once, for a batch of one, and a candidate delta
-    is proven when that enclosure's ``hi`` is at most delta.  Where the
-    certifier cannot bound r, its DomainError is raised.  An upper start
-    that is not provable, as on wide intervals where the bound at the
-    midpoint lies below the bound on the whole interval, moves up to that
-    ``hi``.
-    """
-    _check_precision(precision)
-    (enclosure,) = bound([r])
-    if isinstance(enclosure, DomainError):
-        raise enclosure
-    return _dichotomy(r, enclosure.hi, precision)
-
-
-def _dichotomy(r: Interval, top: float, precision: float) -> float:
-    """find_delta's search on r, given the ``hi`` of the certifier's
-    enclosure over r: a delta is proven on r exactly when ``top <= delta``."""
-    delta_hi = florian_bound(r.mid) + _DELTA_HI_HEADROOM
+def _dichotomy(x: float, top: float) -> float:
+    """Least provable density bound at ratio x, to within ``_PRECISION``,
+    where the certifier's enclosure has ``hi`` top: delta is proven exactly
+    when ``top <= delta``.  The search starts just below the equal-disc
+    density and at the triangle bound at x.  A provable lower start is
+    walked downward (it is a heuristic, not a claim), and an unprovable
+    upper start moves up to top."""
+    delta_hi = florian_bound(x) + _DELTA_HI_HEADROOM
     delta_lo = delta1() - _DELTA_LO_OFFSET
     if not top <= delta_hi:
         delta_hi = top
     if top <= delta_lo:
-        gap = max(precision, _DELTA_LO_OFFSET)
+        # steps of at least _DELTA_LO_OFFSET, so the walk moves at any _PRECISION
+        gap = max(_PRECISION, _DELTA_LO_OFFSET)
         while delta_lo > 0.0 and top <= delta_lo:
             delta_hi = delta_lo
             delta_lo = max(0.0, delta_lo - gap)
             gap *= 2.0
-    return narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)[1]
+    return narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, _PRECISION)[1]
 
 
 @dataclass(frozen=True)
@@ -210,12 +184,11 @@ def certify_interval(bound: Bound, r: Interval, delta: float,
     return nodes[0]
 
 
-def sweep(bound: Bound, grid: Sequence[float], precision: float = DEFAULT_PRECISION
+def sweep(bound: Bound, grid: Sequence[float]
           ) -> tuple[list[BoundSample], list[tuple[float, DomainError]]]:
-    """find_delta at each grid ratio, after one ``bound`` call for all of
+    """``_dichotomy`` at each grid ratio, after one ``bound`` call for all of
     them.  Returns the samples and, in grid order, the ``(r, error)`` pairs
     of the points that could not be bounded, non-finite ones included."""
-    _check_precision(precision)
     points: list[Interval | DomainError] = []
     for r in grid:
         try:
@@ -229,7 +202,7 @@ def sweep(bound: Bound, grid: Sequence[float], precision: float = DEFAULT_PRECIS
         try:
             if isinstance(enclosure, DomainError):
                 raise enclosure
-            samples.append(BoundSample(float(r), _dichotomy(point, enclosure.hi, precision)))
+            samples.append(BoundSample(float(r), _dichotomy(float(r), enclosure.hi)))
         except DomainError as exc:
             skipped.append((r, exc))
     return samples, skipped

@@ -27,6 +27,7 @@ from numpy.linalg._umath_linalg import solve1
 
 from .errors import NoConvergence
 
+_TOL = 1e-12
 _MAX_ITER = 60
 _MAX_HALVINGS = 40
 
@@ -48,8 +49,8 @@ def _trial(residuals, x: list[float]) -> tuple[list[float], float]:
     return f, _norm(f)
 
 
-def newton_solve(residuals, jacobian, guess, tol: float = 1e-12) -> list[float]:
-    """Solve the square system F(x) = 0 to max-norm residual <= tol.
+def newton_solve(residuals, jacobian, guess) -> list[float]:
+    """Solve the square system F(x) = 0 to max-norm residual <= ``_TOL``.
 
     ``residuals`` maps a point, a list of floats, to the list of its
     residuals, one per unknown; a system whose residual count differs from
@@ -83,7 +84,7 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12) -> list[float]:
         raise NoConvergence("Newton step is not finite")
     with np.errstate(all="ignore"):
         for _ in range(_MAX_ITER):
-            if norm <= tol:
+            if norm <= _TOL:
                 return x
             step = solve1(jacobian(x), [-v for v in fx], signature="dd->d").tolist()
             if not all(map(math.isfinite, step)):
@@ -92,12 +93,12 @@ def newton_solve(residuals, jacobian, guess, tol: float = 1e-12) -> list[float]:
             for _ in range(_MAX_HALVINGS + 1):
                 x_new = [a + scale * d for a, d in zip(x, step)]
                 f_new, n_new = _trial(residuals, x_new)
-                if n_new < norm or n_new <= tol:
+                if n_new < norm or n_new <= _TOL:
                     x, fx, norm = x_new, f_new, n_new
                     break
                 scale *= 0.5
             else:
                 raise NoConvergence(f"no damped step reduced the residual below {norm:.3e}")
-    if norm <= tol:
+    if norm <= _TOL:
         return x
-    raise NoConvergence(f"residual {norm:.3e} after {_MAX_ITER} iterations (tol {tol:.1e})")
+    raise NoConvergence(f"residual {norm:.3e} after {_MAX_ITER} iterations (tol {_TOL:.1e})")

@@ -344,8 +344,7 @@ def test_blind_bytes(capsys, name):
 
 class TestUpper:
     def test_envelope_output(self, capsys):
-        code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01",
-                             "--precision", "0.0001")
+        code, out, err = run(capsys, "upper", "--range", "0.74:0.76", "--step", "0.01")
         assert code == 0
         curve = curve_from_csv(out)
         assert len(curve) == 21
@@ -516,14 +515,13 @@ class TestCertify:
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-# argv3 was a certify --precision case, removed with that flag; the ids are
-# spelled out so the remaining cases keep their names
+# argv2 and argv3 were upper and certify --precision cases, removed with
+# those flags; the ids are spelled out so the remaining cases keep their names
 @pytest.mark.parametrize("argv", [
     ("lower", "--range", "0.4:0.5", "--step"),
     ("upper", "--range", "0.74:0.75", "--step"),
-    ("upper", "--range", "0.74:0.75", "--precision"),
     ("certify", "--range", "0.743:0.75", "--delta"),
-], ids=["argv0", "argv1", "argv2", "argv4"])
+], ids=["argv0", "argv1", "argv4"])
 def test_non_finite_number_is_config_error(capsys, argv, value):
     code, out, err = run(capsys, *argv, value)
     assert code == 3
@@ -584,6 +582,12 @@ MALFORMED_RECIPES = {
     # a boolean, which Python counts as an integer, is not a constant
     "bool-constant": ("flow_r6_1.json", "equations",
                       lambda eqs: [eqs[0] + " + True", *eqs[1:]]),
+    # chains nested past the 200 parentheses the generated code can hold,
+    # and past the recursion limit of a walk over the expression
+    "equation-chain-200": ("flow_r6_1.json", "equations",
+                           lambda eqs: [eqs[0] + " + 0*x1" * 200, *eqs[1:]]),
+    "equation-chain-1200": ("flow_r6_1.json", "equations",
+                            lambda eqs: [eqs[0] + " + 0*x1" * 1200, *eqs[1:]]),
 }
 
 
@@ -701,6 +705,14 @@ def test_certify_has_no_precision_flag(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_upper_has_no_precision_flag(capsys):
+    # a sample is the least provable value to within harness._PRECISION
+    code, out, err = run(capsys, "upper", "--range", "0.74:0.75", "--precision", "1e-4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: --precision")
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bidisc.errors import RecipeError
-from bidisc.expressions import Expr, compile_system
+from bidisc.expressions import _MAX_DEPTH, Expr, compile_system
 from bidisc.flows import builtin_recipes, recipe_from_dict
 from bidisc.geometry import Disc, FundamentalDomain
 
@@ -92,6 +92,42 @@ def test_statements_rejected():
         Expr("__import__('os')", ("x1",))
     with pytest.raises(RecipeError):
         Expr("[x1 for x1 in (1,)]", ("x1",))
+
+
+def operator_depth(node):
+    """The most operators on one path from node to a leaf."""
+    if isinstance(node, ast.BinOp):
+        return 1 + max(operator_depth(node.left), operator_depth(node.right))
+    if isinstance(node, ast.UnaryOp):
+        return 1 + operator_depth(node.operand)
+    return 0
+
+
+@pytest.mark.parametrize("chain, slope", [
+    (lambda d: "x" + " + x" * d, _MAX_DEPTH + 1.0),
+    (lambda d: "x" + " / 3" * d, 3.0 ** -_MAX_DEPTH),
+    (lambda d: "(" * (d - 1) + "x" + ")**-1" * (d - 1), -0.25),
+], ids=["sum", "quotient", "inverse"])
+def test_nesting_bound(chain, slope):
+    # an expression at the bound compiles in all three functions and
+    # evaluates, and one operator deeper is refused when it is read.  The
+    # partials of a quotient nest two parentheses per operator, those of a
+    # negative power three, and Python's parser stops at 200
+    source = chain(_MAX_DEPTH)
+    assert operator_depth(ast.parse(source, mode="eval").body) == _MAX_DEPTH
+    expr = Expr(source, ("x",))
+    residuals, jacobian, values = compile_system(("x",), (), [expr], [expr])
+    want = eval(source, {"__builtins__": {}}, {"x": 2.0})
+    assert residuals((2.0,), 0.0) == values((2.0,), 0.0) == [want]
+    assert jacobian((2.0,), 0.0)[0][0] == pytest.approx(slope, rel=1e-12)
+    with pytest.raises(RecipeError, match=f"more than {_MAX_DEPTH} nested operators"):
+        Expr(chain(_MAX_DEPTH + 1), ("x",))
+
+
+def test_too_deep_to_parse_rejected():
+    # deep enough that ast.parse itself raises RecursionError
+    with pytest.raises(RecipeError, match="cannot parse expression"):
+        Expr("x" + " + x" * 10000, ("x",))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from bidisc import cli
-from bidisc.bounds import BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1, florian_enclosures
+from bidisc import cli, harness
+from bidisc.bounds import (BLIND_MIN_RATIO, BoundSample, blind_enclosures, delta1, florian_bound,
+                           florian_enclosures)
 from bidisc.errors import DomainError
 from bidisc.harness import (
+    _PRECISION,
     DEFAULT_MAX_DEPTH,
-    DEFAULT_PRECISION,
     TraceNode,
     certify_interval,
-    find_delta,
     make_certifier,
     sweep,
 )
@@ -28,7 +28,7 @@ FLORIAN = make_certifier("florian")
 
 def threshold(t):
     """Driver double: the bound is t at every ratio.  It proves nothing
-    about packings; it drives find_delta, sweep and certify_interval."""
+    about packings; it drives sweep and certify_interval."""
 
     def bound(rs):
         return [Interval(t) for _ in rs]
@@ -67,38 +67,38 @@ def counting(bound, calls):
     return counted
 
 
+def sample(bound, r):
+    """The value sweep gives at the one ratio r."""
+    samples, skipped = sweep(bound, [r])
+    assert skipped == []
+    (got,) = samples
+    return got.value
+
+
 class TestFindDelta:
+    """The least provable delta at one point: sweep on a one-point grid.
+    With a threshold double, the window's midpoint gives what the window
+    gives, as the double is the same everywhere."""
+
     def test_threshold_dichotomy(self):
         rng = np.random.default_rng(20240817)
         window = Interval(0.5, 0.6)
         for t in [0.92, *rng.uniform(0.91, 0.99, size=20)]:
             t = float(t)
-            got = find_delta(threshold(t), window, precision=1e-4)
+            got = sample(threshold(t), window.mid)
             assert t <= got <= t + 1e-4 + 1e-12
 
-    def test_precision_scales(self):
-        got = find_delta(threshold(0.93), Interval(0.5, 0.6), precision=1e-7)
+    def test_precision_scales(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PRECISION", 1e-7)
+        got = sample(threshold(0.93), Interval(0.5, 0.6).mid)
         assert 0.93 <= got <= 0.93 + 1e-7 + 1e-12
 
     def test_defaulted_lower_start_walks_down(self):
         # near r = 0.75 the heptagon+pentagon bound sits below the default
         # lower start, which is therefore provable and must be walked down
-        window = Interval(0.75, 0.7501)
-        got = find_delta(BLIND, window, precision=1e-4)
+        got = sample(BLIND, 0.7501)
         reference = blind_enclosures([Interval(0.7501)])[0].mid
         assert reference <= got <= reference + 1e-4 + 1e-9
-
-    def test_rejects_bad_precision(self):
-        with pytest.raises(DomainError):
-            find_delta(threshold(0.92), Interval(0.5), precision=0.0)
-
-    @pytest.mark.parametrize("precision", [math.nan, math.inf])
-    def test_rejects_non_finite_precision(self, precision):
-        # nan passes a "<= 0" test and would skip the dichotomy
-        with pytest.raises(DomainError, match="precision must be positive and finite"):
-            find_delta(threshold(0.92), Interval(0.5), precision=precision)
-        with pytest.raises(DomainError, match="precision must be positive and finite"):
-            sweep(threshold(0.92), [0.5], precision=precision)
 
     @pytest.mark.parametrize("certifier", [FLORIAN, BLIND], ids=name)
     def test_upper_start_at_bound_proven(self, certifier):
@@ -107,27 +107,29 @@ class TestFindDelta:
             if isinstance(enc, DomainError):
                 continue
             top = enc.hi
-            got = find_delta(certifier, Interval(r))
-            assert top <= got <= top + DEFAULT_PRECISION
+            got = sample(certifier, r)
+            assert top <= got <= top + _PRECISION
 
     def test_certifier_domain_error_propagates(self):
         # the polygonal bound needs r >= 0.6735; its own reason reaches the
         # caller, not a complaint about the upper start
-        with pytest.raises(DomainError, match="polygonal bound needs ratio"):
-            find_delta(BLIND, Interval(0.5))
+        samples, skipped = sweep(BLIND, [0.5])
+        assert samples == []
+        ((r, exc),) = skipped
+        assert r == 0.5
+        assert isinstance(exc, DomainError) and "polygonal bound needs ratio" in str(exc)
 
     def test_bound_evaluated_once(self):
         calls = []
-        find_delta(counting(FLORIAN, calls), Interval(0.5))
+        sweep(counting(FLORIAN, calls), [0.5])
         assert calls == [[Interval(0.5)]]
 
     def test_wide_interval_default_upper_start(self):
-        # the triangle bound at the midpoint is not provable on the whole
-        # interval; the defaulted upper start moves to the certified bound
-        r = Interval(0.3, 0.5)
-        (enc,) = FLORIAN([r])
-        top = enc.hi
-        got = find_delta(FLORIAN, r, precision=1e-4)
+        # a bound above the triangle bound at the point, as on a wide
+        # interval: the upper start is not provable and moves to the bound
+        top = 0.99
+        assert florian_bound(0.5) < top
+        got = sample(threshold(top), 0.5)
         assert top <= got <= top + 1e-4
 
 
@@ -425,7 +427,7 @@ def skip_lines(certifier, skipped):
 class TestSweep:
     def test_values_and_skips(self):
         grid = [0.75, 0.76, 0.5]
-        samples, skipped = sweep(BLIND, grid, precision=1e-4)
+        samples, skipped = sweep(BLIND, grid)
         # 0.5 is outside the blind window and must be skipped with its reason
         assert [s.r for s in samples] == [0.75, 0.76]
         for s in samples:
@@ -435,7 +437,7 @@ class TestSweep:
                    for m in skip_lines(BLIND, skipped))
 
     def test_empty_grid(self):
-        assert sweep(FLORIAN, [], precision=1e-3) == ([], [])
+        assert sweep(FLORIAN, []) == ([], [])
 
     def test_threshold_certifier_samples(self):
         # the triangle bound at each grid ratio lies below t, so every

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidisc import harness
 from bidisc.bounds import TANGENT_TABLE, delta1, florian_bound, florian_enclosures
 from bidisc.endpoints import (ONE, TWO, acos_pairs, add_pairs, atan_points, div_pairs,
                               mul_pairs, sqrt_pairs, square_pairs, sub_pairs)
 from bidisc.errors import DomainError
 from bidisc.flows import find_crossings
-from bidisc.harness import _DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, DEFAULT_PRECISION, _dichotomy
+from bidisc.harness import _DELTA_HI_HEADROOM, _DELTA_LO_OFFSET, _PRECISION, _dichotomy
 from bidisc.intervals import Interval, narrow, pi_interval
 from bidisc.polynomials import Polynomial, checked_root
 from bidisc.ratios import RATIO_TABLE
@@ -566,9 +567,9 @@ def test_narrow_matches_refine_root():
     assert hits > 20  # exact midpoint roots were reached
 
 
-def test_narrow_matches_dichotomy():
+def test_narrow_matches_dichotomy(monkeypatch):
     rng = np.random.default_rng(2027)
-    precisions = (0.0, 1e-300, 1e-15, 1e-12, DEFAULT_PRECISION, 1e-4, 0.05)
+    precisions = (0.0, 1e-300, 1e-15, 1e-12, _PRECISION, 1e-4, 0.05)
     for k in range(400):
         r = Interval(float(rng.uniform(0.3, 0.99)))
         top = float(rng.uniform(0.0, 1.0)) if k % 4 else float(rng.uniform(0.9, 0.95))
@@ -582,7 +583,8 @@ def test_narrow_matches_dichotomy():
                 a, b = (m, b) if rng.random() < 0.5 else (a, m)
             top = 0.5 * (a + b)
         want = ref_dichotomy(r, top, precision)
-        assert _dichotomy(r, top, precision) == want
+        monkeypatch.setattr(harness, "_PRECISION", precision)
+        assert _dichotomy(r.mid, top) == want
         if delta_lo < top <= delta_hi:
             got = narrow(lambda d: 1 if top <= d else -1, delta_lo, delta_hi, precision)
             assert got[1] == want

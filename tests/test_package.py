@@ -7,7 +7,7 @@ import re
 import shlex
 
 import bidisc
-from bidisc import cli, solve
+from bidisc import cli, harness, solve
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -116,11 +116,14 @@ def test_no_layer_restates_what_it_wraps():
     # a recipe's census is checked when the file is read, so no built cell
     # is recounted; a proof is the root TraceNode of its bisection tree; a
     # singular Jacobian is a NoConvergence; a continuation path is searched
-    # by its own ratios; Newton's iteration budget is a module constant; a
-    # failed certification returns its root, not an error that wraps it;
-    # the overlap scan and the envelope share one blocked row walk
+    # by its own ratios; Newton's iteration budget and tolerance are module
+    # constants; a failed certification returns its root, not an error that
+    # wraps it; the overlap scan and the envelope share one blocked row walk;
+    # a bound sample comes from sweep alone, at one precision
     gone = {"build_checked", "radius_census", "ProofTrace", "SingularJacobian", "_path_keys",
-            "DepthExceeded", "_blocks"}
+            "DepthExceeded", "_blocks", "find_delta", "_check_precision", "DEFAULT_PRECISION"}
     assert not {(module, name) for module, name in _defined_in_src() if name in gone}
     assert not set(bidisc.__all__) & gone
     assert "max_iter" not in inspect.signature(solve.newton_solve).parameters
+    assert "tol" not in inspect.signature(solve.newton_solve).parameters
+    assert "precision" not in inspect.signature(harness.sweep).parameters

@@ -21,6 +21,7 @@ MISSING = [
     "bidisc.cli:eval_flow",
     "bidisc.expressions:Expr.__call__",
     "bidisc.geometry:periodic_violations",
+    "bidisc.harness:find_delta",
     "bidisc.harness:FlorianCertifier.check",
     "bidisc.harness:florian_interval",
     "bidisc.bounds:iacos",

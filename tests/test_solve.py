@@ -193,9 +193,9 @@ def test_replays_lower_sweep_as_numpy_form(monkeypatch):
     recorded = []
     real = flows.newton_solve
 
-    def recording(residuals, jacobian, guess, tol=1e-12):
+    def recording(residuals, jacobian, guess):
         recorded.append((residuals, jacobian, [float(v) for v in guess]))
-        return real(residuals, jacobian, guess, tol)
+        return real(residuals, jacobian, guess)
 
     flows.clear_continuation_cache()
     with monkeypatch.context() as mp:
