@@ -14,6 +14,7 @@ held-out equation, lattice and cell) by the same arithmetic as the residuals.
 
 import ast
 import math
+import re
 from collections.abc import Sequence
 
 from .errors import RecipeError
@@ -23,6 +24,10 @@ _ALLOWED_UNARY = (ast.UAdd, ast.USub)
 # the most operators from an expression's root to a leaf: Python stops at 200
 # nested parentheses, and a negative power's inline partials nest three
 _MAX_DEPTH = 64
+# a temporary of the generated Jacobian code, and an operation in it that
+# may raise: a float quotient or power (ZeroDivisionError, OverflowError)
+_TEMP = re.compile(r"\bt\d+\b")
+_MAY_RAISE = re.compile(r"/|\*\*")
 
 
 def _exponent(node: ast.AST):
@@ -217,7 +222,9 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
     of ``outputs``, each the source's operations, every constant a float,
     done on the scalar types it is given: a numpy ``q`` gives numpy floats.
     ``jacobian`` returns one row of partial derivatives per equation, in
-    Python floats; the row of an equation free of the unknowns is zero.
+    Python floats; the row of an equation free of the unknowns is zero.  It
+    binds only the temporaries that its partials read, and those that may
+    raise.
     Every recipe name becomes a generated local, so none can shadow a
     temporary, a parameter or a builtin.
     """
@@ -239,6 +246,16 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
     for tree in trees:
         grads = forward.emit(tree)[1] or ["0.0"] * n
         rows.append("[" + ", ".join(grads) + "]")
+    # bind only the temporaries that a partial reads, directly or through
+    # other temporaries (an equation's own value feeds no partial), and those
+    # that may raise, so that the function raises where it did with them all
+    needed = set(_TEMP.findall(" ".join(rows)))
+    body = []
+    for line in reversed(forward.lines):
+        name, src = line.split(" = ", 1)
+        if name.strip() in needed or _MAY_RAISE.search(src):
+            needed.update(_TEMP.findall(src))
+            body.append(line)
     source = "\n".join([
         "def residuals(q, r):",
         *prelude,
@@ -250,7 +267,7 @@ def compile_system(unknowns: Sequence[str], defines: Sequence[tuple[str, Expr]],
         "",
         "def jacobian(q, r):",
         *(f"    x{i} = float(q[{i}])" for i in range(n)),
-        *forward.lines,
+        *reversed(body),
         f"    return [{', '.join(rows)}]",
     ])
     namespace = {"__builtins__": {}, "float": float}

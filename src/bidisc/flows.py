@@ -15,9 +15,10 @@ A recipe is checked once, when it is read, its file's ``census`` against
 its cell's radius selectors included, so no built cell is recounted.
 
 The module also provides the interstitial construction that drops small
-discs into the holes of the unit hexagonal packing, crossing detection
-against a level, and the combined lower-bound curve as plain
-``(r, density)`` rows, which the command line writes out.  The closed-form
+discs into the holes of the unit hexagonal packing, its sites counted by an
+exact census, crossing detection against a level, and the combined
+lower-bound curve as plain ``(r, density)`` rows, which the command line
+writes out.  The closed-form
 density curves of the two built-in recipes, their test oracles, live in
 ``tests/closed_forms.py``.
 """
@@ -29,16 +30,17 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from itertools import chain, repeat
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .bounds import SQRT3, delta1
 from .errors import DomainError, InvalidPacking, NoConvergence, NoSolution, RecipeError
 from .expressions import Expr, compile_system
-from .geometry import Disc, FundamentalDomain, density, stick, validate, validate_many
+from .geometry import (OVERLAP_TOL, Disc, FundamentalDomain, cell_density, check_cell, density,
+                       scan_cells, stick, validate)
 from .intervals import Interval, narrow
 from .ratios import ratio
 from .solve import newton_solve
@@ -57,7 +59,7 @@ def _resolve_range_endpoint(spec) -> float:
 
 @dataclass(frozen=True)
 class FlowRecipe:
-    """Common recipe data; concrete kinds subclass and implement build()."""
+    """Common recipe data; concrete kinds subclass and implement cell_floats()."""
 
     name: str
     valid_range: tuple[float, float]
@@ -77,8 +79,19 @@ class FlowRecipe:
         lo, hi = self.valid_range
         return lo - _RANGE_SLACK <= r <= hi + _RANGE_SLACK
 
-    def build(self, r: float) -> FundamentalDomain:
+    def cell_floats(self, r: float) -> tuple:
+        """The packing at ratio r as floats ``(u, v, flat)``: the lattice
+        vectors and the x, y and radius of each disc of the cell in turn,
+        not yet checked by ``check_cell``."""
         raise NotImplementedError
+
+    def build(self, r: float) -> FundamentalDomain:
+        return _domain(self.cell_floats(r))
+
+
+def _domain(cell: tuple) -> FundamentalDomain:
+    u, v, flat = cell
+    return FundamentalDomain(u, v, tuple(map(Disc, flat[0::3], flat[1::3], flat[2::3])))
 
 
 def _check_selector(name: str, sel: str) -> None:
@@ -117,17 +130,14 @@ class SequentialRecipe(FlowRecipe):
                 if not 0 <= i < n:
                     raise RecipeError(f"{self.name}: combo names disc {i}, not one of 0..{n - 1}")
 
-    def build(self, r: float) -> FundamentalDomain:
+    def cell_floats(self, r: float) -> tuple:
         discs = list(self.seeds)
         for i, j, sel in self.steps:
             discs.append(stick(discs[i], discs[j], 1.0 if sel == "one" else r))
-        u = _combo_center(self.lattice[0], discs)
-        v = _combo_center(self.lattice[1], discs)
-        cell = []
+        flat = []
         for combo, sel in self.cell:
-            x, y = _combo_center(combo, discs)
-            cell.append(Disc(x, y, 1.0 if sel == "one" else r))
-        return FundamentalDomain(u, v, tuple(cell))
+            flat += (*_combo_center(combo, discs), 1.0 if sel == "one" else r)
+        return _combo_center(self.lattice[0], discs), _combo_center(self.lattice[1], discs), flat
 
 
 @dataclass(frozen=True)
@@ -165,21 +175,31 @@ class ConstrainedRecipe(FlowRecipe):
                    *(e for ex, ey, _ in self.cell for e in (ex, ey))]
         return compile_system(self.variables, self.defines, eqs, outputs)
 
-    def build_from(self, values, r: float) -> FundamentalDomain:
-        """The packing at ratio r from the unknowns' values, a sequence of
+    @cached_property
+    def _flat(self) -> Callable:
+        """Picks ``flat`` from the row of ``values`` followed by 1.0 and r."""
+        one = 5 + 2 * len(self.cell)
+        return operator.itemgetter(*chain.from_iterable(
+            (5 + 2 * i, 6 + 2 * i, one if sel == "one" else one + 1)
+            for i, (*_, sel) in enumerate(self.cell)))
+
+    def cell_from(self, values, r: float) -> tuple:
+        """``cell_floats`` at ratio r from the unknowns' values, a sequence of
         floats; a division by zero or an overflow in the recipe's outputs
         raises InvalidPacking, as the non-finite value it gave in numpy."""
         try:
-            _, ux, uy, vx, vy, *xy = self.compiled[2](values, r)
+            row = self.compiled[2](values, r)
         except (ZeroDivisionError, OverflowError) as exc:
             raise InvalidPacking(f"{self.name}: {exc} at r={r}") from exc
-        # float values and a float r give floats, kept by FundamentalDomain as they are
-        cell = tuple(Disc(x, y, 1.0 if sel == "one" else r)
-                     for x, y, (_, _, sel) in zip(xy[::2], xy[1::2], self.cell))
-        return FundamentalDomain((ux, uy), (vx, vy), cell)
+        row += (1.0, r)
+        return (row[1], row[2]), (row[3], row[4]), self._flat(row)
 
-    def build(self, r: float) -> FundamentalDomain:
-        return self.build_from(solve_constrained(self, r), r)
+    def build_from(self, values, r: float) -> FundamentalDomain:
+        """The packing at ratio r from the unknowns' values."""
+        return _domain(self.cell_from(values, r))
+
+    def cell_floats(self, r: float) -> tuple:
+        return self.cell_from(solve_constrained(self, r), r)
 
 
 def _counted(recipe: FlowRecipe, census: tuple[int, int]) -> FlowRecipe:
@@ -404,15 +424,171 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
 # ---------------------------------------------------------------------------
 # interstitial packings for small r
 
-_ADMIT_SLACK = 5e-10
-# The most candidate sites interstitial() lays out, the same bound as the
-# command line's limit on grid points; it admits every r >= 3.7e-4.
-_MAX_SITES = 1e7
+# Exact slack of the census's vertex tests: a kept site is at least
+# 1 + r - _ADMIT_SLACK from each unit centre, so each gap between a small and
+# a unit disc is at least -OVERLAP_TOL / 2, which ``validate`` accepts with
+# room for the rounding of the built coordinates.  Without it the census
+# would drop the snug disc at ratio("r8"), a float 2.8e-13 above the root of
+# 3r^2 + 6r - 1.
+_ADMIT_SLACK = OVERLAP_TOL / 2
+# Error bound of the census's float filters.  Each test is a polynomial in
+# exact inputs (r, the slack, integers, small constants) evaluated with at
+# most 8 roundings on any path, so its float value is within gamma_8 < 2^-49
+# times the sum of its terms' magnitudes of the exact value; 2^-40 leaves a
+# factor of 500 for the rounding of that sum.
+_FILTER = 2.0 ** -40
+# The most rows the census walks: a hole spans about 1/r rows, so every
+# r >= 1e-4 is admitted.
+_MAX_ROWS = 1e4
+# The most discs interstitial() builds: it refuses r below about 3.04e-4.
+_MAX_DISCS = 1e6
 
 
 def _fills_holes(r: float) -> bool:
     """Whether the interstitial construction applies at ratio r."""
     return 0.0 < r <= ratio("r8") + _RANGE_SLACK
+
+
+def _decide(q: float, size: float, exact: Callable[[], Fraction], strict: bool) -> bool:
+    """Whether a census test's value is > 0 (strict) or >= 0: from its float
+    value q when that lies further from 0 than ``_FILTER * size``, size the
+    sum of the magnitudes of its terms, else from ``exact()``."""
+    bound = size * _FILTER
+    if q > bound:
+        return True
+    if q < -bound:
+        return False
+    q = exact()
+    return q > 0 if strict else q >= 0
+
+
+def _first(holds: Callable[[int], bool], k: int, step: int) -> int:
+    """For a test with holds(j) implying holds(j + step): the j = k + i*step
+    with holds(j) and not holds(j - step), searched from k."""
+    if holds(k):
+        while holds(k - step):
+            k -= step
+    else:
+        k += step
+        while not holds(k):
+            k += step
+    return k
+
+
+def _hole_runs(r: float) -> list[tuple[int, int, int]]:
+    """The sites interstitial(r) keeps in the hole (0, 0), (2, 0), (1, sqrt(3)),
+    as runs (n, first k, last k) of the sites k, k + 2, ... of row n; rows
+    by n, a row's runs by k.
+
+    Site (n, k), k = n mod 2, is x = 1 + rk, y = sqrt(3) Y / 3 with
+    Y = 1 + 3rn.  With c = 1 + r - _ADMIT_SLACK it is kept when it lies
+    strictly inside the triangle, Y > 0, 3r(n - k) < 2 and 3r(n + k) < 2,
+    and at least c from the three vertices:
+
+        A(k): 3(1 + rk)^2 + Y^2 >= 3c^2    B(k): 3(1 - rk)^2 + Y^2 >= 3c^2
+        T(k): 3(rk)^2 + (Y - 3)^2 >= 3c^2
+
+    Every test is decided exactly on the float r, by ``_decide``: most by
+    their float value, the few it cannot settle in Fraction arithmetic.
+
+    Rows: a kept site has min(x, 2 - x) <= 1, so A and B give
+    1 + y^2 >= c^2, that is Y^2 >= 3(c^2 - 1).  With u = Y / 3 the
+    triangle gives |x - 1| < 1 - u and T gives
+    (x - 1)^2 >= c^2 - 3(1 - u)^2, so 4(1 - u)^2 > c^2 and
+    4 - 6rn - 3c > 0.  The first row test, with Y > 0, holds from some n on
+    and the second up to some n, so no row outside the two turns holds a
+    site, and only the rows between are walked.
+
+    Runs: on a row with Y > 0, L(k) = [3r(n - k) < 2 and A(k)] holds from
+    some k on, as 3r(n - k) < 2 gives 1 + rk > Y / 3 > 0, where A grows
+    with k; by the mirror image R(k) = [3r(n + k) < 2 and B(k)] holds up to
+    some k; and T depends on |k| alone and holds from some |k| on.  So the
+    row keeps the k of its parity in [kl, kr] with |k| >= kt, for the first
+    kl where L holds, the last kr where R holds and the least kt >= 0 where
+    T holds: one run, or two when kt > 0.  Each of these bounds is searched
+    by ``_first`` from a float estimate and proven by its two exact tests;
+    the sites between them are kept without a test.
+    """
+    if not r * _MAX_ROWS >= 1.0:
+        raise DomainError(f"interstitial construction at r={r} needs over "
+                          f"{_MAX_ROWS:.0e} rows")
+    rx = Fraction(r)
+    cx = 1 + rx - Fraction(_ADMIT_SLACK)
+    c = 1.0 + r - _ADMIT_SLACK
+    r3, cc3 = 3.0 * r, 3.0 * c * c
+
+    def low_row(n):
+        y, size = 1.0 + r3 * n, 1.0 + r3 * abs(n)
+        return (_decide(y, size, lambda: 1 + 3 * rx * n, True)
+                and _decide(y * y - cc3 + 3.0, size * size + cc3 + 3.0,
+                            lambda: (1 + 3 * rx * n) ** 2 - 3 * cx * cx + 3, False))
+
+    def high_row(n):
+        return _decide(4.0 - 2.0 * r3 * n - 3.0 * c, 4.0 + 2.0 * r3 * abs(n) + 3.0 * c,
+                       lambda: 4 - 6 * rx * n - 3 * cx, True)
+
+    runs = []
+    first_row = _first(low_row, math.ceil(
+        (math.sqrt(max(3.0 * (c * c - 1.0), 0.0)) - 1.0) / r3), 1)
+    last_row = _first(high_row, math.floor((4.0 - 3.0 * c) / (2.0 * r3)), -1)
+    for n in range(first_row, last_row + 1):
+        y, ys = 1.0 + r3 * n, 1.0 + r3 * abs(n)
+        yy, yys = y * y - cc3, ys * ys + cc3
+        w, ws = y - 3.0, ys + 3.0
+        ww, wws = w * w - cc3, ws * ws + cc3
+        yx = 1 + 3 * rx * n
+
+        def left(k):
+            p, ps = 1.0 + r * k, 1.0 + r * abs(k)
+            return (_decide(2.0 - r3 * (n - k), 2.0 + r3 * abs(n - k),
+                            lambda: 2 - 3 * rx * (n - k), True)
+                    and _decide(3.0 * p * p + yy, 3.0 * ps * ps + yys,
+                                lambda: 3 * (1 + rx * k) ** 2 + yx * yx - 3 * cx * cx, False))
+
+        def right(k):
+            p, ps = 1.0 - r * k, 1.0 + r * abs(k)
+            return (_decide(2.0 - r3 * (n + k), 2.0 + r3 * abs(n + k),
+                            lambda: 2 - 3 * rx * (n + k), True)
+                    and _decide(3.0 * p * p + yy, 3.0 * ps * ps + yys,
+                                lambda: 3 * (1 - rx * k) ** 2 + yx * yx - 3 * cx * cx, False))
+
+        def top(j):
+            p = r * j
+            return j >= 0 and _decide(3.0 * p * p + ww, 3.0 * p * p + wws,
+                                      lambda: 3 * (rx * j) ** 2 + (yx - 3) ** 2 - 3 * cx * cx,
+                                      False)
+
+        # float estimates of the three bounds, rounded to the row's parity
+        gap = c * c - y * y / 3.0
+        edge = math.sqrt(gap) if gap > 0.0 else 1.0
+        k = math.ceil(max(n - 2.0 / r3, (edge - 1.0) / r))
+        kl = _first(left, k + (k - n) % 2, 2)
+        k = math.floor(min(2.0 / r3 - n, (1.0 - edge) / r))
+        kr = _first(right, k - (k - n) % 2, -2)
+        if kl > kr:
+            continue
+        gap = c * c - w * w / 3.0
+        k = min(math.ceil(math.sqrt(gap) / r) if gap > 0.0 else 0, max(-kl, kr) + 2)
+        kt = _first(top, k + (k - n) % 2, 2)
+        if kt == 0:
+            runs.append((n, kl, kr))
+            continue
+        if kl <= min(kr, -kt):
+            runs.append((n, kl, min(kr, -kt)))
+        if max(kl, kt) <= kr:
+            runs.append((n, max(kl, kt), kr))
+    return runs
+
+
+def _site_count(runs: list[tuple[int, int, int]]) -> int:
+    return sum((last - first) // 2 + 1 for _, first, last in runs)
+
+
+def _fill_density(r: float, count: int) -> float:
+    """``density`` of the interstitial domain at r with count sites per
+    hole: the same sum of 1.0 and then 2 * count terms r * r, over the same
+    cell area, 2 sqrt(3)."""
+    return math.pi * sum(chain((1.0,), repeat(r * r, 2 * count))) / (2.0 * SQRT3)
 
 
 def interstitial(r: float) -> tuple[FundamentalDomain, float]:
@@ -421,46 +597,42 @@ def interstitial(r: float) -> tuple[FundamentalDomain, float]:
     The unit discs sit at (2a + b, sqrt(3) b).  Small discs sit on a pitch-2r
     triangular lattice centred on the hole centre (1, sqrt(3)/3); a site is
     kept when it lies strictly inside the hole's triangle (0, 0), (2, 0),
-    (1, sqrt(3)) and at least 1 + r from its three vertices.  No other test
-    is needed: among the hole centres that triangle is exactly this hole's
-    Voronoi cell, so adjacent holes never claim the same site; every other
-    unit centre is at least sqrt(3) > 1 + r8 from the triangle; and a site
-    1 + r from both ends of an edge is at least sqrt(2r + r^2) from it, so
-    the strict tests never meet a rounding tie.  The second hole is filled
+    (1, sqrt(3)) and at least 1 + r - ``_ADMIT_SLACK`` from its three
+    vertices, as ``_hole_runs`` decides exactly.  The second hole is filled
     with the point reflection of the first through (3/2, sqrt(3)/2), which
-    maps the unit centres onto themselves.  The domain is scanned for
-    overlaps before it is returned, as in ``eval_flow``.
+    maps the unit centres onto themselves.
+
+    The domain is not scanned for overlaps; this is the proof that it
+    passes ``validate``.  Among the hole centres the triangle is exactly
+    this hole's Voronoi cell, so adjacent holes never claim the same site;
+    every other unit centre is at least sqrt(3) > 1 + r8 from the triangle;
+    the small discs of one hole sit 2r apart; and a site at least
+    1 + r' from both ends of an edge, r' = r - ``_ADMIT_SLACK``, is at least
+    sqrt(2r' + r'^2) > r' from it, so small discs of two holes do not meet.
+    So in exact arithmetic every gap between discs is at least
+    -``_ADMIT_SLACK`` = -OVERLAP_TOL / 2, and the rounding of the built
+    coordinates, of order 1e-16, keeps it above -OVERLAP_TOL.
+
+    Sites are built row by row from the bottom, each row from the left, by
+    the float expressions x = 1 + 2r m + r n (k = 2m + n) and
+    y = sqrt(3)/3 + r sqrt(3) n.  A domain of over ``_MAX_DISCS`` discs is
+    refused.
     """
     if not _fills_holes(r):
         raise DomainError(f"interstitial construction needs 0 < r <= {ratio('r8'):.6f}, got {r}")
-
-    hx, hy = 1.0, SQRT3 / 3.0
-    circumradius = 2.0 / SQRT3
-    # min() caps the inf that a subnormal r gives, which math.ceil rejects
-    kmax = math.ceil(min(circumradius / (2.0 * r), _MAX_SITES)) + 1
-    if (2 * kmax + 1) ** 2 > _MAX_SITES:
+    runs = _hole_runs(r)
+    count = _site_count(runs)
+    if 2 * count + 1 > _MAX_DISCS:
         raise DomainError(f"interstitial construction at r={r} needs over "
-                          f"{_MAX_SITES:.0e} candidate sites")
-    m, n = np.meshgrid(np.arange(-kmax, kmax + 1), np.arange(-kmax, kmax + 1),
-                       indexing="ij")
-    px = hx + 2.0 * r * m.ravel() + r * n.ravel()
-    py = hy + r * SQRT3 * n.ravel()
-    keep = (py > 0.0) & (py < SQRT3 * px) & (py < SQRT3 * (2.0 - px))
-    limit = (1.0 + r - _ADMIT_SLACK) ** 2
-    for cx, cy in ((0.0, 0.0), (2.0, 0.0), (1.0, SQRT3)):
-        keep &= (px - cx) ** 2 + (py - cy) ** 2 >= limit
-    px, py = px[keep], py[keep]
-    order = np.lexsort((px, py))
-    px, py = px[order].tolist(), py[order].tolist()
-
+                          f"{_MAX_DISCS:.0e} discs")
+    hx, hy = 1.0, SQRT3 / 3.0
+    r2, rs = 2.0 * r, r * SQRT3
+    sites = [(hx + r2 * m + r * n, hy + rs * n)
+             for n, first, last in runs for m in range((first - n) // 2, (last - n) // 2 + 1)]
     discs = [Disc(0.0, 0.0, 1.0)]
-    discs += [Disc(x, y, r) for x, y in zip(px, py)]
-    discs += [Disc(3.0 - x, SQRT3 - y, r) for x, y in zip(px, py)]
-    domain = FundamentalDomain((2.0, 0.0), (1.0, SQRT3), tuple(discs))
-    bad = validate(domain)
-    if bad:
-        raise InvalidPacking(f"interstitial: {len(bad)} overlap(s) at r={r}, first {bad[0]}")
-    return domain, density(domain)
+    discs += [Disc(x, y, r) for x, y in sites]
+    discs += [Disc(3.0 - x, SQRT3 - y, r) for x, y in sites]
+    return FundamentalDomain((2.0, 0.0), (1.0, SQRT3), tuple(discs)), _fill_density(r, count)
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +660,42 @@ def lower_bound_curve(grid: Sequence[float],
     covers, in grid order; density is None where the evaluation failed.
     Each recipe is evaluated once per ratio.
 
-    Cells are built strictly in grid order, so continuation stays
-    sequential, and are scanned for overlaps ``_SCAN_CELLS`` at a time, as
-    soon as that many are pending.  Of a scanned cell only its density is
-    kept, so apart from the returned rows and the continuation cache,
-    memory does not grow with the grid.
+    The interstitial value is its census's density: no disc is built.
+    Recipe cells stay floats (``cell_floats``).  They are built strictly in
+    grid order, so continuation stays sequential, checked by ``check_cell``
+    as ``FundamentalDomain`` would check them, and scanned for overlaps
+    ``_SCAN_CELLS`` at a time, as soon as that many are pending.  Of a
+    scanned cell only its density is kept, so apart from the returned rows
+    and the continuation cache, memory does not grow with the grid.
     """
     if recipes is None:
         recipes = builtin_recipes()
     grid = [float(r) for r in grid]
     best = [delta1() for _ in grid]
     per_recipe: dict[str, list[tuple[float, float | None]]] = {name: [] for name in recipes}
-    pending = []        # (k, name, slot in per_recipe[name], domain), not yet scanned
+    pending = []        # (k, name, slot in per_recipe[name], cell), not yet scanned
 
     def scan():
-        for (k, name, slot, domain), bad in zip(pending, validate_many([d for *_, d in pending])):
+        for (k, name, slot, cell), bad in zip(pending, scan_cells([c for *_, c in pending])):
             if not bad:
-                value = density(domain)
+                value = cell_density(*cell)
                 best[k] = max(best[k], value)
                 per_recipe[name][slot] = (grid[k], value)
         pending.clear()
 
     for k, r in enumerate(grid):
         if _fills_holes(r):
-            best[k] = max(best[k], interstitial(r)[1])
+            best[k] = max(best[k], _fill_density(r, _site_count(_hole_runs(r))))
         for name, recipe in recipes.items():
             if recipe.contains(r):
                 samples = per_recipe[name]
                 samples.append((r, None))
                 try:
-                    pending.append((k, name, len(samples) - 1, recipe.build(r)))
+                    cell = recipe.cell_floats(r)
+                    check_cell(*cell)
                 except (NoSolution, InvalidPacking, DomainError):
                     continue
+                pending.append((k, name, len(samples) - 1, cell))
                 if len(pending) == _SCAN_CELLS:
                     scan()
     if pending:

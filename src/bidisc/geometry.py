@@ -6,11 +6,18 @@ vectors u, v and the discs whose translates by the lattice tile the plane.
 reach (``validate_many`` does so for many domains in one scan), ``density``
 measures covered area per cell, and ``stick`` is the basic constructor that
 rolls a new disc into tangency with two existing ones.
+
+A cell can also stay plain floats: u, v and ``flat``, the x, y and radius
+of each disc in turn.  ``check_cell`` is the one test of a cell that
+``FundamentalDomain`` makes, and ``scan_cells`` and ``cell_density`` give
+what ``validate_many`` and ``density`` give, from the same floats, so a
+caller that keeps only a density need build no ``Disc``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -59,19 +66,34 @@ class FundamentalDomain:
             object.__setattr__(
                 self, "discs", tuple(Disc(float(x), float(y), float(r)) for x, y, r in self.discs)
             )
-        if not all(map(math.isfinite, (*self.u, *self.v))):
-            raise InvalidPacking("lattice vectors must be finite")
-        if abs(self.cell_area) < 1e-12:
-            raise InvalidPacking("lattice vectors are degenerate")
-        if not self.discs:
-            raise InvalidPacking("domain holds no discs")
-        for d in self.discs:
-            if not (math.isfinite(d.x) and math.isfinite(d.y) and d.radius > 0.0):
-                raise InvalidPacking(f"bad disc {d}")
+        check_cell(self.u, self.v, tuple(chain.from_iterable(self.discs)))
 
     @property
     def cell_area(self) -> float:
-        return abs(self.u[0] * self.v[1] - self.u[1] * self.v[0])
+        return _area(self.u, self.v)
+
+
+def _area(u, v) -> float:
+    return abs(u[0] * v[1] - u[1] * v[0])
+
+
+def check_cell(u, v, flat: Sequence[float]) -> None:
+    """Raise InvalidPacking unless the cell is a valid fundamental domain:
+    finite lattice vectors u and v spanning an area of at least 1e-12, and
+    at least one disc, each with a finite centre and a positive radius.
+    ``flat`` holds the x, y and radius of each disc in turn."""
+    if not all(map(math.isfinite, (*u, *v))):
+        raise InvalidPacking("lattice vectors must be finite")
+    if _area(u, v) < 1e-12:
+        raise InvalidPacking("lattice vectors are degenerate")
+    if not flat:
+        raise InvalidPacking("domain holds no discs")
+    # a cell of finite floats and positive radii passes at once; (0.0).__lt__
+    # is false for a nan radius, as radius > 0.0 is
+    if not (all(map(math.isfinite, flat)) and all(map((0.0).__lt__, flat[2::3]))):
+        for x, y, radius in zip(flat[0::3], flat[1::3], flat[2::3]):
+            if not (math.isfinite(x) and math.isfinite(y) and radius > 0.0):
+                raise InvalidPacking(f"bad disc {Disc(x, y, radius)}")
 
 
 def stick(d1: Disc, d2: Disc, radius: float) -> Disc:
@@ -100,7 +122,13 @@ def stick(d1: Disc, d2: Disc, radius: float) -> Disc:
 
 
 def density(domain: FundamentalDomain) -> float:
-    return math.pi * sum(d.radius * d.radius for d in domain.discs) / domain.cell_area
+    return cell_density(domain.u, domain.v, tuple(chain.from_iterable(domain.discs)))
+
+
+def cell_density(u, v, flat: Sequence[float]) -> float:
+    """Covered area per cell of the cell (u, v, flat)."""
+    radii = flat[2::3]
+    return math.pi * sum(map(operator.mul, radii, radii)) / _area(u, v)
 
 
 def validate(domain: FundamentalDomain, tol: float = OVERLAP_TOL) -> list[Violation]:
@@ -115,14 +143,20 @@ def validate(domain: FundamentalDomain, tol: float = OVERLAP_TOL) -> list[Violat
 def validate_many(domains: Sequence[FundamentalDomain],
                   tol: float = OVERLAP_TOL) -> list[list[Violation]]:
     """``[validate(d, tol) for d in domains]``, from one scan of all their cells."""
+    return scan_cells([(d.u, d.v, tuple(chain.from_iterable(d.discs))) for d in domains], tol)
+
+
+def scan_cells(cells: Sequence[tuple], tol: float = OVERLAP_TOL) -> list[list[Violation]]:
+    """``validate_many`` of cells given as ``(u, v, flat)`` floats that
+    ``check_cell`` accepts, from one scan of all of them."""
     # np.fromiter reads the floats without the nested lists that np.array
     # would first have to walk
-    count = [len(domain.discs) for domain in domains]
-    discs = np.fromiter(chain.from_iterable(chain.from_iterable(d.discs for d in domains)),
+    count = [len(flat) // 3 for *_, flat in cells]
+    discs = np.fromiter(chain.from_iterable(flat for *_, flat in cells),
                         dtype=float, count=3 * sum(count)).reshape(-1, 3)
-    lattices = np.fromiter(chain.from_iterable((d.u[0], d.v[0], d.u[1], d.v[1]) for d in domains),
-                           dtype=float, count=4 * len(domains)).reshape(-1, 2, 2)
+    lattices = np.fromiter(chain.from_iterable((u[0], v[0], u[1], v[1]) for u, v, _ in cells),
+                           dtype=float, count=4 * len(cells)).reshape(-1, 2, 2)
     rows = batch_violations(discs[:, :2], discs[:, 2], np.cumsum([0] + count), lattices, tol)
     found = [Violation(int(i), int(j), int(m), int(n), float(g)) for _, i, j, m, n, g in rows]
-    cuts = np.searchsorted(rows[:, 0], np.arange(len(domains) + 1))
+    cuts = np.searchsorted(rows[:, 0], np.arange(len(cells) + 1))
     return [found[a:b] for a, b in zip(cuts[:-1], cuts[1:])]

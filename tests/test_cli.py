@@ -168,9 +168,8 @@ def cold_lower():
     """`bidisc lower ARGS` from a cold continuation cache, as a new process
     runs it, returning (stdout, stderr, work); memoised per ARGS.  work
     lists the cell count of every overlap scan: under "curve" those of the
-    curve (`flows.validate_many`), and under "other" the rest
-    (`geometry.validate_many`: the crossing bisection's scans, and the
-    interstitial checks below r8)."""
+    curve (`flows.scan_cells`), and under "other" the rest
+    (`geometry.validate_many`: the crossing bisection's scans)."""
     runs = {}
 
     def lower(*argv):
@@ -186,7 +185,7 @@ def cold_lower():
             flows.clear_continuation_cache()
             out, err = io.StringIO(), io.StringIO()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(flows, "validate_many", scans(flows.validate_many, "curve"))
+                mp.setattr(flows, "scan_cells", scans(flows.scan_cells, "curve"))
                 mp.setattr(geometry, "validate_many", scans(geometry.validate_many, "other"))
                 with redirect_stdout(out), redirect_stderr(err):
                     code = main(["lower", *argv])
@@ -294,6 +293,26 @@ class TestLowerPinned:
             "warning: recipe wide failed at 3 of 11 grid points"]
         assert "warning:" not in plain_err
         assert len(stderr_crossings(err)) == 1
+        assert stderr_crossings(err) == stderr_crossings(plain_err)
+
+    def test_degenerate_lattice_recipe_warns(self, cold_lower, tmp_path):
+        # flow-r6-1 with v = 2u: its Newton system is unchanged, but every
+        # cell fails check_cell's degenerate-lattice test, as a
+        # FundamentalDomain would, so the recipe adds nothing
+        with open("src/bidisc/data/flow_r6_1.json") as fh:
+            obj = json.load(fh)
+        obj["name"], obj["lattice"]["v"] = "flat", ["2*x1", "0"]
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(obj))
+        recipe = flows.load_recipe(path)
+        with pytest.raises(flows.InvalidPacking, match="lattice vectors are degenerate"):
+            geometry.check_cell(*recipe.cell_floats(0.4))
+        plain_out, plain_err, _ = cold_lower("--range", "0.4:0.45", "--step", "0.005")
+        out, err, _ = cold_lower("--range", "0.4:0.45", "--step", "0.005",
+                                 "--recipe", str(path))
+        assert out == plain_out
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            "warning: recipe flat failed at 11 of 11 grid points"]
         assert stderr_crossings(err) == stderr_crossings(plain_err)
 
 
@@ -545,12 +564,12 @@ def test_step_below_float_spacing_is_config_error(capsys, command, lo):
 
 
 def test_tiny_ratio_is_config_error(capsys):
-    # the interstitial construction refuses its candidate lattice of over
-    # 1e7 sites before laying it out
+    # the interstitial census refuses a hole of over 1e4 rows before
+    # walking one
     code, out, err = run(capsys, "lower", "--range", "1e-300:1e-299", "--step", "1e-300")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: interstitial construction at r=1e-300 needs over 1e+07")
+    assert err.startswith("error: interstitial construction at r=1e-300 needs over 1e+04 rows")
 
 
 # (built-in recipe file, key, how its value is broken)

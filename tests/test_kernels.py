@@ -304,16 +304,18 @@ def benchmark_cells():
     ``bidisc lower --range 0.36:0.99 --step 0.001`` from a cold
     continuation cache, then the interstitial cells at four radii."""
     seen = []
-    original = geometry.validate_many
 
-    def recording(domains, tol=1e-9):
-        seen.extend(domains)
-        return original(domains, tol)
+    def recording(original, as_domain):
+        def scan(cells, tol=1e-9):
+            seen.extend(map(as_domain, cells))
+            return original(cells, tol)
+        return scan
 
     flows.clear_continuation_cache()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "validate_many", recording)
-        mp.setattr(flows, "validate_many", recording)
+        # the crossing bisection scans domains, the curve its cells' floats
+        mp.setattr(geometry, "validate_many", recording(geometry.validate_many, lambda d: d))
+        mp.setattr(flows, "scan_cells", recording(flows.scan_cells, flows._domain))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main(["lower", "--range", "0.36:0.99", "--step", "0.001"]) == 0
     return seen, [interstitial(r)[0] for r in (0.03, 0.02, 0.015, 0.01)]
