@@ -22,7 +22,7 @@ from bidisc import flows, solve
 from bidisc.errors import NoConvergence
 from bidisc.flows import builtin_recipes, eval_flow, clear_continuation_cache
 from closed_forms import closed_form_841, closed_form_r6
-from bidisc.geometry import density, validate
+from bidisc.geometry import cell_density, scan_cells
 from bidisc.ratios import ratio
 from bidisc.solve import newton_solve
 
@@ -56,9 +56,9 @@ def main():
             continue
         resid = abs(values(sol, R0)[0])
         cond = jacobian_cond(trial, sol, R0)
-        dom = trial.build_from(sol, R0)
-        dens = density(dom)
-        ok = not validate(dom)
+        cell = trial.cell_from(sol.tolist(), R0)
+        dens = cell_density(*cell)
+        ok = not scan_cells([cell])[0]
         print(f"  held={held}: post-hoc residual {resid:.3e}  cond {cond:.3e}  "
               f"density {dens:.15f}  valid={ok}")
         results.append((resid, cond, held, sol, dens))

@@ -30,7 +30,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from itertools import chain, repeat
@@ -193,10 +192,6 @@ class ConstrainedRecipe(FlowRecipe):
             raise InvalidPacking(f"{self.name}: {exc} at r={r}") from exc
         row += (1.0, r)
         return (row[1], row[2]), (row[3], row[4]), self._flat(row)
-
-    def build_from(self, values, r: float) -> FundamentalDomain:
-        """The packing at ratio r from the unknowns' values."""
-        return _domain(self.cell_from(values, r))
 
     def cell_floats(self, r: float) -> tuple:
         return self.cell_from(solve_constrained(self, r), r)
@@ -427,16 +422,11 @@ def eval_flow(recipe: FlowRecipe, r: float) -> tuple[FundamentalDomain, float]:
 # Exact slack of the census's vertex tests: a kept site is at least
 # 1 + r - _ADMIT_SLACK from each unit centre, so each gap between a small and
 # a unit disc is at least -OVERLAP_TOL / 2, which ``validate`` accepts with
-# room for the rounding of the built coordinates.  Without it the census
-# would drop the snug disc at ratio("r8"), a float 2.8e-13 above the root of
-# 3r^2 + 6r - 1.
+# room for the rounding of the built coordinates.  Like r it is a dyadic
+# float, so the census clears its denominator with r's.  Without it the
+# census would drop the snug disc at ratio("r8"), a float 2.8e-13 above the
+# root of 3r^2 + 6r - 1 (tests/test_flows.py, TestCensus).
 _ADMIT_SLACK = OVERLAP_TOL / 2
-# Error bound of the census's float filters.  Each test is a polynomial in
-# exact inputs (r, the slack, integers, small constants) evaluated with at
-# most 8 roundings on any path, so its float value is within gamma_8 < 2^-49
-# times the sum of its terms' magnitudes of the exact value; 2^-40 leaves a
-# factor of 500 for the rounding of that sum.
-_FILTER = 2.0 ** -40
 # The most rows the census walks: a hole spans about 1/r rows, so every
 # r >= 1e-4 is admitted.
 _MAX_ROWS = 1e4
@@ -449,30 +439,9 @@ def _fills_holes(r: float) -> bool:
     return 0.0 < r <= ratio("r8") + _RANGE_SLACK
 
 
-def _decide(q: float, size: float, exact: Callable[[], Fraction], strict: bool) -> bool:
-    """Whether a census test's value is > 0 (strict) or >= 0: from its float
-    value q when that lies further from 0 than ``_FILTER * size``, size the
-    sum of the magnitudes of its terms, else from ``exact()``."""
-    bound = size * _FILTER
-    if q > bound:
-        return True
-    if q < -bound:
-        return False
-    q = exact()
-    return q > 0 if strict else q >= 0
-
-
-def _first(holds: Callable[[int], bool], k: int, step: int) -> int:
-    """For a test with holds(j) implying holds(j + step): the j = k + i*step
-    with holds(j) and not holds(j - step), searched from k."""
-    if holds(k):
-        while holds(k - step):
-            k -= step
-    else:
-        k += step
-        while not holds(k):
-            k += step
-    return k
+def _root_up(x: int) -> int:
+    """The least integer m >= 0 with m * m >= x."""
+    return math.isqrt(x - 1) + 1 if x > 0 else 0
 
 
 def _hole_runs(r: float) -> list[tuple[int, int, int]]:
@@ -488,8 +457,11 @@ def _hole_runs(r: float) -> list[tuple[int, int, int]]:
         A(k): 3(1 + rk)^2 + Y^2 >= 3c^2    B(k): 3(1 - rk)^2 + Y^2 >= 3c^2
         T(k): 3(rk)^2 + (Y - 3)^2 >= 3c^2
 
-    Every test is decided exactly on the float r, by ``_decide``: most by
-    their float value, the few it cannot settle in Fraction arithmetic.
+    r and the slack are ratios of integers, as every float is, so with d
+    the least common denominator of the two, R = rd and C = cd are
+    integers, and so is dY = d + 3Rn.  Each test, times d^2, is a test on
+    integers, and each bound below is the exact least or greatest integer
+    that passes its tests, by floor division and ``_root_up``.
 
     Rows: a kept site has min(x, 2 - x) <= 1, so A and B give
     1 + y^2 >= c^2, that is Y^2 >= 3(c^2 - 1).  With u = Y / 3 the
@@ -499,77 +471,39 @@ def _hole_runs(r: float) -> list[tuple[int, int, int]]:
     and the second up to some n, so no row outside the two turns holds a
     site, and only the rows between are walked.
 
-    Runs: on a row with Y > 0, L(k) = [3r(n - k) < 2 and A(k)] holds from
-    some k on, as 3r(n - k) < 2 gives 1 + rk > Y / 3 > 0, where A grows
-    with k; by the mirror image R(k) = [3r(n + k) < 2 and B(k)] holds up to
-    some k; and T depends on |k| alone and holds from some |k| on.  So the
-    row keeps the k of its parity in [kl, kr] with |k| >= kt, for the first
-    kl where L holds, the last kr where R holds and the least kt >= 0 where
-    T holds: one run, or two when kt > 0.  Each of these bounds is searched
-    by ``_first`` from a float estimate and proven by its two exact tests;
-    the sites between them are kept without a test.
+    Runs: on a row with Y > 0, Left(k) = [3r(n - k) < 2 and A(k)] holds
+    from some k on, as 3r(n - k) < 2 gives 1 + rk > Y / 3 > 0, where A
+    grows with k; by the mirror image Right(k) = [3r(n + k) < 2 and B(k)]
+    holds up to some k; and T depends on |k| alone and holds from some |k|
+    on.  So the row keeps the k of its parity in [kl, kr] with |k| >= kt,
+    for the first kl where Left holds, the last kr where Right holds and
+    the least kt >= 0 where T holds: one run, or two when kt > 0.  Where
+    1 + rk > 0, A(k) is d + Rk >= a for the least integer a >= 0 with
+    3a^2 >= 3C^2 - (dY)^2, and where 1 - rk > 0, B(k) is d - Rk >= a.
     """
     if not r * _MAX_ROWS >= 1.0:
         raise DomainError(f"interstitial construction at r={r} needs over "
                           f"{_MAX_ROWS:.0e} rows")
-    rx = Fraction(r)
-    cx = 1 + rx - Fraction(_ADMIT_SLACK)
-    c = 1.0 + r - _ADMIT_SLACK
-    r3, cc3 = 3.0 * r, 3.0 * c * c
-
-    def low_row(n):
-        y, size = 1.0 + r3 * n, 1.0 + r3 * abs(n)
-        return (_decide(y, size, lambda: 1 + 3 * rx * n, True)
-                and _decide(y * y - cc3 + 3.0, size * size + cc3 + 3.0,
-                            lambda: (1 + 3 * rx * n) ** 2 - 3 * cx * cx + 3, False))
-
-    def high_row(n):
-        return _decide(4.0 - 2.0 * r3 * n - 3.0 * c, 4.0 + 2.0 * r3 * abs(n) + 3.0 * c,
-                       lambda: 4 - 6 * rx * n - 3 * cx, True)
-
+    p, q = r.as_integer_ratio()
+    s, t = _ADMIT_SLACK.as_integer_ratio()
+    d = math.lcm(q, t)
+    R = p * d // q
+    C = d + R - s * d // t
+    R3, CC3 = 3 * R, 3 * C * C
     runs = []
-    first_row = _first(low_row, math.ceil(
-        (math.sqrt(max(3.0 * (c * c - 1.0), 0.0)) - 1.0) / r3), 1)
-    last_row = _first(high_row, math.floor((4.0 - 3.0 * c) / (2.0 * r3)), -1)
+    first_row = -((d - max(1, _root_up(CC3 - 3 * d * d))) // R3)
+    last_row = (4 * d - 3 * C - 1) // (6 * R)
     for n in range(first_row, last_row + 1):
-        y, ys = 1.0 + r3 * n, 1.0 + r3 * abs(n)
-        yy, yys = y * y - cc3, ys * ys + cc3
-        w, ws = y - 3.0, ys + 3.0
-        ww, wws = w * w - cc3, ws * ws + cc3
-        yx = 1 + 3 * rx * n
-
-        def left(k):
-            p, ps = 1.0 + r * k, 1.0 + r * abs(k)
-            return (_decide(2.0 - r3 * (n - k), 2.0 + r3 * abs(n - k),
-                            lambda: 2 - 3 * rx * (n - k), True)
-                    and _decide(3.0 * p * p + yy, 3.0 * ps * ps + yys,
-                                lambda: 3 * (1 + rx * k) ** 2 + yx * yx - 3 * cx * cx, False))
-
-        def right(k):
-            p, ps = 1.0 - r * k, 1.0 + r * abs(k)
-            return (_decide(2.0 - r3 * (n + k), 2.0 + r3 * abs(n + k),
-                            lambda: 2 - 3 * rx * (n + k), True)
-                    and _decide(3.0 * p * p + yy, 3.0 * ps * ps + yys,
-                                lambda: 3 * (1 - rx * k) ** 2 + yx * yx - 3 * cx * cx, False))
-
-        def top(j):
-            p = r * j
-            return j >= 0 and _decide(3.0 * p * p + ww, 3.0 * p * p + wws,
-                                      lambda: 3 * (rx * j) ** 2 + (yx - 3) ** 2 - 3 * cx * cx,
-                                      False)
-
-        # float estimates of the three bounds, rounded to the row's parity
-        gap = c * c - y * y / 3.0
-        edge = math.sqrt(gap) if gap > 0.0 else 1.0
-        k = math.ceil(max(n - 2.0 / r3, (edge - 1.0) / r))
-        kl = _first(left, k + (k - n) % 2, 2)
-        k = math.floor(min(2.0 / r3 - n, (1.0 - edge) / r))
-        kr = _first(right, k - (k - n) % 2, -2)
+        Y = d + R3 * n      # dY
+        edge = (d - _root_up(-((Y * Y - CC3) // 3))) // R
+        kl = max((R3 * n - 2 * d) // R3 + 1, -edge)
+        kr = min((2 * d - R3 * n - 1) // R3, edge)
+        kl += (kl - n) % 2
+        kr -= (kr - n) % 2
         if kl > kr:
             continue
-        gap = c * c - w * w / 3.0
-        k = min(math.ceil(math.sqrt(gap) / r) if gap > 0.0 else 0, max(-kl, kr) + 2)
-        kt = _first(top, k + (k - n) % 2, 2)
+        kt = -(-_root_up(-(((Y - 3 * d) ** 2 - CC3) // 3)) // R)
+        kt += (kt - n) % 2
         if kt == 0:
             runs.append((n, kl, kr))
             continue

@@ -150,6 +150,11 @@ class TestLower:
 # the bytes the benchmark expects of its lower sweep
 LOWER_036_SHA256 = "071e6155bc3ebe222799cb1603498dd10ef4104e03805cda70c758f0b5d5b2b3"
 
+# sha256 of the CSV stdout of `bidisc lower --range 0.0001:0.16 --step 0.0001`,
+# a header and 1,600 rows, whose values below r8 are interstitial census
+# densities; recorded while the census decided its tests by a float filter
+LOWER_INTERSTITIAL_SHA256 = "eda84b51ba044de11d2bba847db3d04ec8749db561bd8685b886ce7175a7b810"
+
 # the benchmark's recorded outcomes, read and never written here
 EXPECTED = json.loads((pathlib.Path(__file__).resolve().parent.parent
                        / "perfbench" / "expected.json").read_text())
@@ -212,6 +217,11 @@ class TestLowerPinned:
     def test_csv_stdout_pinned(self, cold_lower):
         out, _, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001")
         assert hashlib.sha256(out.encode()).hexdigest() == LOWER_036_SHA256
+
+    def test_interstitial_stdout_pinned(self, cold_lower):
+        out, _, _ = cold_lower("--range", "0.0001:0.16", "--step", "0.0001")
+        assert len(out.splitlines()) == 1 + 1600
+        assert hashlib.sha256(out.encode()).hexdigest() == LOWER_INTERSTITIAL_SHA256
 
     def test_json_matches_csv_run(self, cold_lower):
         csv_out, csv_err, _ = cold_lower("--range", "0.36:0.99", "--step", "0.001")

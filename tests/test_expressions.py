@@ -10,7 +10,6 @@ import pytest
 from bidisc.errors import RecipeError
 from bidisc.expressions import _MAX_DEPTH, Expr, compile_system
 from bidisc.flows import builtin_recipes, recipe_from_dict
-from bidisc.geometry import Disc, FundamentalDomain
 
 
 def value_of(source, names, point):
@@ -271,7 +270,7 @@ def assert_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
 
 
 def assert_geometry_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
-    """The held-out value and ``build_from``'s domain equal the oracle's."""
+    """The held-out value and ``cell_from``'s cell equal the oracle's."""
     values = recipe.compiled[2]
     rng = random.Random(seed)
     for _ in range(points):
@@ -282,11 +281,10 @@ def assert_geometry_matches_oracle(recipe, points, seed, lo=-3.0, hi=3.0):
         got = values(q, r)[0]
         assert (type(got), repr(got)) == (type(held), repr(held))
         (ux, uy), (vx, vy) = recipe.lattice
-        domain = FundamentalDomain(
-            (oracle(ux, env), oracle(uy, env)), (oracle(vx, env), oracle(vy, env)),
-            tuple(Disc(oracle(ex, env), oracle(ey, env), 1.0 if sel == "one" else r)
-                  for ex, ey, sel in recipe.cell))
-        assert repr(recipe.build_from(q, r)) == repr(domain)
+        cell = ((oracle(ux, env), oracle(uy, env)), (oracle(vx, env), oracle(vy, env)),
+                tuple(v for ex, ey, sel in recipe.cell
+                      for v in (oracle(ex, env), oracle(ey, env), 1.0 if sel == "one" else r)))
+        assert repr(recipe.cell_from(q, r)) == repr(cell)
 
 
 def constrained(variables, defines, equations, verify_index,

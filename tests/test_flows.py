@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -203,7 +204,7 @@ class TestConstrainedFlow:
         assert len(values(q, 0.5)) == 1 + 4 + 2 * 7
         clear_continuation_cache(recipe.name)
         eval_flow(recipe, 0.5)
-        recipe.build_from(q, 0.5)
+        recipe.cell_from(q, 0.5)
         assert len(compiled) == 1
 
     @pytest.mark.parametrize("where", ["held-out", "cell"])
@@ -660,6 +661,19 @@ class TestInterstitialOracle:
             assert len(validate(domain)) == row["violations"] == 0
 
 
+def test_root_up():
+    # the least m >= 0 with m^2 >= x, against a walk up from 0 where that is
+    # short and against the two squares around x elsewhere
+    for x in range(-50, 2000):
+        assert flows._root_up(x) == next(m for m in range(50) if m * m >= x), x
+    rng = random.Random(34)
+    big = [rng.getrandbits(200) for _ in range(200)]
+    cases = [-(2 ** 200), *big, *(m * m + e for m in big + [2 ** 100] for e in (-1, 0, 1))]
+    for x in cases:
+        m = flows._root_up(x)
+        assert m >= 0 and m * m >= x and (m == 0 or (m - 1) ** 2 < x), x
+
+
 def census_sites(r):
     """The sites (n, k) of the first hole that ``flows._hole_runs`` keeps,
     rows by n and each row by k."""
@@ -715,9 +729,10 @@ class TestCensus:
             assert census_sites(r) == census_by_brute_force(r), r
 
     # Floats next to a tie of a vertex test at a run end, where the test's
-    # float value has the wrong sign: found by bisecting r for the sign
-    # change of the exact value, then comparing both values at the floats
-    # around it.  Only the filter's error bound sends these to Fraction.
+    # value in float arithmetic has the wrong sign: found by bisecting r for
+    # the sign change of the exact value, then comparing both values at the
+    # floats around it.  Kept as regression inputs: a census that rounded
+    # any of its tests would keep or drop a wrong site at one of them.
     NEAR_TIES = [0.028013606964036455, 0.06278172052478054, 0.022742488189089808,
                  0.01197659964636014, 0.03703703716666667]
 
@@ -737,6 +752,32 @@ class TestCensus:
         sites = census_sites(r)
         assert sites == census_by_brute_force(r)
         assert {(-3, -1), (1, -5), (2, 4), (2, -4)} <= set(sites)
+
+    def test_sites_on_a_side_dropped(self, monkeypatch):
+        # the triangle test is strict, which no float r shows: 3r(n - k) = 2
+        # needs 3 to divide a power of 2, and with c > 1 a site on a side is
+        # within c of one of its ends.  At r = 1/12 with c = 1/2 the sites
+        # (4, -4) and (4, 4) lie on the two sides, clear of every vertex
+        r = Fraction(1, 12)
+        monkeypatch.setattr(flows, "_ADMIT_SLACK", r + Fraction(1, 2))
+        sites = census_sites(r)
+        assert sites == census_by_brute_force(r)
+        assert {(4, -2), (4, 2)} <= set(sites)
+        assert not {(4, -4), (4, 4)} & set(sites)
+
+    def test_snug_site_only_below_root_without_slack(self, monkeypatch):
+        # the snug site (0, 0) at the hole centre fits without the slack at
+        # the last float r with 3r^2 + 6r - 1 <= 0, and at no float above it,
+        # ratio("r8") included, which lies 2.8e-13 above the root
+        monkeypatch.setattr(flows, "_ADMIT_SLACK", 0.0)
+        snug = 0.15470053837925152
+        above = math.nextafter(snug, 1.0)
+        assert [3 * Fraction(r) ** 2 + 6 * Fraction(r) - 1 <= 0 for r in (snug, above)] == [
+            True, False]
+        assert flows._hole_runs(snug) == [(0, 0, 0)]
+        assert flows._hole_runs(above) == []
+        assert ratio("r8") > above
+        assert flows._hole_runs(ratio("r8")) == []
 
     def test_densities_are_domain_densities(self):
         # the census density is density()'s sum, term by term, and the curve

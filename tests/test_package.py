@@ -119,9 +119,11 @@ def test_no_layer_restates_what_it_wraps():
     # by its own ratios; Newton's iteration budget and tolerance are module
     # constants; a failed certification returns its root, not an error that
     # wraps it; the overlap scan and the envelope share one blocked row walk;
-    # a bound sample comes from sweep alone, at one precision
+    # a bound sample comes from sweep alone, at one precision; the interstitial
+    # census decides each test once, in integers; a recipe cell is its floats
     gone = {"build_checked", "radius_census", "ProofTrace", "SingularJacobian", "_path_keys",
-            "DepthExceeded", "_blocks", "find_delta", "_check_precision", "DEFAULT_PRECISION"}
+            "DepthExceeded", "_blocks", "find_delta", "_check_precision", "DEFAULT_PRECISION",
+            "_decide", "_FILTER", "_first", "build_from"}
     assert not {(module, name) for module, name in _defined_in_src() if name in gone}
     assert not set(bidisc.__all__) & gone
     assert "max_iter" not in inspect.signature(solve.newton_solve).parameters
